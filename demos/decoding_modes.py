@@ -17,7 +17,7 @@ from promptner.matcher import make_score_table
 
 def table(num_words, k, entries, types):
     spans = enumerate_spans(num_words, k)
-    idx = {(s.start, s.end): i for i, s in enumerate(spans)}
+    idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
     col = {t: j for j, t in enumerate(types)}
     logits = np.full((len(spans), len(types)), -9.0)
     for start, end, typ, prob in entries:

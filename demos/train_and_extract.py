@@ -49,7 +49,7 @@ def main():
 
     # the same span scored against a wrong type stays below threshold
     table = model.score_table(words, types)
-    idx = {(s.start, s.end): i for i, s in enumerate(table.spans)}
+    idx = {tuple(s): i for i, s in enumerate(table.spans.tolist())}
     col = {t: j for j, t in enumerate(table.types)}
     p_person = table.probs[idx[(0, 1)], col["person"]]
     p_location = table.probs[idx[(0, 1)], col["location"]]

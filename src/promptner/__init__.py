@@ -10,7 +10,7 @@ from . import tensor
 from .decoder import DecodeConfig, EntityMention, decode
 from .encoder import EncoderConfig
 from .evaluation import EvalReport, score
-from .matcher import ScoreTable, SpanIndex, enumerate_spans
+from .matcher import ScoreTable, enumerate_spans
 from .model import Model, ModelConfig
 from .prompt import EncodedPrompt, build_prompt, chunk_types
 from .tokenizer import Vocab, build_vocab, segment
@@ -18,7 +18,7 @@ from .trainer import TrainConfig, TrainingExample, fit
 
 __all__ = [
     "tensor", "DecodeConfig", "EntityMention", "decode", "EncoderConfig",
-    "EvalReport", "score", "ScoreTable", "SpanIndex", "enumerate_spans",
+    "EvalReport", "score", "ScoreTable", "enumerate_spans",
     "Model", "ModelConfig", "EncodedPrompt", "build_prompt", "chunk_types",
     "Vocab", "build_vocab", "segment", "TrainConfig", "TrainingExample", "fit",
 ]

@@ -17,8 +17,10 @@ import struct
 
 import numpy as np
 
+from . import tensor as T
+from .decoder import EntityMention
 from .errors import DataError
-from .matcher import ScoreTable, SpanIndex, enumerate_spans
+from .matcher import ScoreTable, enumerate_spans, span_count
 from .model import Model, ModelConfig
 from .tokenizer import Vocab
 
@@ -27,8 +29,6 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path, model, seeds=()):
-    from . import tensor as T  # local to avoid import cycle in type hints
-
     names = sorted(model.params)
     header = {
         "format_version": FORMAT_VERSION,
@@ -47,8 +47,6 @@ def save_checkpoint(path, model, seeds=()):
 
 
 def load_checkpoint(path):
-    from . import tensor as T
-
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
@@ -77,7 +75,7 @@ def save_score_tables(tables, path):
                 "num_words": t.num_words,
                 "k": t.k,
                 "types": list(t.types),
-                "spans": [[s.start, s.end] for s in t.spans],
+                "spans": t.spans.tolist(),
                 "probs": np.asarray(t.probs).reshape(-1).tolist(),
             }
             if t.logits is not None:
@@ -85,36 +83,54 @@ def save_score_tables(tables, path):
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_score_tables(path):
-    tables = []
+def _jsonl_records(path):
+    """(line number, parsed JSON) for every non-blank line of a JSONL file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            spans = [SpanIndex(int(s), int(e)) for s, e in rec["spans"]]
-            types = list(rec["types"])
-            num_words, k = int(rec["num_words"]), int(rec["k"])
-            expected = [(s.start, s.end) for s in enumerate_spans(num_words, k)]
-            if [(s.start, s.end) for s in spans] != expected:
-                raise DataError(f"{path}:{lineno}: span list is not the K-capped enumeration")
-            probs = np.asarray(rec["probs"], dtype=np.float64)
-            if probs.size != len(spans) * len(types):
-                raise DataError(f"{path}:{lineno}: probs length {probs.size} != "
-                                f"{len(spans)} spans x {len(types)} types")
-            if probs.size and not ((probs > 0) & (probs < 1)).all():
-                raise DataError(f"{path}:{lineno}: probabilities must lie in (0, 1)")
-            probs = probs.reshape(len(spans), len(types))
-            logits = rec.get("logits")
-            if logits is not None:
-                logits = np.asarray(logits, dtype=np.float64).reshape(len(spans), len(types))
-            tables.append(ScoreTable(spans=spans, types=types, probs=probs,
-                                     logits=logits, num_words=num_words, k=k))
+            if line.strip():
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def load_score_tables(path):
+    tables = []
+    for lineno, rec in _jsonl_records(path):
+        try:
+            tables.append(_score_table(rec))
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # DataError is a ValueError
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return tables
+
+
+def _score_table(rec):
+    """One parsed record as a ScoreTable; the caller adds the file position."""
+    if not isinstance(rec, dict):
+        raise DataError("a score-table record must be a JSON object")
+    spans = np.array(rec["spans"])
+    if spans.ndim != 2 or spans.shape[1] != 2 or spans.dtype.kind != "i":
+        raise DataError("spans must be a list of [start, end] integer pairs")
+    types = list(rec["types"])
+    num_words, k = int(rec["num_words"]), int(rec["k"])
+    # the count check first, so a huge num_words is refused before enumerating
+    if (len(spans) != span_count(num_words, k)
+            or not np.array_equal(spans, enumerate_spans(num_words, k))):
+        raise DataError("span list is not the K-capped enumeration")
+    probs = np.asarray(rec["probs"], dtype=np.float64)
+    if probs.size != len(spans) * len(types):
+        raise DataError(f"probs length {probs.size} != "
+                        f"{len(spans)} spans x {len(types)} types")
+    if probs.size and not ((probs > 0) & (probs < 1)).all():
+        raise DataError("probabilities must lie in (0, 1)")
+    probs = probs.reshape(len(spans), len(types))
+    logits = rec.get("logits")
+    if logits is not None:
+        logits = np.asarray(logits, dtype=np.float64).reshape(len(spans), len(types))
+    return ScoreTable(spans=spans, types=types, probs=probs, logits=logits,
+                      num_words=num_words, k=k)
 
 
 def save_mentions(mention_lists, path, words_lists=None):
@@ -129,24 +145,14 @@ def save_mentions(mention_lists, path, words_lists=None):
 
 def load_mentions(path):
     """Mention lists from a prediction or dataset file (scores optional)."""
-    from .decoder import EntityMention
-
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            mentions = []
-            for item in rec.get("ner", []):
-                if len(item) < 3:
-                    raise DataError(f"{path}:{lineno}: malformed ner entry {item!r}")
-                score = float(item[3]) if len(item) > 3 else 1.0
-                mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]),
-                                              score=score))
-            out.append(mentions)
+    for lineno, rec in _jsonl_records(path):
+        mentions = []
+        for item in rec.get("ner", []):
+            if len(item) < 3:
+                raise DataError(f"{path}:{lineno}: malformed ner entry {item!r}")
+            score = float(item[3]) if len(item) > 3 else 1.0
+            mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]),
+                                          score=score))
+        out.append(mentions)
     return out

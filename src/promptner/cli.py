@@ -8,6 +8,7 @@ artifacts. Errors exit nonzero with a module-attributed message.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,7 +18,7 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from .decoder import DecodeConfig, decode
 from .encoder import EncoderConfig
-from .errors import PromptnerError
+from .errors import ConfigError, PromptnerError
 from .evaluation import score as eval_score
 from .gradcheck import model_gradcheck
 from .model import Model, ModelConfig
@@ -25,56 +26,58 @@ from .tokenizer import build_vocab
 from .trainer import TrainConfig, evaluate_dataset, fit
 
 
-def _model_config_from_args(args, overrides=None):
-    cfg = overrides or {}
-    enc = EncoderConfig(depth=cfg.get("depth", 2), width=cfg.get("width", 64),
-                        heads=cfg.get("heads", 4), ffn_mult=cfg.get("ffn_mult", 4),
-                        max_positions=cfg.get("max_positions", 512),
-                        dropout=cfg.get("encoder_dropout", 0.1))
-    k = args.k if getattr(args, "k", None) is not None else cfg.get("k", 12)
-    max_types = (args.max_types if getattr(args, "max_types", None) is not None
-                 else cfg.get("max_types", 25))
-    return ModelConfig(encoder=enc, k=k, head_dropout=cfg.get("head_dropout", 0.4),
-                       max_types=max_types)
-
-
 def _load_config_file(path):
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: {path}: invalid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError(f"config: {path}: expected a JSON object")
+    return values
+
+
+def _pop_fields(cls, values, **renamed):
+    """Pop the entries of ``values`` that set fields of ``cls`` as its keyword
+    arguments; ``renamed`` gives a field's file key (None: not settable)."""
+    keys = {renamed.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    return {keys[key]: values.pop(key) for key in list(values) if key in keys}
+
+
+def _train_setup(args):
+    """ModelConfig, TrainConfig, vocab size and init scale of a train run.
+
+    The config file's keys are the fields of EncoderConfig (``dropout``
+    spelled ``encoder_dropout``), ModelConfig and TrainConfig, plus
+    ``vocab_size`` and ``init_scale``. Flags, named after their fields,
+    override the file.
+    """
+    values = _load_config_file(args.config)
+    for key in ("seed", "steps", "k", "max_types", "neg_ratio", "drop_prob"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    vocab_size = values.pop("vocab_size", 2000)
+    init_scale = values.pop("init_scale", 0.02)
+    enc = EncoderConfig(**_pop_fields(EncoderConfig, values, dropout="encoder_dropout"))
+    mcfg = ModelConfig(encoder=enc, **_pop_fields(ModelConfig, values, encoder=None))
+    tcfg = TrainConfig(**_pop_fields(TrainConfig, values))
+    if values:
+        raise ConfigError(f"config: {args.config}: unknown key(s) {', '.join(sorted(values))}")
+    return mcfg, tcfg, vocab_size, init_scale
 
 
 def cmd_train(args):
-    cfg = _load_config_file(args.config)
+    mcfg, tcfg, vocab_size, init_scale = _train_setup(args)
     train = data_mod.load_dataset(args.data)
     if not train:
         raise PromptnerError("trainer: dataset is empty")
     dev = data_mod.load_dataset(args.dev) if args.dev else None
 
     all_types = sorted({m.type for ex in train for m in ex.gold})
-    vocab = build_vocab(data_mod.vocab_corpus(train, all_types),
-                        max_size=cfg.get("vocab_size", 2000))
-    mcfg = _model_config_from_args(args, cfg)
-    model = Model.fresh(mcfg, vocab, seed=args.seed,
-                        init_scale=cfg.get("init_scale", 0.02))
-
-    tcfg = TrainConfig(
-        steps=args.steps if args.steps is not None else cfg.get("steps", 2000),
-        batch_size=cfg.get("batch_size", 8),
-        lr_encoder=cfg.get("lr_encoder", 3e-4),
-        lr_head=cfg.get("lr_head", 3e-4),
-        weight_decay=cfg.get("weight_decay", 0.01),
-        warmup_frac=cfg.get("warmup_frac", 0.1),
-        neg_ratio=args.neg_ratio if args.neg_ratio is not None else cfg.get("neg_ratio", 0.5),
-        drop_prob=args.drop_prob if args.drop_prob is not None else cfg.get("drop_prob", 0.2),
-        reduction=cfg.get("reduction", "sum"),
-        seed=args.seed,
-        eval_every=cfg.get("eval_every", 0),
-        log_every=cfg.get("log_every", 50),
-        type_policy=cfg.get("type_policy", "sample"),
-        shuffle_types=cfg.get("shuffle_types", True),
-    )
+    vocab = build_vocab(data_mod.vocab_corpus(train, all_types), max_size=vocab_size)
+    model = Model.fresh(mcfg, vocab, seed=tcfg.seed, init_scale=init_scale)
 
     trace = fit(train, model, tcfg, dev=dev, dev_types=all_types,
                 log=lambda rec: print(json.dumps(rec)))
@@ -83,7 +86,7 @@ def cmd_train(args):
             for rec in trace:
                 fh.write(json.dumps(rec) + "\n")
 
-    ckpt.save_checkpoint(args.out, model, seeds=[args.seed])
+    ckpt.save_checkpoint(args.out, model, seeds=[tcfg.seed])
     if dev:
         report = evaluate_dataset(model, dev, all_types)
         print(json.dumps({"dev_report": report.to_dict()}))
@@ -184,7 +187,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--dev")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--max-types", type=int, dest="max_types")

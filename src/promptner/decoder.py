@@ -1,7 +1,7 @@
 """Greedy span selection over a score table.
 
-Candidates with probability strictly above the threshold enter a priority
-queue and are popped best-first (ties: start, end, then type). Flat mode
+Candidates with probability strictly above the threshold are sorted once
+and visited best-first (ties: start, end, then type name). Flat mode
 accepts a span only if it is token-disjoint from everything accepted so far;
 nested mode additionally allows proper containment (at least one differing
 endpoint) but never partial overlap, and never two types on the identical
@@ -14,9 +14,10 @@ in the number of candidates.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractError
 
@@ -149,29 +150,28 @@ class _LaminarIntervals:
 def decode(table, config=None, stats=None):
     """Greedy flat/nested selection; returns accepted EntityMentions.
 
-    ``table`` needs .spans, .types and .probs (|spans| x |types|). Output
-    order follows acceptance order (best score first).
+    ``table`` needs .spans (the (S, 2) array of ``enumerate_spans``), .types
+    and .probs (S x |types|). Output order follows acceptance order (best
+    score first).
     """
     config = config or DecodeConfig()
-    probs = table.probs
-    heap = []
-    for si, span in enumerate(table.spans):
-        for ti, etype in enumerate(table.types):
-            p = float(probs[si][ti])
-            if p > config.threshold:
-                heap.append((-p, span.start, span.end, etype))
-    heapq.heapify(heap)
+    # float64, so the threshold is compared at full precision for any dtype
+    probs = np.asarray(table.probs, dtype=np.float64)
+    rows, cols = np.nonzero(probs > config.threshold)
+    p = probs[rows, cols]
+    starts, ends = table.spans[rows, 0], table.spans[rows, 1]
+    name_rank = {t: r for r, t in enumerate(sorted(set(table.types)))}
+    type_rank = np.array([name_rank[t] for t in table.types], dtype=np.int64)
+    order = np.lexsort((type_rank[cols], ends, starts, -p))
     if stats is not None:
-        stats.candidates = len(heap)
+        stats.candidates = len(order)
+        stats.pops += len(order)
 
     accepted = []
     accepted_keys = set()
     intervals = _DisjointIntervals() if config.mode == "flat" else _LaminarIntervals()
-
-    while heap:
-        neg_p, start, end, etype = heapq.heappop(heap)
-        if stats is not None:
-            stats.pops += 1
+    for start, end, col, score in zip(starts[order].tolist(), ends[order].tolist(),
+                                      cols[order].tolist(), p[order].tolist()):
         x, y = start, end + 1  # half-open
         if config.mode == "flat":
             if (x, y) in accepted_keys:
@@ -184,5 +184,5 @@ def decode(table, config=None, stats=None):
             if (x, y) not in accepted_keys:
                 intervals.add(x, y)
                 accepted_keys.add((x, y))
-            accepted.append(EntityMention(start, end, etype, score=-neg_p))
+            accepted.append(EntityMention(start, end, table.types[col], score=score))
     return accepted

@@ -123,10 +123,8 @@ def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, 
 
     from . import model as model_mod
     from . import prompt as prompt_mod
-    from . import tensor as T
     from . import trainer as trainer_mod
     from .data import vocab_corpus
-    from .trainer import TrainingExample
     from .decoder import EntityMention
     from .tokenizer import build_vocab
 
@@ -135,7 +133,7 @@ def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, 
         config, head_dropout=0.0,
         encoder=dataclasses.replace(config.encoder, dropout=0.0))
 
-    example = TrainingExample(
+    example = trainer_mod.TrainingExample(
         words=["alain", "farley", "works", "at", "mcgill"],
         gold=[EntityMention(0, 1, "person"), EntityMention(4, 4, "organization")])
     types = ["person", "organization", "location"]

@@ -18,16 +18,10 @@ from . import tensor as T
 from .errors import ContractError, DimensionError
 
 
-@dataclass(frozen=True, order=True)
-class SpanIndex:
-    start: int  # inclusive word index
-    end: int    # inclusive word index
-
-
 @dataclass
 class ScoreTable:
     """Matching probabilities for one sentence: |spans| x |types|."""
-    spans: list
+    spans: np.ndarray  # (S, 2), from enumerate_spans
     types: list
     probs: np.ndarray
     logits: np.ndarray = None
@@ -36,19 +30,21 @@ class ScoreTable:
 
 
 def enumerate_spans(num_words, k):
-    """All spans of width <= min(k, num_words), ordered by (start, end)."""
+    """All spans of width <= min(k, num_words), ordered by (start, end), in
+    the package's one span layout: an (S, 2) int64 array of inclusive
+    (start, end) word indices, row i naming row i of a score table."""
     if num_words < 1 or k < 1:
         raise ContractError("num_words and k must be >= 1")
-    spans = []
-    for start in range(num_words):
-        for end in range(start, min(start + k, num_words)):
-            spans.append(SpanIndex(start, end))
-    return spans
+    w = min(k, num_words)
+    starts = np.repeat(np.arange(num_words, dtype=np.int64), w)
+    ends = starts + np.tile(np.arange(w, dtype=np.int64), num_words)
+    keep = ends < num_words
+    return np.stack([starts[keep], ends[keep]], axis=1)
 
 
 def span_count(num_words, k):
     w = min(k, num_words)
-    return sum(num_words - width + 1 for width in range(1, w + 1))
+    return w * (num_words + 1) - w * (w + 1) // 2
 
 
 def init_head_params(width, rng, dtype=np.float32, init_scale=0.02):
@@ -84,13 +80,8 @@ def entity_embed(p, params, dropout=0.0, mode="eval", rng=None):
 
 
 def span_embed(h, spans, params, dropout=0.0, mode="eval", rng=None):
-    """Embed every span as FFN([h_start ; h_end]), batched over spans."""
-    n = h.shape[0]
-    starts = np.fromiter((s.start for s in spans), dtype=np.int64, count=len(spans))
-    ends = np.fromiter((s.end for s in spans), dtype=np.int64, count=len(spans))
-    if len(spans) and (starts.max() >= n or ends.max() >= n):
-        raise ContractError("span index out of range")
-    pairs = T.concat_cols([T.gather_rows(h, starts), T.gather_rows(h, ends)])
+    """Embed every (start, end) row of ``spans`` as FFN([h_start ; h_end])."""
+    pairs = T.concat_cols([T.gather_rows(h, spans[:, 0]), T.gather_rows(h, spans[:, 1])])
     return _ffn2(pairs, params, "head.span.", dropout, mode, rng)
 
 
@@ -104,6 +95,6 @@ def match_scores(span_emb, q):
 def make_score_table(spans, types, logits, num_words, k):
     """Wrap raw logits into a ScoreTable with sigmoid probabilities."""
     logits = np.asarray(logits)
-    return ScoreTable(spans=list(spans), types=list(types),
+    return ScoreTable(spans=spans, types=list(types),
                       probs=expit(logits), logits=logits,
                       num_words=num_words, k=k)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import matcher, prompt as prompt_mod
-from . import tensor as T
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import ContractError
 
@@ -74,15 +73,14 @@ class Model:
         """Eval-mode ScoreTable for one sentence; chunks prompts when the
         type list exceeds the training-time cap and unions the columns."""
         types = list(entity_types)
-        if len(set(types)) != len(types):
-            raise ContractError("duplicate entity types")
-        spans = matcher.enumerate_spans(len(words), self.config.k)
+        if not types or len(set(types)) != len(types):
+            raise ContractError("entity types must be non-empty and distinct")
         logits_cols = []
         for group in prompt_mod.chunk_types(types, self.config.max_types):
             enc = prompt_mod.build_prompt(group, words, self.vocab,
                                           max_types=self.config.max_types,
                                           max_positions=self.config.encoder.max_positions)
-            _, logits = forward(enc, self.params, self.config, mode="eval")
+            spans, logits = forward(enc, self.params, self.config, mode="eval")
             logits_cols.append(logits.data)
         all_logits = np.concatenate(logits_cols, axis=1)
         return matcher.make_score_table(spans, types, all_logits,

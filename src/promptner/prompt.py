@@ -22,8 +22,9 @@ class EncodedPrompt:
     words: list
 
     def __post_init__(self):
-        assert len(self.ent_positions) == len(self.entity_types)
-        assert len(self.word_positions) == len(self.words)
+        if (len(self.ent_positions) != len(self.entity_types)
+                or len(self.word_positions) != len(self.words)):
+            raise ContractError("need one position per entity type and per word")
 
 
 def build_prompt(entity_types, words, vocab, max_types=25, max_positions=512):

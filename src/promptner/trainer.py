@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matcher, prompt as prompt_mod
+from . import prompt as prompt_mod
 from . import tensor as T
-from .decoder import DecodeConfig, EntityMention, decode
+from .decoder import DecodeConfig, decode
 from .errors import ContractError
 from .evaluation import score as eval_score
 from .model import forward
@@ -59,18 +59,16 @@ def build_labels(example, prompt_types, spans):
     if len(set(prompt_types)) != len(prompt_types):
         raise ContractError("prompt_types must be deduplicated")
     type_index = {t: i for i, t in enumerate(prompt_types)}
-    span_index = {(s.start, s.end): i for i, s in enumerate(spans)}
-    targets = np.zeros((len(spans), len(prompt_types)), dtype=np.float32)
-    filtered = 0
     for m in example.gold:
         if m.type not in type_index:
             raise ContractError(f"gold type {m.type!r} missing from prompt types")
-        si = span_index.get((m.start, m.end))
-        if si is None:
-            filtered += 1
-            continue
-        targets[si, type_index[m.type]] = 1.0
-    return LabelGrid(targets=targets, filtered_wide=filtered)
+    gold = np.array([(m.start, m.end) for m in example.gold], dtype=np.int64).reshape(-1, 2)
+    cols = np.array([type_index[m.type] for m in example.gold], dtype=np.int64)
+    # spans are distinct, so each gold span matches at most one row
+    rows, hits = np.nonzero((spans[:, None, :] == gold[None, :, :]).all(axis=2))
+    targets = np.zeros((len(spans), len(prompt_types)), dtype=np.float32)
+    targets[rows, cols[hits]] = 1.0
+    return LabelGrid(targets=targets, filtered_wide=len(gold) - len(hits))
 
 
 def bce_loss(logits, grid, reduction="sum"):
@@ -104,15 +102,18 @@ def shuffle_and_drop(prompt_types, drop_prob, rng):
     At least one type always survives (the first of the permutation is kept
     when everything else was dropped).
     """
+    permuted = [prompt_types[i] for i in rng.permutation(len(prompt_types))]
+    return drop_types(permuted, drop_prob, rng)
+
+
+def drop_types(prompt_types, drop_prob, rng):
+    """Drop each type independently, in list order; the first type is kept
+    when everything was dropped. ``drop_prob == 0`` draws nothing."""
     if not 0.0 <= drop_prob < 1.0:
         raise ContractError(f"drop_prob {drop_prob} outside [0, 1)")
-    permuted = [prompt_types[i] for i in rng.permutation(len(prompt_types))]
     if drop_prob == 0.0:
-        return permuted
-    survivors = [t for t in permuted if rng.random() >= drop_prob]
-    if not survivors:
-        survivors = [permuted[0]]
-    return survivors
+        return list(prompt_types)
+    return [t for t in prompt_types if rng.random() >= drop_prob] or [prompt_types[0]]
 
 
 def lr_at(step, total_steps, base, warmup_frac=0.1):
@@ -257,9 +258,8 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
                                               max_types=model.config.max_types)
             if tcfg.shuffle_types:
                 types = shuffle_and_drop(types, tcfg.drop_prob, rng)
-            elif tcfg.drop_prob > 0.0:
-                kept = [t for t in types if rng.random() >= tcfg.drop_prob]
-                types = kept or [types[0]]
+            else:
+                types = drop_types(types, tcfg.drop_prob, rng)
             try:
                 loss, wide = _example_loss(model, example, types, tcfg, rng)
             except Exception as exc:

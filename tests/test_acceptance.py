@@ -79,7 +79,7 @@ def test_criterion_2_overfit_oracle():
     # person) above threshold and ("alain farley", location) below it
     table = model.score_table(
         ["alain", "farley", "works", "at", "mcgill", "university"], types)
-    idx = {(s.start, s.end): i for i, s in enumerate(table.spans)}
+    idx = {tuple(s): i for i, s in enumerate(table.spans.tolist())}
     ti = {t: j for j, t in enumerate(table.types)}
     assert table.probs[idx[(0, 1)], ti["person"]] > 0.5
     assert table.probs[idx[(0, 1)], ti["location"]] < 0.5

@@ -96,6 +96,25 @@ class TestScoreTables:
         with pytest.raises(DataError, match="probabilities"):
             load_score_tables(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}', "num_words"),
+        ('{"num_words": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}', "k"),
+        ('{"num_words": 1, "k": 1, "spans": [[0, 0]], "probs": [0.5]}', "types"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "probs": [0.5]}', "spans"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, "x"]], "probs": [0.5]}',
+         "integer"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0.5]], "probs": [0.5]}',
+         "integer"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0], [0]], "probs": [0.5]}',
+         ""),
+        ('[1, 2]', "object"),
+    ])
+    def test_malformed_record_reports_line(self, tmp_path, record, message):
+        path = tmp_path / "scores.jsonl"
+        path.write_text("\n" + record + "\n")
+        with pytest.raises(DataError, match=f"scores.jsonl:2: .*{message}"):
+            load_score_tables(path)
+
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"num_words": 1, "k": 1, "types": ["a", "b"], '

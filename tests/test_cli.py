@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from promptner.checkpoint import load_checkpoint, save_score_tables
-from promptner.cli import main
+from promptner.cli import _train_setup, build_parser, main
 from promptner.matcher import enumerate_spans, make_score_table
 
 
@@ -68,6 +68,39 @@ class TestTrain:
         rc = main(["train", "--data", str(empty), "--out", str(tmp_path / "m.ckpt")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestTrainConfig:
+    def test_file_sets_fields_and_flags_override(self, tmp_path):
+        # the keys demos/cli_workflow.py writes, plus k and seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "steps": 2000, "lr_encoder": 2e-3, "lr_head": 2e-3,
+            "init_scale": 0.05, "encoder_dropout": 0.0, "head_dropout": 0.0,
+            "drop_prob": 0.0, "type_policy": "inventory",
+            "shuffle_types": False, "log_every": 500, "k": 4, "seed": 3}))
+        args = build_parser().parse_args(["train", "--data", "d.jsonl", "--out", "m.ckpt",
+                                          "--config", str(cfg), "--steps", "7"])
+        mcfg, tcfg, vocab_size, init_scale = _train_setup(args)
+        assert (tcfg.steps, tcfg.seed, tcfg.lr_encoder, tcfg.shuffle_types) == (7, 3, 2e-3, False)
+        assert (mcfg.k, mcfg.head_dropout, mcfg.encoder.dropout) == (4, 0.0, 0.0)
+        assert (vocab_size, init_scale) == (2000, 0.05)
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"lr_encodr": 0.001}', "unknown key(s) lr_encodr"),
+        ('{"dropout": 0.0}', "unknown key(s) dropout"),
+        ('{"steps": 2,', "invalid JSON"),
+        ('[1, 2]', "JSON object"),
+    ])
+    def test_bad_config_fails_cleanly(self, workspace, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        rc = main(["train", "--data", str(workspace["train"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestPredict:

@@ -36,11 +36,11 @@ def _proper_containment(a, b):
 def oracle_decode(table, config):
     """Reference: full sort, then quadratic compatibility scan."""
     cands = []
-    for si, span in enumerate(table.spans):
+    for si, (start, end) in enumerate(table.spans.tolist()):
         for ti, etype in enumerate(table.types):
             p = float(table.probs[si][ti])
             if p > config.threshold:
-                cands.append((-p, span.start, span.end, etype))
+                cands.append((-p, start, end, etype))
     cands.sort()
     accepted = []
     for neg_p, start, end, etype in cands:
@@ -126,7 +126,7 @@ class TestHandCases:
     def _table(num_words, k, entries, types):
         from scipy.special import logit
         spans = enumerate_spans(num_words, k)
-        idx = {(s.start, s.end): i for i, s in enumerate(spans)}
+        idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
         col = {t: j for j, t in enumerate(types)}
         logits = np.full((len(spans), len(types)), -9.0)
         for start, end, typ, prob in entries:
@@ -165,7 +165,7 @@ class TestEdgeCases:
     def test_nested_allows_containment_not_overlap(self):
         spans = enumerate_spans(4, 4)
         logits = np.full((len(spans), 1), -5.0)
-        idx = {(s.start, s.end): i for i, s in enumerate(spans)}
+        idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
         logits[idx[(0, 3)], 0] = 4.0   # outer
         logits[idx[(1, 2)], 0] = 3.0   # nested inside -> kept in nested mode
         logits[idx[(2, 3)], 0] = 2.0   # partially overlaps (1,2)'s container? no:
@@ -192,6 +192,23 @@ class TestEdgeCases:
         assert [(m.type) for m in both] == ["a", "b"]
         one = decode(table, DecodeConfig())
         assert [(m.type) for m in one] == ["a"]
+
+    def test_mentions_carry_python_scalars(self):
+        table = random_table(np.random.default_rng(5), n_max=6)
+        for m in decode(table, DecodeConfig(threshold=0.1)):
+            assert type(m.start) is int and type(m.end) is int
+            assert type(m.score) is float and type(m.type) is str
+
+    def test_float32_probs_compared_at_full_precision(self):
+        # float32(0.3) exceeds the float64 threshold 0.3 but equals
+        # float32(0.3): the comparison must not happen in float32
+        spans = enumerate_spans(2, 1)
+        table = make_score_table(spans, ["t"], np.zeros((2, 1)), num_words=2, k=1)
+        table.probs = np.array([[0.3], [0.2]], dtype=np.float32)
+        config = DecodeConfig(threshold=0.3)
+        out = decode(table, config)
+        assert out == oracle_decode(table, config)
+        assert [(m.start, m.end) for m in out] == [(0, 0)]
 
     def test_bad_config_rejected(self):
         with pytest.raises(ContractError):

@@ -1,0 +1,13 @@
+"""Smoke tests that run the quick demos, so demo code tracks the library."""
+
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def test_decoding_modes_demo(capsys):
+    runpy.run_path(str(DEMOS / "decoding_modes.py"))["main"]()
+    out = capsys.readouterr().out
+    assert "flat  : (0,2,a,p=0.90) (4,5,c,p=0.60)" in out
+    assert "nested: (0,3,a,p=0.90) (1,2,b,p=0.80)" in out

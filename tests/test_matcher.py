@@ -5,7 +5,7 @@ from scipy.special import expit
 
 from promptner import tensor as T
 from promptner.errors import ContractError, DimensionError
-from promptner.matcher import (SpanIndex, enumerate_spans, entity_embed,
+from promptner.matcher import (enumerate_spans, entity_embed,
                                init_head_params, make_score_table, match_scores,
                                span_count, span_embed)
 
@@ -18,11 +18,11 @@ def tensor(arr):
 class TestEnumerateSpans:
     def test_small_exhaustive(self):
         spans = enumerate_spans(3, 2)
-        assert [(s.start, s.end) for s in spans] == [
-            (0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+        assert spans.dtype == np.int64
+        assert spans.tolist() == [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2]]
 
     def test_single_word(self):
-        assert [(s.start, s.end) for s in enumerate_spans(1, 12)] == [(0, 0)]
+        assert enumerate_spans(1, 12).tolist() == [[0, 0]]
 
     def test_k_larger_than_sentence(self):
         # cap at sentence length: all N(N+1)/2 spans
@@ -30,11 +30,11 @@ class TestEnumerateSpans:
 
     def test_ordering(self):
         spans = enumerate_spans(10, 4)
-        keys = [(s.start, s.end) for s in spans]
+        keys = [tuple(s) for s in spans.tolist()]
         assert keys == sorted(keys)
 
     def test_widths_capped(self):
-        assert all(s.end - s.start + 1 <= 3 for s in enumerate_spans(20, 3))
+        assert all(end - start + 1 <= 3 for start, end in enumerate_spans(20, 3))
 
     def test_arithmetic_spot_check(self):
         assert span_count(20, 12) == sum(21 - w for w in range(1, 13)) == 174
@@ -89,8 +89,8 @@ class TestHeads:
         h = tensor(np.random.default_rng(5).normal(size=(6, 4)))
         spans = enumerate_spans(6, 3)
         batched = span_embed(h, spans, params).data
-        for i, s in enumerate(spans):
-            single = span_embed(h, [s], params).data
+        for i in range(len(spans)):
+            single = span_embed(h, spans[i:i + 1], params).data
             # blas accumulates batched vs single-row matmuls differently,
             # so allow last-bit rounding differences
             assert np.allclose(batched[i], single[0], rtol=1e-12, atol=1e-15)
@@ -103,18 +103,18 @@ class TestHeads:
     def test_span_embed_uses_endpoints(self):
         params = init_head_params(4, np.random.default_rng(0), dtype=np.float64)
         h = tensor(np.random.default_rng(2).normal(size=(5, 4)))
-        spans = [SpanIndex(0, 2), SpanIndex(1, 1)]
+        spans = np.array([[0, 2], [1, 1]])
         out = span_embed(h, spans, params)
         assert out.shape == (2, 4)
         # a span is a function of (h_start, h_end) only: identical endpoints
         # from a different span list give identical embeddings
-        again = span_embed(h, [SpanIndex(1, 1), SpanIndex(0, 2)], params)
+        again = span_embed(h, np.array([[1, 1], [0, 2]]), params)
         assert np.allclose(out.data[0], again.data[1])
 
     def test_span_embed_bounds(self):
         params = init_head_params(4, np.random.default_rng(0))
         with pytest.raises(ContractError):
-            span_embed(tensor(np.zeros((2, 4))), [SpanIndex(0, 5)], params)
+            span_embed(tensor(np.zeros((2, 4))), np.array([[0, 5]]), params)
 
     def test_match_scores_is_dot_product(self):
         s = tensor([[1.0, 0.0], [0.0, 2.0]])

@@ -1,7 +1,7 @@
 import pytest
 
 from promptner.errors import ContractError, SizingError
-from promptner.prompt import build_prompt, chunk_types
+from promptner.prompt import EncodedPrompt, build_prompt, chunk_types
 from promptner.tokenizer import build_vocab
 
 
@@ -72,6 +72,12 @@ class TestBuildPrompt:
         v = make_vocab()
         with pytest.raises(SizingError):
             build_prompt(["person"], ["works"] * 600, v, max_positions=512)
+
+    def test_position_maps_must_match(self):
+        # a checked condition, not an assert, so it also holds under python -O
+        with pytest.raises(ContractError):
+            EncodedPrompt(token_ids=[1, 2], ent_positions=[0], word_positions=[1],
+                          entity_types=["a", "b"], words=["w"])
 
 
 class TestChunkTypes:

@@ -8,8 +8,8 @@ from promptner.decoder import EntityMention
 from promptner.errors import ContractError
 from promptner.matcher import enumerate_spans
 from promptner.trainer import (OptimState, TrainingExample, adamw_step,
-                               build_labels, lr_at, sample_negative_types,
-                               shuffle_and_drop)
+                               build_labels, drop_types, lr_at,
+                               sample_negative_types, shuffle_and_drop)
 
 
 def example(words=("alain", "farley", "works", "at", "mcgill"),
@@ -37,7 +37,7 @@ class TestBuildLabels:
         spans = enumerate_spans(5, 12)
         grid = build_labels(ex, ["person", "organization"], spans)
         assert grid.targets.sum() == 2
-        idx = {(s.start, s.end): i for i, s in enumerate(spans)}
+        idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
         assert grid.targets[idx[(0, 1)], 0] == 1.0
         assert grid.targets[idx[(4, 4)], 1] == 1.0
 
@@ -45,7 +45,7 @@ class TestBuildLabels:
         ex = example()
         spans = enumerate_spans(5, 12)
         grid = build_labels(ex, ["organization", "person"], spans)
-        idx = {(s.start, s.end): i for i, s in enumerate(spans)}
+        idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
         assert grid.targets[idx[(0, 1)], 1] == 1.0
 
     def test_wide_gold_counted_not_raised(self):
@@ -137,6 +137,15 @@ class TestShuffleAndDrop:
     def test_invalid_prob(self):
         with pytest.raises(ContractError):
             shuffle_and_drop(["a"], 1.0, np.random.default_rng(0))
+
+    def test_unshuffled_drop_keeps_order(self):
+        # the rule fit applies when shuffle_types is off
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            out = drop_types(list("abcdef"), 0.5, rng)
+            assert out and out == [t for t in "abcdef" if t in out]
+        with pytest.raises(ContractError):
+            drop_types(["a"], 1.0, rng)
 
 
 class TestLrSchedule:
