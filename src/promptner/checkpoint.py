@@ -48,23 +48,35 @@ def save_checkpoint(path, model, seeds=()):
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        preamble = fh.read(8)
+        if preamble[:4] != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported format version {header.get('format_version')}")
-        config = ModelConfig.from_dict(header["config"])
-        vocab = Vocab.from_dict(header["vocab"])
+        if len(preamble) < 8:
+            raise DataError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", preamble[4:])
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # invalid UTF-8 or JSON, or cut short
+            raise DataError(f"{path}: header is not valid JSON: {exc}") from exc
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported format version {version}")
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            vocab = Vocab.from_dict(header["vocab"])
+            entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed header: {exc!r}") from exc
         params = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(4 * count)
             if len(buf) != 4 * count:
-                raise DataError(f"{path}: truncated payload for {entry['name']!r}")
+                raise DataError(f"{path}: truncated payload for {name!r}")
             arr = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-            params[entry["name"]] = T.Tensor(arr, requires_grad=True, dtype=np.float32)
+            params[name] = T.Tensor(arr, requires_grad=True, dtype=np.float32)
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the payload")
     return Model(config, vocab, params), header.get("seeds", [])
 
 
@@ -147,12 +159,24 @@ def load_mentions(path):
     """Mention lists from a prediction or dataset file (scores optional)."""
     out = []
     for lineno, rec in _jsonl_records(path):
-        mentions = []
-        for item in rec.get("ner", []):
-            if len(item) < 3:
-                raise DataError(f"{path}:{lineno}: malformed ner entry {item!r}")
-            score = float(item[3]) if len(item) > 3 else 1.0
-            mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]),
-                                          score=score))
-        out.append(mentions)
+        try:
+            out.append(_mentions(rec))
+        except (TypeError, ValueError) as exc:  # DataError is a ValueError
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def _mentions(rec):
+    """One parsed record's mentions; the caller adds the file position."""
+    if not isinstance(rec, dict):
+        raise DataError("a mention record must be a JSON object")
+    ner = rec.get("ner", [])
+    if not isinstance(ner, list):
+        raise DataError("ner must be a list of [start, end, type(, score)] entries")
+    mentions = []
+    for item in ner:
+        if not isinstance(item, list) or len(item) < 3:
+            raise DataError(f"malformed ner entry {item!r}")
+        score = float(item[3]) if len(item) > 3 else 1.0
+        mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]), score=score))
+    return mentions

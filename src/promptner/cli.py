@@ -39,11 +39,26 @@ def _load_config_file(path):
     return values
 
 
-def _pop_fields(cls, values, **renamed):
-    """Pop the entries of ``values`` that set fields of ``cls`` as its keyword
-    arguments; ``renamed`` gives a field's file key (None: not settable)."""
-    keys = {renamed.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
-    return {keys[key]: values.pop(key) for key in list(values) if key in keys}
+# JSON types a config value may have, by field type (the config modules'
+# annotations are strings): ints pass as floats, and only a bool passes as a
+# bool (JSON true is not the int 1 here)
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _typed(path, key, value, kind):
+    """``value`` if it has the JSON type of field type ``kind``."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
+        raise ConfigError(f"config: {path}: {key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _pop_fields(cls, values, path, **renamed):
+    """Pop the entries of ``values`` that set fields of ``cls``, type-checked,
+    as its keyword arguments; ``renamed`` gives a field's file key (None: not
+    settable)."""
+    fields = {renamed.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    return {fields[key].name: _typed(path, key, values.pop(key), fields[key].type)
+            for key in list(values) if key in fields}
 
 
 def _train_setup(args):
@@ -51,20 +66,21 @@ def _train_setup(args):
 
     The config file's keys are the fields of EncoderConfig (``dropout``
     spelled ``encoder_dropout``), ModelConfig and TrainConfig, plus
-    ``vocab_size`` and ``init_scale``. Flags, named after their fields,
-    override the file.
+    ``vocab_size`` and ``init_scale``; each value must have its field's type.
+    Flags, named after their fields, override the file.
     """
-    values = _load_config_file(args.config)
+    path = args.config
+    values = _load_config_file(path)
     for key in ("seed", "steps", "k", "max_types", "neg_ratio", "drop_prob"):
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    vocab_size = values.pop("vocab_size", 2000)
-    init_scale = values.pop("init_scale", 0.02)
-    enc = EncoderConfig(**_pop_fields(EncoderConfig, values, dropout="encoder_dropout"))
-    mcfg = ModelConfig(encoder=enc, **_pop_fields(ModelConfig, values, encoder=None))
-    tcfg = TrainConfig(**_pop_fields(TrainConfig, values))
+    vocab_size = _typed(path, "vocab_size", values.pop("vocab_size", 2000), "int")
+    init_scale = _typed(path, "init_scale", values.pop("init_scale", 0.02), "float")
+    enc = EncoderConfig(**_pop_fields(EncoderConfig, values, path, dropout="encoder_dropout"))
+    mcfg = ModelConfig(encoder=enc, **_pop_fields(ModelConfig, values, path, encoder=None))
+    tcfg = TrainConfig(**_pop_fields(TrainConfig, values, path))
     if values:
-        raise ConfigError(f"config: {args.config}: unknown key(s) {', '.join(sorted(values))}")
+        raise ConfigError(f"config: {path}: unknown key(s) {', '.join(sorted(values))}")
     return mcfg, tcfg, vocab_size, init_scale
 
 
@@ -107,12 +123,12 @@ def cmd_predict(args):
     else:
         if not args.data:
             raise PromptnerError("app: predict needs --data or --text")
-        sentences = [ex.words for ex in data_mod.load_dataset(args.data)]
+        dataset = data_mod.load_dataset(args.data)
+        sentences = [ex.words for ex in dataset]
     if args.types:
         types = [t.strip() for t in args.types.split(",") if t.strip()]
-    else:
-        gold = data_mod.load_dataset(args.data)
-        types = sorted({m.type for ex in gold for m in ex.gold})
+    else:  # --data mode: --text without --types was refused above
+        types = sorted({m.type for ex in dataset for m in ex.gold})
     if not types:
         raise PromptnerError("app: no entity types to predict")
 

@@ -2,14 +2,14 @@
 
 Pre-layer-norm residual blocks with multi-head self-attention over the whole
 unified sequence (entity markers and text attend to each other freely), plus
-learned absolute position embeddings. Small enough to train from scratch on
-one CPU core, but it exercises every architectural path the matching heads
-depend on.
+learned absolute position embeddings. Each block's attention is the q/k/v
+projections, one ``tensor.attention`` op over all heads, and the output
+projection. Small enough to train from scratch on one CPU core, but it
+exercises every architectural path the matching heads depend on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,22 +80,10 @@ def init_encoder_params(config, vocab_size, rng, dtype=np.float32, init_scale=0.
 
 
 def _attention(x, params, pre, config, mode, rng):
-    d = config.width
-    dh = d // config.heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
     q = T.add(T.matmul(x, params[pre + "wq"]), params[pre + "bq"])
     k = T.matmul(x, params[pre + "wk"])
     v = T.add(T.matmul(x, params[pre + "wv"]), params[pre + "bv"])
-    heads = []
-    for hid in range(config.heads):
-        lo, hi = hid * dh, (hid + 1) * dh
-        qh = T.slice_cols(q, lo, hi)
-        kh = T.slice_cols(k, lo, hi)
-        vh = T.slice_cols(v, lo, hi)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), inv_sqrt)
-        attn = T.softmax_rows(scores)
-        heads.append(T.matmul(attn, vh))
-    out = T.concat_cols(heads)
+    out = T.attention(q, k, v, config.heads)
     out = T.add(T.matmul(out, params[pre + "wo"]), params[pre + "bo"])
     if mode == "train" and config.dropout > 0:
         out = T.dropout(out, config.dropout, rng)

@@ -14,6 +14,8 @@ additively (running backward twice without zeroing doubles every grad).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf, expit
 
@@ -63,17 +65,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g.astype(self.data.dtype, copy=False)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _result(data, parents, op):
@@ -151,19 +142,6 @@ def mul(a, b):
     return out
 
 
-def scale(a, c):
-    """Multiply by a python scalar constant."""
-    c = float(c)
-    out = _result(a.data * np.asarray(c, dtype=a.dtype), (a,), "scale")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * c)
-
-    out._backward = bw
-    return out
-
-
 def sigmoid(a):
     y = expit(a.data)
     out = _result(y.astype(a.dtype, copy=False), (a,), "sigmoid")
@@ -197,18 +175,6 @@ def gelu(a):
         if a.requires_grad:
             pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
             a._accumulate(g * (cdf + x * pdf))
-
-    out._backward = bw
-    return out
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-    out = _result(y, (a,), "tanh")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - y * y))
 
     out._backward = bw
     return out
@@ -282,21 +248,6 @@ def gather_rows(a, idx):
     return out
 
 
-def slice_cols(a, start, stop):
-    if a.data.ndim != 2:
-        raise DimensionError("slice_cols requires a 2-D tensor")
-    out = _result(a.data[:, start:stop].copy(), (a,), "slice_cols")
-
-    def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[:, start:stop] = g
-            a._accumulate(ga)
-
-    out._backward = bw
-    return out
-
-
 def concat_cols(tensors):
     """Concatenate 2-D tensors along the last axis."""
     if not tensors:
@@ -350,17 +301,49 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return out
 
 
-def softmax_rows(x):
-    """Row softmax, computed shift-invariantly."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+# -- attention --------------------------------------------------------------
+
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention over L x D rows.
+
+    Head h owns column block h (width d_h = D / heads) of q, k and v and
+    computes softmax(q_h k_h^T / sqrt(d_h)) v_h; the heads' outputs fill the
+    same column blocks of the L x D result. The softmax is computed
+    shift-invariantly per row, so adding one row vector to every key leaves
+    the output unchanged.
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"attention needs equal 2-D shapes, got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    rows, width = q.shape
+    if heads < 1 or width % heads:
+        raise DimensionError(f"width {width} is not divisible by {heads} heads")
+    dh = width // heads
+
+    def split(a):  # L x D -> heads x L x d_h
+        return a.reshape(rows, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):  # heads x L x d_h -> L x D
+        return a.transpose(1, 0, 2).reshape(rows, width)
+
+    s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    z = (qh @ kh.transpose(0, 2, 1)) * s
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _result(y.astype(x.dtype, copy=False), (x,), "softmax_rows")
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _result(merge(p @ vh), (q, k, v), "attention")
 
     def bw(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(p.transpose(0, 2, 1) @ gh))
+        gp = gh @ vh.transpose(0, 2, 1)
+        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
+        if q.requires_grad:
+            q._accumulate(merge(gz @ kh))
+        if k.requires_grad:
+            k._accumulate(merge(gz.transpose(0, 2, 1) @ qh))
 
     out._backward = bw
     return out
@@ -374,18 +357,6 @@ def sum_all(a):
     def bw(g):
         if a.requires_grad:
             a._accumulate(np.full_like(a.data, 1.0) * g)
-
-    out._backward = bw
-    return out
-
-
-def mean_all(a):
-    n = a.data.size
-    out = _result(np.asarray(a.data.mean(), dtype=a.dtype), (a,), "mean")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, 1.0 / n) * g)
 
     out._backward = bw
     return out

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,44 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])
         with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_preamble_rejected(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes()[:6])  # inside the header length
+        with pytest.raises(DataError, match="truncated header length"):
+            load_checkpoint(path)
+
+    def test_corrupt_header_rejected(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + b"{" * 16 + blob[24:])
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_checkpoint(path)
+
+    def test_header_missing_key_rejected(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8:8 + hlen])
+        del header["vocab"]
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+        with pytest.raises(DataError, match="malformed header.*vocab"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="trailing bytes"):
             load_checkpoint(path)
 
 
@@ -138,3 +179,18 @@ class TestMentionsIO:
         path.write_text('{"tokenized_text": ["a"], "ner": [[0, 0, "t"]]}\n')
         loaded = load_mentions(path)
         assert loaded[0][0].score == 1.0
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"ner": [[0, "x", "person"]]}', "invalid literal"),
+        ('{"ner": [[0, 1, "person", "high"]]}', "could not convert"),
+        ('{"ner": [[0, null, "person"]]}', "int"),
+        ('{"ner": [5]}', "malformed ner entry"),
+        ('{"ner": [[0, 1]]}', "malformed ner entry"),
+        ('{"ner": 5}', "list"),
+        ('[1, 2]', "object"),
+    ])
+    def test_malformed_record_reports_line(self, tmp_path, record, message):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"ner": []}\n' + record + "\n")
+        with pytest.raises(DataError, match=f"pred.jsonl:2: .*{message}"):
+            load_mentions(path)

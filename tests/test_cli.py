@@ -86,11 +86,27 @@ class TestTrainConfig:
         assert (mcfg.k, mcfg.head_dropout, mcfg.encoder.dropout) == (4, 0.0, 0.0)
         assert (vocab_size, init_scale) == (2000, 0.05)
 
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr_head": 1, "init_scale": 1}))
+        args = build_parser().parse_args(["train", "--data", "d.jsonl", "--out", "m.ckpt",
+                                          "--config", str(cfg)])
+        mcfg, tcfg, vocab_size, init_scale = _train_setup(args)
+        assert (tcfg.lr_head, init_scale) == (1, 1)
+
     @pytest.mark.parametrize("content, message", [
         ('{"lr_encodr": 0.001}', "unknown key(s) lr_encodr"),
         ('{"dropout": 0.0}', "unknown key(s) dropout"),
         ('{"steps": 2,', "invalid JSON"),
         ('[1, 2]', "JSON object"),
+        ('{"steps": "3"}', "steps must be int"),
+        ('{"shuffle_types": "no"}', "shuffle_types must be bool"),
+        ('{"k": true}', "k must be int"),
+        ('{"k": 4.0}', "k must be int"),
+        ('{"lr_head": false}', "lr_head must be float"),
+        ('{"type_policy": 1}', "type_policy must be str"),
+        ('{"vocab_size": "big"}', "vocab_size must be int"),
+        ('{"init_scale": null}', "init_scale must be float"),
     ])
     def test_bad_config_fails_cleanly(self, workspace, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -179,3 +195,17 @@ class TestErrors:
                    "--text", "hi", "--types", "person"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cut_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys):
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(workspace["ckpt"].read_bytes()[:6])
+        rc = main(["predict", "--checkpoint", str(path), "--text", "hi", "--types", "person"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_mention_file_fails_cleanly(self, workspace, tmp_path, capsys):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"ner": [[0, "x", "person"]]}\n')
+        rc = main(["evaluate", "--pred", str(path), "--gold", str(workspace["dev"])])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")

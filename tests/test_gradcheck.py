@@ -42,7 +42,7 @@ class TestGradCheck:
 
         def f(p):
             state["n"] += 1
-            return T.sum_all(T.scale(p["w"], float(state["n"])))
+            return T.sum_all(T.mul(p["w"], float(state["n"])))
 
         with pytest.raises(ContractError, match="deterministic"):
             grad_check(f, {"w": tensor([[1.0]])}, kink_guard=False)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from promptner.data import synth_dataset, vocab_corpus
+from promptner import tensor as T
+from promptner.data import SynthSpec, synth_dataset, vocab_corpus
+from promptner.encoder import EncoderConfig
 from promptner.errors import ContractError
 from promptner.matcher import span_count
 from promptner.model import Model, ModelConfig, forward, init_params
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
+from promptner.trainer import TrainConfig, _example_loss
 
 
 def tiny_model(max_types=25):
@@ -81,3 +84,19 @@ class TestParams:
     def test_config_dict_roundtrip(self):
         config = ModelConfig(k=7, max_types=13)
         assert ModelConfig.from_dict(config.to_dict()) == config
+
+
+class TestTapeSize:
+    def test_one_training_example_stays_small(self):
+        # the criterion-2 recipe's first sentence with its 10 types; attention
+        # is one tape op, so no per-head split/rejoin nodes are recorded
+        train, _ = synth_dataset(SynthSpec(), train_size=50, dev_size=0, seed=0)
+        types = sorted(SynthSpec().types)
+        vocab = build_vocab(vocab_corpus(train, types), max_size=2000)
+        config = ModelConfig(encoder=EncoderConfig(dropout=0.0), head_dropout=0.0)
+        model = Model.fresh(config, vocab, seed=0, init_scale=0.05)
+        loss, _ = _example_loss(model, train[0], types, TrainConfig(),
+                                np.random.default_rng(0))
+        nodes = T.graph_nodes(loss)
+        assert len(nodes) <= 98
+        assert not {n.op for n in nodes} & {"slice_cols", "scale", "softmax_rows"}

@@ -64,7 +64,7 @@ class TestElementwise:
         before = x.data.copy()
         T.relu(x)
         T.sigmoid(x)
-        T.softmax_rows(x)
+        T.attention(x, x, x, 1)
         T.layer_norm(x, t(np.ones(3)), t(np.zeros(3)))
         assert np.array_equal(x.data, before)
 
@@ -88,21 +88,64 @@ class TestLayerNorm:
             T.layer_norm(t(np.ones((2, 0))), t(np.ones(0)), t(np.zeros(0)))
 
 
-class TestSoftmax:
-    def test_uniform(self):
-        assert np.allclose(T.softmax_rows(t([[0.0, 0.0]])).data, [[0.5, 0.5]])
+def reference_attention(q, k, v, heads):
+    """Per-head loop in plain numpy: softmax(q_h k_h^T / sqrt(d_h)) v_h."""
+    dh = q.shape[1] // heads
+    out = np.empty_like(q)
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        z = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        out[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+    return out
 
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        y = T.softmax_rows(t(rng.normal(size=(5, 7)) * 30)).data
-        assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_shift_invariance(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        assert np.allclose(T.softmax_rows(t(x)).data, T.softmax_rows(t(x + 100.0)).data)
-
+class TestAttention:
     def test_gradient(self):
-        check(lambda p: T.sum_all(T.mul(T.softmax_rows(p["p0"]), p["p0"])), [(3, 5)], tol=1e-5)
+        # a weighted sum so every output element gets a different upstream grad
+        w = np.random.default_rng(5).normal(size=(5, 8))
+        check(lambda p: T.sum_all(T.mul(T.attention(p["p0"], p["p1"], p["p2"], 2), w)),
+              [(5, 8), (5, 8), (5, 8)])
+
+    def test_matches_per_head_reference(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (rng.normal(size=(6, 12)) for _ in range(3))
+        out = T.attention(t(q), t(k), t(v), 3).data
+        assert np.abs(out - reference_attention(q, k, v, 3)).max() < 1e-12
+
+    def test_key_shift_invariance(self):
+        # why the encoder has no key bias: k + c adds q.c to a whole score row
+        rng = np.random.default_rng(2)
+        q, k, v = (rng.normal(size=(4, 8)) for _ in range(3))
+        c = rng.normal(size=8)
+        a = T.attention(t(q), t(k), t(v), 2).data
+        b = T.attention(t(q), t(k + c), t(v), 2).data
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_large_logits_stay_finite(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.normal(size=(5, 8)) for _ in range(3))
+        out = T.attention(t(q * 30), t(k * 30), t(v), 2).data
+        assert np.isfinite(out).all()
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(4)
+        q, k, v = (t(rng.normal(size=(3, 8)), dtype=np.float32) for _ in range(3))
+        out = T.attention(q, k, v, 4)
+        assert out.dtype == np.float32
+        T.backward(T.sum_all(out))
+        assert {q.grad.dtype, k.grad.dtype, v.grad.dtype} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("shapes, heads", [
+        (((3, 8), (4, 8), (4, 8)), 2),
+        (((3, 8), (3, 8), (3, 6)), 2),
+        (((3, 8), (3, 8), (3, 8)), 3),
+        (((8,), (8,), (8,)), 2),
+    ])
+    def test_bad_shapes_rejected(self, shapes, heads):
+        q, k, v = (t(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            T.attention(q, k, v, heads)
 
 
 class TestBackward:
