@@ -13,12 +13,13 @@ run standalone.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from . import tensor as T
-from .decoder import EntityMention
+from .data import _jsonl_records, _mentions
 from .errors import DataError
 from .matcher import ScoreTable, enumerate_spans, span_count
 from .model import Model, ModelConfig
@@ -64,16 +65,22 @@ def load_checkpoint(path):
         try:
             config = ModelConfig.from_dict(header["config"])
             vocab = Vocab.from_dict(header["vocab"])
-            entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+            entries = [(e["name"], e["shape"]) for e in header["params"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed header: {exc!r}") from exc
         params = {}
         for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
+            if not (isinstance(shape, list)
+                    and all(type(d) is int and d >= 0 for d in shape)):
+                raise DataError(f"{path}: shape of {name!r} is not a list of "
+                                f"non-negative ints: {shape!r}")
+            count = math.prod(shape)
             buf = fh.read(4 * count)
             if len(buf) != 4 * count:
                 raise DataError(f"{path}: truncated payload for {name!r}")
             arr = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: non-finite value in {name!r}")
             params[name] = T.Tensor(arr, requires_grad=True, dtype=np.float32)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the payload")
@@ -93,17 +100,6 @@ def save_score_tables(tables, path):
             if t.logits is not None:
                 rec["logits"] = np.asarray(t.logits).reshape(-1).tolist()
             fh.write(json.dumps(rec) + "\n")
-
-
-def _jsonl_records(path):
-    """(line number, parsed JSON) for every non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
 
 
 def load_score_tables(path):
@@ -164,19 +160,3 @@ def load_mentions(path):
         except (TypeError, ValueError) as exc:  # DataError is a ValueError
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
-
-
-def _mentions(rec):
-    """One parsed record's mentions; the caller adds the file position."""
-    if not isinstance(rec, dict):
-        raise DataError("a mention record must be a JSON object")
-    ner = rec.get("ner", [])
-    if not isinstance(ner, list):
-        raise DataError("ner must be a list of [start, end, type(, score)] entries")
-    mentions = []
-    for item in ner:
-        if not isinstance(item, list) or len(item) < 3:
-            raise DataError(f"malformed ner entry {item!r}")
-        score = float(item[3]) if len(item) > 3 else 1.0
-        mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]), score=score))
-    return mentions

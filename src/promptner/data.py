@@ -66,36 +66,45 @@ class SynthSpec:
     max_span_width: int = 12
 
 
+def _jsonl_records(path):
+    """(line number, parsed JSON) for every non-blank line of a JSONL file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def _mentions(rec):
+    """One parsed record's mentions; the caller adds the file position."""
+    if not isinstance(rec, dict):
+        raise DataError("a record must be a JSON object")
+    ner = rec.get("ner", [])
+    if not isinstance(ner, list):
+        raise DataError("ner must be a list of [start, end, type(, score)] entries")
+    mentions = []
+    for item in ner:
+        if not isinstance(item, list) or len(item) < 3:
+            raise DataError(f"malformed ner entry {item!r}")
+        score = float(item[3]) if len(item) > 3 else 1.0
+        mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]), score=score))
+    return mentions
+
+
 def load_dataset(path):
     """Parse and validate a dataset file into TrainingExamples."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                words = list(rec["tokenized_text"])
-                ner = rec.get("ner", [])
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: missing tokenized_text") from exc
-            gold = []
-            for item in ner:
-                if len(item) < 3:
-                    raise DataError(f"{path}:{lineno}: malformed ner entry {item!r}")
-                start, end, etype = int(item[0]), int(item[1]), str(item[2])
-                if not (0 <= start <= end < len(words)):
-                    raise DataError(f"{path}:{lineno}: span [{start},{end}] out of bounds "
-                                    f"for {len(words)} words")
-                gold.append(EntityMention(start, end, etype))
-            try:
-                examples.append(TrainingExample(words=words, gold=gold))
-            except Exception as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, rec in _jsonl_records(path):
+        try:
+            gold = _mentions(rec)
+            words = rec.get("tokenized_text")
+            if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+                raise DataError("tokenized_text must be a list of strings")
+            examples.append(TrainingExample(words=words, gold=gold))
+        except (TypeError, ValueError) as exc:  # DataError and ContractError are ValueErrors
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return examples
 
 

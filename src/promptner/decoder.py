@@ -7,21 +7,20 @@ nested mode additionally allows proper containment (at least one differing
 endpoint) but never partial overlap, and never two types on the identical
 span unless the multi-label escape hatch is enabled.
 
-Accepted spans live in ordered interval structures so each acceptance check
-costs O(log n) plus parent-chain walks, keeping the whole pass O(n log n)
-in the number of candidates.
+Acceptance checks read per-position arrays over the words a candidate
+covers: flat mode a covered-word mask, nested mode the farthest end of an
+accepted span per start and the farthest start per end. A candidate is at
+most K words wide, so each check costs O(K) and the pass is O(n K) after
+the O(n log n) sort of the n candidates.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -54,99 +53,6 @@ class DecodeStats:
     pops: int = 0
 
 
-class _DisjointIntervals:
-    """Sorted pairwise-disjoint half-open intervals (flat mode)."""
-
-    def __init__(self):
-        self.starts = []
-        self.ends = []
-
-    def overlaps(self, x, y):
-        i = bisect_right(self.starts, x) - 1
-        if i >= 0 and self.ends[i] > x:
-            return True
-        if i + 1 < len(self.starts) and self.starts[i + 1] < y:
-            return True
-        return False
-
-    def add(self, x, y):
-        i = bisect_right(self.starts, x)
-        self.starts.insert(i, x)
-        self.ends.insert(i, y)
-
-
-class _Node:
-    __slots__ = ("start", "end", "parent")
-
-    def __init__(self, start, end, parent):
-        self.start = start
-        self.end = end
-        self.parent = parent
-
-
-class _LaminarIntervals:
-    """Half-open intervals forming a laminar family (nested mode).
-
-    Kept sorted by (start asc, end desc) with parent pointers, so the
-    innermost accepted interval containing a point is reachable by one
-    bisect plus an ancestor walk.
-    """
-
-    def __init__(self):
-        self.keys = []   # (start, -end)
-        self.nodes = []
-
-    def _container(self, p):
-        """Innermost accepted interval containing point p, or None."""
-        i = bisect_right(self.keys, (p, _INF)) - 1
-        if i < 0:
-            return None
-        node = self.nodes[i]
-        while node is not None and node.end <= p:
-            node = node.parent
-        return node
-
-    def conflicts(self, x, y, allow_identical):
-        # identical interval
-        i = bisect_left(self.keys, (x, -y))
-        if i < len(self.keys) and self.keys[i] == (x, -y) and not allow_identical:
-            return True
-        # an accepted interval straddling the left edge: starts before x,
-        # ends inside (x, y) -> partial overlap
-        c = self._container(x)
-        while c is not None and c.start >= x:
-            c = c.parent
-        if c is not None and c.end < y:
-            return True
-        # an accepted interval straddling the right edge: starts inside
-        # (x, y), ends after y -> partial overlap
-        c = self._container(y - 1)
-        while c is not None and c.end <= y:
-            c = c.parent
-        if c is not None and c.start > x:
-            return True
-        return False
-
-    def add(self, x, y):
-        # the new interval's parent: innermost accepted container of x that
-        # covers [x, y) entirely (compatibility guarantees it exists or None)
-        parent = self._container(x)
-        while parent is not None and parent.end < y:
-            parent = parent.parent
-        node = _Node(x, y, parent)
-        pos = bisect_left(self.keys, (x, -y))
-        self.keys.insert(pos, (x, -y))
-        self.nodes.insert(pos, node)
-        # re-parent accepted intervals now directly inside the new one
-        i = pos + 1
-        while i < len(self.keys) and self.keys[i][0] < y:
-            child = self.nodes[i]
-            if child.end <= y and child.parent is parent:
-                child.parent = node
-            # skip the child's whole subtree
-            i = bisect_right(self.keys, (child.end - 1, _INF), lo=i + 1)
-
-
 def decode(table, config=None, stats=None):
     """Greedy flat/nested selection; returns accepted EntityMentions.
 
@@ -168,21 +74,30 @@ def decode(table, config=None, stats=None):
         stats.pops += len(order)
 
     accepted = []
-    accepted_keys = set()
-    intervals = _DisjointIntervals() if config.mode == "flat" else _LaminarIntervals()
+    kept = set()  # accepted (x, y), for the identical-span rule
+    # per-position state over half-open positions 0 .. max end + 1
+    size = int(ends.max()) + 2 if len(ends) else 1
+    covered = bytearray(size)   # 1 where an accepted span covers the word
+    far_end = [0] * size        # far_end[s]: largest y of an accepted [s, y)
+    far_start = [size] * size   # far_start[e]: smallest x of an accepted [x, e)
+    flat, multilabel = config.mode == "flat", config.allow_multilabel
     for start, end, col, score in zip(starts[order].tolist(), ends[order].tolist(),
                                       cols[order].tolist(), p[order].tolist()):
         x, y = start, end + 1  # half-open
-        if config.mode == "flat":
-            if (x, y) in accepted_keys:
-                ok = config.allow_multilabel
-            else:
-                ok = not intervals.overlaps(x, y)
+        if flat:
+            # an accepted identical span is covered: only multi-label takes it
+            ok = 1 not in covered[x:y] or multilabel and (x, y) in kept
         else:
-            ok = not intervals.conflicts(x, y, allow_identical=config.allow_multilabel)
+            # partial overlap: an accepted span starts strictly inside and
+            # ends past y, or ends strictly inside and starts before x; a
+            # one-word span cannot be partially overlapped
+            ok = ((y == x + 1 or max(far_end[x + 1:y]) <= y
+                   and min(far_start[x + 1:y]) >= x)
+                  and (multilabel or (x, y) not in kept))
         if ok:
-            if (x, y) not in accepted_keys:
-                intervals.add(x, y)
-                accepted_keys.add((x, y))
+            kept.add((x, y))
+            covered[x:y] = b"\x01" * (y - x)
+            far_end[x] = max(far_end[x], y)
+            far_start[y] = min(far_start[y], x)
             accepted.append(EntityMention(start, end, table.types[col], score=score))
     return accepted

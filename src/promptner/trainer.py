@@ -228,6 +228,10 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
         raise ContractError("dataset must be non-empty")
     rng = np.random.default_rng(tcfg.seed)
     inventory = sorted({t for ex in dataset for t in ex.positive_types})
+    if tcfg.type_policy == "inventory" and len(inventory) > model.config.max_types:
+        raise ContractError(f"type inventory has {len(inventory)} types but "
+                            f"max_types={model.config.max_types}, and type_policy "
+                            f"'inventory' puts every type in each prompt")
     state = OptimState(group_lrs={"encoder.": tcfg.lr_encoder, "head.": tcfg.lr_head},
                        total_steps=tcfg.steps, weight_decay=tcfg.weight_decay,
                        warmup_frac=tcfg.warmup_frac)
@@ -250,7 +254,7 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
         losses = []
         for bi, example in enumerate(batch):
             if tcfg.type_policy == "inventory":
-                types = list(inventory[:model.config.max_types])
+                types = list(inventory)
             else:
                 pool = [t for j, other in enumerate(batch) if j != bi
                         for t in other.positive_types]

@@ -22,6 +22,16 @@ def tiny_model(seed=0):
     return Model.fresh(config, vocab, seed=seed), train
 
 
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's parsed JSON header; payload untouched."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model, _ = tiny_model()
@@ -88,13 +98,26 @@ class TestCheckpoint:
         model, _ = tiny_model()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8:8 + hlen])
-        del header["vocab"]
-        new = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+        rewrite_header(path, lambda header: header.pop("vocab"))
         with pytest.raises(DataError, match="malformed header.*vocab"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[2.5], [-1, 64]])
+    def test_bad_shape_rejected(self, tmp_path, shape):
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda header: header["params"][0].update(shape=shape))
+        with pytest.raises(DataError, match="non-negative ints"):
+            load_checkpoint(path)
+
+    def test_nan_weight_rejected(self, tmp_path):
+        model, _ = tiny_model()
+        first = sorted(model.params)[0]
+        model.params[first].data.reshape(-1)[0] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(DataError, match=f"non-finite value in {first!r}"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

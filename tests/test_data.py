@@ -100,6 +100,18 @@ class TestDatasetIO:
         with pytest.raises(DataError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, "x", "t"]]}', "invalid literal"),
+        ('{"tokenized_text": ["a", "b"], "ner": [5]}', "malformed ner entry"),
+        ('{"tokenized_text": ["a", "b"], "ner": 7}', "ner must be a list"),
+        ('{"tokenized_text": "ab", "ner": []}', "list of strings"),
+    ])
+    def test_malformed_record_reports_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"tokenized_text": ["hi"], "ner": []}\n' + record + "\n")
+        with pytest.raises(DataError, match=f"bad.jsonl:2: .*{message}"):
+            load_dataset(path)
+
 
 class TestVocabCorpus:
     def test_includes_sentences_and_type_phrases(self):

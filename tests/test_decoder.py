@@ -5,13 +5,23 @@ quadratic pairwise compatibility checks; the production decoder must produce
 the identical mention list on random score tables in both modes.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from promptner.decoder import DecodeConfig, DecodeStats, EntityMention, decode
 from promptner.errors import ContractError
-from promptner.matcher import enumerate_spans, make_score_table
+from promptner.matcher import ScoreTable, enumerate_spans, make_score_table
+
+# (n_max, k_max, m_max) for random_table: short sentences, and wide ones up
+# to the paper's span cap K = 12, where spans reach window edges
+SMALL = (8, 4, 3)
+WIDE = (40, 12, 4)
+SIZES = [pytest.param(mode, size, id=mode + suffix)
+         for size, suffix in ((SMALL, ""), (WIDE, "-wide"))
+         for mode in ("flat", "nested")]
 
 
 def random_table(rng, n_max=8, k_max=4, m_max=3):
@@ -62,20 +72,20 @@ def oracle_decode(table, config):
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("mode", ["flat", "nested"])
-    def test_random_tables(self, mode):
+    @pytest.mark.parametrize("mode, size", SIZES)
+    def test_random_tables(self, mode, size):
         rng = np.random.default_rng(42)
         config = DecodeConfig(mode=mode)
         for _ in range(300):
-            table = random_table(rng)
+            table = random_table(rng, *size)
             assert decode(table, config) == oracle_decode(table, config)
 
-    @pytest.mark.parametrize("mode", ["flat", "nested"])
-    def test_multilabel_tables(self, mode):
+    @pytest.mark.parametrize("mode, size", SIZES)
+    def test_multilabel_tables(self, mode, size):
         rng = np.random.default_rng(7)
         config = DecodeConfig(mode=mode, allow_multilabel=True)
         for _ in range(200):
-            table = random_table(rng)
+            table = random_table(rng, *size)
             assert decode(table, config) == oracle_decode(table, config)
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from(["flat", "nested"]))
@@ -210,6 +220,16 @@ class TestEdgeCases:
         assert out == oracle_decode(table, config)
         assert [(m.start, m.end) for m in out] == [(0, 0)]
 
+    @pytest.mark.parametrize("mode", ["flat", "nested"])
+    def test_bare_table_matches_full_table(self, mode):
+        # k and num_words left at their default 0 must not change the output
+        rng = np.random.default_rng(13)
+        config = DecodeConfig(mode=mode, threshold=0.3)
+        for _ in range(50):
+            table = random_table(rng, *WIDE)
+            bare = ScoreTable(table.spans, table.types, table.probs)
+            assert decode(bare, config) == decode(table, config)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ContractError):
             DecodeConfig(mode="best")
@@ -217,3 +237,19 @@ class TestEdgeCases:
             DecodeConfig(threshold=0.0)
         with pytest.raises(ContractError):
             DecodeConfig(threshold=1.0)
+
+
+def test_nested_decode_scaling():
+    """Criterion 10's bound in nested mode: per-candidate time < 15x per decade."""
+    rng = np.random.default_rng(23)
+    times = {}
+    for target in (1_000, 10_000):
+        n = target // 10  # k=12 capped spans: roughly 12N - 66 candidates
+        spans = enumerate_spans(n, 12)
+        logits = rng.normal(2.0, 0.5, size=(len(spans), 1))  # nearly all > 0.5
+        table = make_score_table(spans, ["t"], logits, num_words=n, k=12)
+        stats = DecodeStats()
+        t0 = time.perf_counter()
+        decode(table, DecodeConfig(mode="nested"), stats)
+        times[target] = (time.perf_counter() - t0) / max(stats.candidates, 1)
+    assert times[10_000] / times[1_000] < 15

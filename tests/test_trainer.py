@@ -258,3 +258,16 @@ class TestFit:
                            shuffle_types=False)
         trace = fit([ex], model, tcfg)
         assert trace[-1]["loss"] < 0.01
+
+    def test_inventory_over_max_types_rejected(self):
+        from promptner.data import vocab_corpus
+        from promptner.model import Model, ModelConfig
+        from promptner.tokenizer import build_vocab
+        from promptner.trainer import TrainConfig, fit
+
+        ex = example()  # two types: person, organization
+        vocab = build_vocab(vocab_corpus([ex], ex.positive_types), max_size=300)
+        model = Model.fresh(ModelConfig(max_types=1), vocab, seed=0)
+        tcfg = TrainConfig(steps=1, type_policy="inventory", log_every=0)
+        with pytest.raises(ContractError, match="2 types.*max_types=1"):
+            fit([ex], model, tcfg)
