@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -68,16 +69,19 @@ def load_checkpoint(path):
             entries = [(e["name"], e["shape"]) for e in header["params"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed header: {exc!r}") from exc
-        params = {}
         for name, shape in entries:
             if not (isinstance(shape, list)
                     and all(type(d) is int and d >= 0 for d in shape)):
                 raise DataError(f"{path}: shape of {name!r} is not a list of "
                                 f"non-negative ints: {shape!r}")
-            count = math.prod(shape)
-            buf = fh.read(4 * count)
-            if len(buf) != 4 * count:
-                raise DataError(f"{path}: truncated payload for {name!r}")
+        declared = 4 * sum(math.prod(shape) for _, shape in entries)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared > left:
+            raise DataError(f"{path}: truncated payload: the header declares "
+                            f"{declared} bytes, {left} are left")
+        params = {}
+        for name, shape in entries:
+            buf = fh.read(4 * math.prod(shape))
             arr = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: non-finite value in {name!r}")

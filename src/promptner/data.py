@@ -88,8 +88,10 @@ def _mentions(rec):
     for item in ner:
         if not isinstance(item, list) or len(item) < 3:
             raise DataError(f"malformed ner entry {item!r}")
+        if not (type(item[0]) is int and type(item[1]) is int):
+            raise DataError(f"span indices must be JSON integers in {item!r}")
         score = float(item[3]) if len(item) > 3 else 1.0
-        mentions.append(EntityMention(int(item[0]), int(item[1]), str(item[2]), score=score))
+        mentions.append(EntityMention(item[0], item[1], str(item[2]), score=score))
     return mentions
 
 

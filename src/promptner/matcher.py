@@ -4,7 +4,8 @@ Entity-marker representations are refined by a two-layer feedforward head
 into type embeddings q. Each span (i, j) of width <= K is embedded by a
 two-layer feedforward head applied to the concatenation [h_i ; h_j], and the
 matching probability for (span, type) is the sigmoid of their dot product.
-All spans are computed in one batched call.
+All spans are computed in one batched call, and so are the spans of every
+prompt of a batch (their word rows shifted by each prompt's word offset).
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def init_head_params(width, rng, dtype=np.float32, init_scale=0.02):
 
 
 def _ffn2(x, params, prefix, dropout, mode, rng):
-    hidden = T.relu(T.add(T.matmul(x, params[prefix + "w1"]), params[prefix + "b1"]))
+    hidden = T.relu(T.linear(x, params[prefix + "w1"], params[prefix + "b1"]))
     if mode == "train" and dropout > 0:
         hidden = T.dropout(hidden, dropout, rng)
-    return T.add(T.matmul(hidden, params[prefix + "w2"]), params[prefix + "b2"])
+    return T.linear(hidden, params[prefix + "w2"], params[prefix + "b2"])
 
 
 def entity_embed(p, params, dropout=0.0, mode="eval", rng=None):

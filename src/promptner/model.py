@@ -1,17 +1,20 @@
 """Full model: encoder + matching heads, with a convenience wrapper.
 
-``forward`` wires one EncodedPrompt through the encoder and both heads and
-returns the (span, type) logit tensor; ``Model`` bundles config, vocab and
+``forward_batch`` wires a list of EncodedPrompts through the encoder and both
+heads as one graph and returns each prompt's (span, type) logit tensor;
+``forward`` is the same with one prompt. ``Model`` bundles config, vocab and
 parameters and adds prompt chunking for inference with many entity types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from itertools import accumulate
 
 import numpy as np
 
 from . import matcher, prompt as prompt_mod
+from . import tensor as T
 from .encoder import EncoderConfig, encode, init_encoder_params
 from .errors import ContractError
 
@@ -48,12 +51,29 @@ def forward(enc_prompt, params, config, mode="eval", rng=None):
     Returns (spans, logits_tensor) where logits has shape |spans| x M and is
     connected to the autodiff graph (for training).
     """
-    out = encode(enc_prompt, params, config.encoder, mode=mode, rng=rng)
-    spans = matcher.enumerate_spans(len(enc_prompt.words), config.k)
+    return forward_batch([enc_prompt], params, config, mode=mode, rng=rng)[0]
+
+
+def forward_batch(prompts, params, config, mode="eval", rng=None):
+    """One (spans, logits_tensor) pair per prompt, as ``forward`` returns,
+    from one graph: the encoder and both heads run once over the batch, and
+    only each prompt's span x type product is its own."""
+    out = encode(prompts, params, config.encoder, mode=mode, rng=rng)
+    spans = [matcher.enumerate_spans(len(p.words), config.k) for p in prompts]
+    words = list(accumulate((len(p.words) for p in prompts), initial=0))
+    types = list(accumulate((len(p.entity_types) for p in prompts), initial=0))
+    rows = list(accumulate((len(sp) for sp in spans), initial=0))
     q = matcher.entity_embed(out.p, params, dropout=config.head_dropout, mode=mode, rng=rng)
-    s = matcher.span_embed(out.h, spans, params, dropout=config.head_dropout, mode=mode, rng=rng)
-    logits = matcher.match_scores(s, q)
-    return spans, logits
+    s = matcher.span_embed(out.h, np.concatenate([sp + w for sp, w in zip(spans, words)]),
+                           params, dropout=config.head_dropout, mode=mode, rng=rng)
+    return [(sp, matcher.match_scores(_rows(s, rows[b], rows[b + 1]),
+                                      _rows(q, types[b], types[b + 1])))
+            for b, sp in enumerate(spans)]
+
+
+def _rows(t, start, stop):
+    """Rows start:stop of t; t itself, with no node, when that is all of it."""
+    return t if stop - start == t.shape[0] else T.gather_rows(t, np.arange(start, stop))
 
 
 class Model:

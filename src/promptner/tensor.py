@@ -7,9 +7,11 @@ graph in reverse topological order and accumulates ``d loss / d tensor`` into
 every ``requires_grad`` tensor's ``grad`` slot.
 
 Only the operations the model needs are implemented, and broadcasting is
-restricted to scalars and trailing-row vectors so every backward rule stays
-small and auditable. Inputs are never mutated; gradients accumulate
-additively (running backward twice without zeroing doubles every grad).
+restricted to scalars so every backward rule stays small and auditable. A
+batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
+masks the padded keys. Inputs are never mutated. Leaf gradients accumulate
+additively (running backward twice without zeroing doubles them); interior
+gradients are released as soon as their node's backward has run.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from scipy.special import erf, expit
 
 from .errors import ContractError, DimensionError
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = np.sqrt(2.0)  # a float64 scalar: the GELU forward runs in float64
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)  # a Python float keeps x's dtype
 
 
 class Tensor:
@@ -63,8 +65,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+            # a copy: one upstream array may be handed to several parents
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
 
 def _result(data, parents, op):
@@ -80,32 +84,15 @@ def _as_tensor(x, like):
 
 
 def _check_broadcast(a, b):
-    """Allow equal shapes, scalar, or trailing-row vector broadcast only."""
-    if a.shape == b.shape:
-        return
-    if b.ndim == 0 or a.ndim == 0:
-        return
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        return
-    if a.ndim == 1 and b.ndim >= 1 and b.shape[-1] == a.shape[0]:
-        return
-    raise DimensionError(f"shapes {a.shape} and {b.shape} are not broadcast-compatible "
-                         "(only scalar and trailing-row broadcast supported)")
+    """Allow equal shapes or a scalar operand only (biases go through linear)."""
+    if a.shape != b.shape and a.ndim and b.ndim:
+        raise DimensionError(f"shapes {a.shape} and {b.shape} are not broadcast-compatible "
+                             "(only scalar broadcast supported)")
 
 
 def _reduce_to_shape(g, shape):
-    """Sum gradient g down to `shape` (undo scalar / row broadcast)."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return g.sum()
-    # trailing-row vector: sum over all leading axes
-    extra = g.ndim - len(shape)
-    axes = tuple(range(extra))
-    out = g.sum(axis=axes) if axes else g
-    if out.shape != shape:
-        out = out.reshape(shape)
-    return out
+    """Sum gradient g down to `shape` (undo a scalar broadcast)."""
+    return g if g.shape == shape else g.sum()
 
 
 # -- elementwise ------------------------------------------------------------
@@ -166,10 +153,11 @@ def relu(a):
 
 
 def gelu(a):
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU; the float64 cdf is kept in the input dtype."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     out = _result((x * cdf).astype(a.dtype, copy=False), (a,), "gelu")
+    cdf = cdf.astype(a.dtype, copy=False)
 
     def bw(g):
         if a.requires_grad:
@@ -199,21 +187,33 @@ def dropout(a, p, rng):
 
 # -- linear algebra ---------------------------------------------------------
 
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = _result(a.data @ b.data, (a, b), "matmul")
+def linear(x, w, b=None):
+    """``x @ w``, plus the row vector ``b`` on every row when given, as one
+    tape node (2-D ``x`` and ``w``)."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError("linear requires 2-D operands")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise DimensionError(f"bias shape {b.shape} != ({w.shape[1]},)")
+    y = x.data @ w.data
+    if b is not None:
+        y += b.data
+    out = _result(y, (x, w) if b is None else (x, w, b), "linear")
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
 
     out._backward = bw
     return out
+
+
+matmul = linear  # x @ w: a linear node without a bias
 
 
 def transpose(a):
@@ -240,9 +240,9 @@ def gather_rows(a, idx):
 
     def bw(g):
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            a._accumulate(ga)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, g)  # scattered in place: no table-sized temporary
 
     out._backward = bw
     return out
@@ -303,14 +303,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 # -- attention --------------------------------------------------------------
 
-def attention(q, k, v, heads):
-    """Multi-head scaled dot-product attention over L x D rows.
+def attention(q, k, v, heads, mask=None):
+    """Multi-head scaled dot-product attention over B prompts of L rows each.
 
-    Head h owns column block h (width d_h = D / heads) of q, k and v and
-    computes softmax(q_h k_h^T / sqrt(d_h)) v_h; the heads' outputs fill the
-    same column blocks of the L x D result. The softmax is computed
-    shift-invariantly per row, so adding one row vector to every key leaves
-    the output unchanged.
+    q, k and v are B*L x D; ``mask`` is the (B, L) bool array of real tokens
+    (None: one prompt of all rows), and each row attends to the real keys of
+    its own prompt only. Head h owns column block h (width d_h = D / heads)
+    and computes softmax(q_h k_h^T / sqrt(d_h)) v_h into the same block of
+    the result. The softmax is computed shift-invariantly per row, so adding
+    one row vector to every key leaves the output unchanged.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"attention needs equal 2-D shapes, got "
@@ -318,17 +319,26 @@ def attention(q, k, v, heads):
     rows, width = q.shape
     if heads < 1 or width % heads:
         raise DimensionError(f"width {width} is not divisible by {heads} heads")
+    mask = np.ones((1, rows), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.size != rows:
+        raise DimensionError(f"mask shape {mask.shape} does not cover {rows} rows")
+    padded = not mask.all()  # the -inf bias is skipped when no key is padding
+    if padded and not mask.any(axis=1).all():
+        raise ContractError("every prompt needs at least one real token")
+    nb, length = mask.shape
     dh = width // heads
 
-    def split(a):  # L x D -> heads x L x d_h
-        return a.reshape(rows, heads, dh).transpose(1, 0, 2)
+    def split(a):  # B*L x D -> B x heads x L x d_h
+        return a.reshape(nb, length, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):  # heads x L x d_h -> L x D
-        return a.transpose(1, 0, 2).reshape(rows, width)
+    def merge(a):  # B x heads x L x d_h -> B*L x D
+        return a.transpose(0, 2, 1, 3).reshape(rows, width)
 
     s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    z = (qh @ kh.transpose(0, 2, 1)) * s
+    z = (qh @ kh.transpose(0, 1, 3, 2)) * s
+    if padded:
+        z += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, None, :]
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -337,13 +347,13 @@ def attention(q, k, v, heads):
     def bw(g):
         gh = split(g)
         if v.requires_grad:
-            v._accumulate(merge(p.transpose(0, 2, 1) @ gh))
-        gp = gh @ vh.transpose(0, 2, 1)
+            v._accumulate(merge(p.transpose(0, 1, 3, 2) @ gh))
+        gp = gh @ vh.transpose(0, 1, 3, 2)
         gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
         if q.requires_grad:
             q._accumulate(merge(gz @ kh))
         if k.requires_grad:
-            k._accumulate(merge(gz.transpose(0, 2, 1) @ qh))
+            k._accumulate(merge(gz.transpose(0, 1, 3, 2) @ qh))
 
     out._backward = bw
     return out
@@ -392,9 +402,10 @@ def bce_with_logits(logits, targets, reduction="sum"):
 # -- backward pass ----------------------------------------------------------
 
 def backward(loss):
-    """Populate grads of every requires_grad tensor reachable from `loss`.
+    """Populate grads of every requires_grad leaf reachable from `loss`.
 
-    Grads accumulate additively across uses and across repeated calls.
+    Leaf grads accumulate additively across uses and across repeated calls;
+    each interior node's grad is set to None once its backward has run.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -404,6 +415,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def _toposort(root):

@@ -2,13 +2,15 @@
 
 Each training step builds a prompt per example (positives plus negative
 types sampled from the rest of the batch, shuffled, randomly dropped),
-scores every (span, type) pair, and minimizes binary cross-entropy over the
-resulting grid. Optimization is AdamW with decoupled weight decay and a
-linear-warmup / cosine-decay schedule applied per parameter group.
+scores every (span, type) pair of the batch in one padded graph, and
+minimizes the summed binary cross-entropy of each example's own grid.
+Optimization is AdamW with decoupled weight decay and a linear-warmup /
+cosine-decay schedule applied per parameter group.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,9 +19,10 @@ import numpy as np
 from . import prompt as prompt_mod
 from . import tensor as T
 from .decoder import DecodeConfig, decode
+from .encoder import positions
 from .errors import ContractError
 from .evaluation import score as eval_score
-from .model import forward
+from .model import forward_batch
 
 
 @dataclass
@@ -206,14 +209,18 @@ class TrainConfig:
             raise ContractError(f"unknown reduction {self.reduction!r}")
 
 
-def _example_loss(model, example, prompt_types, tcfg, rng):
-    surviving_gold = [m for m in example.gold if m.type in prompt_types]
-    enc = prompt_mod.build_prompt(prompt_types, example.words, model.vocab,
-                                  max_types=model.config.max_types,
-                                  max_positions=model.config.encoder.max_positions)
-    spans, logits = forward(enc, model.params, model.config, mode="train", rng=rng)
-    grid = build_labels(TrainingExample(example.words, surviving_gold), prompt_types, spans)
-    return bce_loss(logits, grid, reduction=tcfg.reduction), grid.filtered_wide
+def batch_loss(model, examples, prompts, rng, reduction="sum"):
+    """Summed BCE of a batch as one train-mode graph; example i is scored with
+    ``prompts[i]`` and supervised on its gold of that prompt's types.
+    Returns (loss, per-example loss values, gold spans wider than K)."""
+    terms, wide = [], 0
+    scored = forward_batch(prompts, model.params, model.config, mode="train", rng=rng)
+    for example, enc, (spans, logits) in zip(examples, prompts, scored):
+        gold = [m for m in example.gold if m.type in enc.entity_types]
+        grid = build_labels(TrainingExample(example.words, gold), enc.entity_types, spans)
+        terms.append(bce_loss(logits, grid, reduction=reduction))
+        wide += grid.filtered_wide
+    return functools.reduce(T.add, terms), [t.item() for t in terms], wide
 
 
 def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
@@ -249,9 +256,9 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
         step += 1
 
         for p in model.params.values():
-            p.grad = np.zeros_like(p.data)
+            p.zero_grad()
 
-        losses = []
+        prompts = []
         for bi, example in enumerate(batch):
             if tcfg.type_policy == "inventory":
                 types = list(inventory)
@@ -265,13 +272,18 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
             else:
                 types = drop_types(types, tcfg.drop_prob, rng)
             try:
-                loss, wide = _example_loss(model, example, types, tcfg, rng)
+                enc = prompt_mod.build_prompt(
+                    types, example.words, model.vocab, max_types=model.config.max_types,
+                    max_positions=model.config.encoder.max_positions)
+                positions(enc, model.config.encoder)  # refused here, the example is named
             except Exception as exc:
                 raise ContractError(
                     f"training failed on example {batch_ids[bi]}: {exc}") from exc
-            wide_filtered_total += wide
-            T.backward(loss)
-            losses.append(loss.item())
+            prompts.append(enc)
+        loss, losses, wide = batch_loss(model, batch, prompts, rng, reduction=tcfg.reduction)
+        wide_filtered_total += wide
+        T.backward(loss)
+        del loss  # free this step's graph before the next step builds its own
 
         adamw_step(model.params, state)
         record = {"step": step, "loss": float(np.mean(losses)),

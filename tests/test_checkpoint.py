@@ -111,6 +111,16 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="non-negative ints"):
             load_checkpoint(path)
 
+    def test_huge_shape_rejected(self, tmp_path):
+        # 4 * 2**62 bytes overflows any read size; the declared payload is
+        # compared with the bytes left in the file before anything is read
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda header: header["params"][0].update(shape=[2**62]))
+        with pytest.raises(DataError, match="truncated payload"):
+            load_checkpoint(path)
+
     def test_nan_weight_rejected(self, tmp_path):
         model, _ = tiny_model()
         first = sorted(model.params)[0]
@@ -204,7 +214,9 @@ class TestMentionsIO:
         assert loaded[0][0].score == 1.0
 
     @pytest.mark.parametrize("record, message", [
-        ('{"ner": [[0, "x", "person"]]}', "invalid literal"),
+        ('{"ner": [[0, "x", "person"]]}', "JSON integers"),
+        ('{"ner": [[0.9, 1.7, "person"]]}', "JSON integers"),
+        ('{"ner": [[true, true, "person"]]}', "JSON integers"),
         ('{"ner": [[0, 1, "person", "high"]]}', "could not convert"),
         ('{"ner": [[0, null, "person"]]}', "int"),
         ('{"ner": [5]}', "malformed ner entry"),

@@ -101,7 +101,9 @@ class TestDatasetIO:
             load_dataset(path)
 
     @pytest.mark.parametrize("record, message", [
-        ('{"tokenized_text": ["a", "b"], "ner": [[0, "x", "t"]]}', "invalid literal"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, "x", "t"]]}', "JSON integers"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0.9, 1.7, "t"]]}', "JSON integers"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[true, true, "t"]]}', "JSON integers"),
         ('{"tokenized_text": ["a", "b"], "ner": [5]}', "malformed ner entry"),
         ('{"tokenized_text": ["a", "b"], "ner": 7}', "ner must be a list"),
         ('{"tokenized_text": "ab", "ner": []}', "list of strings"),

@@ -45,35 +45,35 @@ class TestEncode:
         config, vocab, params = setup()
         prompt = build_prompt(["person", "location"],
                               ["alain", "works", "at", "mcgill"], vocab)
-        out = encode(prompt, params, config)
+        out = encode([prompt], params, config)
         assert out.p.shape == (2, config.width)
         assert out.h.shape == (4, config.width)
 
     def test_eval_deterministic(self):
         config, vocab, params = setup()
         prompt = build_prompt(["person"], ["alain", "works"], vocab)
-        a = encode(prompt, params, config).h.data
-        b = encode(prompt, params, config).h.data
+        a = encode([prompt], params, config).h.data
+        b = encode([prompt], params, config).h.data
         assert np.array_equal(a, b)
 
     def test_train_dropout_varies(self):
         config, vocab, params = setup()
         prompt = build_prompt(["person"], ["alain", "works"], vocab)
-        a = encode(prompt, params, config, mode="train", rng=np.random.default_rng(1)).h.data
-        b = encode(prompt, params, config, mode="train", rng=np.random.default_rng(2)).h.data
+        a = encode([prompt], params, config, mode="train", rng=np.random.default_rng(1)).h.data
+        b = encode([prompt], params, config, mode="train", rng=np.random.default_rng(2)).h.data
         assert not np.array_equal(a, b)
 
     def test_train_needs_rng(self):
         config, vocab, params = setup()
         prompt = build_prompt(["person"], ["alain"], vocab)
         with pytest.raises(ContractError):
-            encode(prompt, params, config, mode="train")
+            encode([prompt], params, config, mode="train")
 
     def test_unknown_mode(self):
         config, vocab, params = setup()
         prompt = build_prompt(["person"], ["alain"], vocab)
         with pytest.raises(ContractError):
-            encode(prompt, params, config, mode="test")
+            encode([prompt], params, config, mode="test")
 
     def test_word_positions_stable_across_prompt_sizes(self):
         # sentence rows use a fixed position offset, so adding entity types
@@ -82,8 +82,8 @@ class TestEncode:
         words = ["alain", "works", "at", "mcgill"]
         small = build_prompt(["person"], words, vocab)
         large = build_prompt(["person", "location", "date", "event"], words, vocab)
-        h_small = encode(small, params, config).h.data
-        h_large = encode(large, params, config).h.data
+        h_small = encode([small], params, config).h.data
+        h_large = encode([large], params, config).h.data
         # representations still differ (attention sees different prompts),
         # but they must be close in the sense of using the same positions:
         # verify via the embedding lookup itself
@@ -100,9 +100,9 @@ class TestEncode:
         config, vocab, params = setup()
         params["encoder.pos_emb"].data[:] = 0.0
         words = ["alain", "works"]
-        a = encode(build_prompt(["person", "location", "date"], words, vocab),
+        a = encode([build_prompt(["person", "location", "date"], words, vocab)],
                    params, config).p.data
-        b = encode(build_prompt(["date", "person", "location"], words, vocab),
+        b = encode([build_prompt(["date", "person", "location"], words, vocab)],
                    params, config).p.data
         assert np.allclose(b, a[[2, 0, 1]], atol=1e-10)
 
@@ -111,18 +111,18 @@ class TestEncode:
         words = ["works"] * 20  # offset 16, 20 words won't fit in 16 slots
         prompt = build_prompt(["person"], words, vocab, max_positions=64)
         with pytest.raises(SizingError):
-            encode(prompt, params, config)
+            encode([prompt], params, config)
 
     def test_type_section_overflow_rejected(self):
         config, vocab, params = setup(max_positions=32)
         types = [f"t{i}" for i in range(12)]  # ~24 type tokens > offset 16
         prompt = build_prompt(types, ["works"], vocab, max_positions=64)
         with pytest.raises(SizingError):
-            encode(prompt, params, config)
+            encode([prompt], params, config)
 
     def test_token_id_bounds_checked(self):
         config, vocab, params = setup()
         prompt = build_prompt(["person"], ["alain"], vocab)
         prompt.token_ids[0] = 10_000
         with pytest.raises(ContractError):
-            encode(prompt, params, config)
+            encode([prompt], params, config)

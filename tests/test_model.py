@@ -6,10 +6,10 @@ from promptner.data import SynthSpec, synth_dataset, vocab_corpus
 from promptner.encoder import EncoderConfig
 from promptner.errors import ContractError
 from promptner.matcher import span_count
-from promptner.model import Model, ModelConfig, forward, init_params
+from promptner.model import Model, ModelConfig, forward, forward_batch, init_params
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
-from promptner.trainer import TrainConfig, _example_loss
+from promptner.trainer import batch_loss
 
 
 def tiny_model(max_types=25):
@@ -86,17 +86,62 @@ class TestParams:
         assert ModelConfig.from_dict(config.to_dict()) == config
 
 
+class TestBatch:
+    def test_batch_matches_one_prompt_at_a_time(self):
+        # three prompts of different lengths and type counts, padded into one
+        # batch: logits and the summed loss's parameter grads match running
+        # each prompt alone
+        model, types, train = tiny_model()
+        model.config.encoder.dropout = model.config.head_dropout = 0.0
+        examples = [train[0], train[3], train[5]]
+        prompts = [build_prompt(ts, ex.words, model.vocab) for ts, ex in
+                   zip([types, types[:1], types[1:3]], examples)]
+        assert len({len(p.token_ids) for p in prompts}) == 3
+
+        batched = forward_batch(prompts, model.params, model.config)
+        for enc, (spans, logits) in zip(prompts, batched):
+            alone_spans, alone = forward(enc, model.params, model.config)
+            assert np.array_equal(spans, alone_spans)
+            assert np.abs(logits.data - alone.data).max() < 1e-5
+
+        def grads(batches):
+            for p in model.params.values():
+                p.zero_grad()
+            for exs, encs in batches:
+                T.backward(batch_loss(model, exs, encs, rng=None)[0])
+            return {n: p.grad for n, p in model.params.items()}
+
+        together = grads([(examples, prompts)])
+        apart = grads([([ex], [enc]) for ex, enc in zip(examples, prompts)])
+        for name, g in apart.items():
+            scale = max(1.0, np.abs(g).max())
+            assert np.abs(together[name] - g).max() / scale < 1e-5, name
+
+
 class TestTapeSize:
-    def test_one_training_example_stays_small(self):
-        # the criterion-2 recipe's first sentence with its 10 types; attention
-        # is one tape op, so no per-head split/rejoin nodes are recorded
+    def recipe(self):
+        # the criterion-2 recipe: 50 sentences, their 10 types, dropout off
         train, _ = synth_dataset(SynthSpec(), train_size=50, dev_size=0, seed=0)
         types = sorted(SynthSpec().types)
         vocab = build_vocab(vocab_corpus(train, types), max_size=2000)
         config = ModelConfig(encoder=EncoderConfig(dropout=0.0), head_dropout=0.0)
         model = Model.fresh(config, vocab, seed=0, init_scale=0.05)
-        loss, _ = _example_loss(model, train[0], types, TrainConfig(),
-                                np.random.default_rng(0))
-        nodes = T.graph_nodes(loss)
-        assert len(nodes) <= 98
+        return model, train, types
+
+    def step_nodes(self, n):
+        model, train, types = self.recipe()
+        prompts = [build_prompt(types, ex.words, model.vocab) for ex in train[:n]]
+        loss, _, _ = batch_loss(model, train[:n], prompts, np.random.default_rng(0))
+        return T.graph_nodes(loss)
+
+    def test_one_training_example_stays_small(self):
+        # attention is one tape op, so no per-head split/rejoin nodes are
+        # recorded, and each projection with its bias is one linear node
+        nodes = self.step_nodes(1)
+        assert len(nodes) <= 84
         assert not {n.op for n in nodes} & {"slice_cols", "scale", "softmax_rows"}
+
+    def test_one_training_step_is_one_graph(self):
+        # a batch of 8 shares the encoder and head nodes; only each example's
+        # row slices, score product and BCE term are its own
+        assert len(self.step_nodes(8)) <= 130

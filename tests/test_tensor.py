@@ -37,6 +37,26 @@ class TestMatmul:
               [(3, 4), (4, 2)])
 
 
+class TestLinear:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(0)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+        assert np.array_equal(T.linear(t(x), t(w), t(b)).data, x @ w + b)
+        assert np.array_equal(T.linear(t(x), t(w)).data, x @ w)
+
+    def test_gradient(self):
+        check(lambda p: T.sum_all(T.mul(T.linear(p["p0"], p["p1"], p["p2"]),
+                                        T.linear(p["p0"], p["p1"], p["p2"]))),
+              [(3, 4), (4, 2), (2,)])
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3), (3,)), ((2, 3), (3, 4), (3,)),
+                                        ((3,), (3, 4), (4,))])
+    def test_bad_shapes_rejected(self, shapes):
+        x, w, b = (t(np.ones(s)) for s in shapes)
+        with pytest.raises(DimensionError):
+            T.linear(x, w, b)
+
+
 class TestElementwise:
     def test_sigmoid_zero(self):
         assert T.sigmoid(t([0.0])).data[0] == 0.5
@@ -53,11 +73,16 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             T.add(t(np.ones((2, 3))), t(np.ones((3, 2))))
 
-    def test_row_broadcast_backward(self):
+    def test_row_broadcast_rejected(self):
+        # a bias row goes through linear; add and mul broadcast scalars only
+        with pytest.raises(DimensionError):
+            T.add(t(np.ones((4, 3))), t(np.zeros(3)))
+
+    def test_scalar_broadcast_backward(self):
         x = t(np.ones((4, 3)))
-        b = t(np.zeros(3))
-        T.backward(T.sum_all(T.add(x, b)))
-        assert np.allclose(b.grad, [4, 4, 4])
+        c = t(2.0)
+        T.backward(T.sum_all(T.mul(x, c)))
+        assert np.allclose(x.grad, 2.0) and np.allclose(c.grad, 12.0)
 
     def test_no_input_mutation(self):
         x = t(np.ones((3, 3)))
@@ -136,6 +161,39 @@ class TestAttention:
         T.backward(T.sum_all(out))
         assert {q.grad.dtype, k.grad.dtype, v.grad.dtype} == {np.dtype(np.float32)}
 
+    def test_gradient_padded_batch(self):
+        # two prompts of 5 and 3 rows, the second padded to 5
+        mask = np.arange(5) < np.array([[5], [3]])
+        w = np.random.default_rng(6).normal(size=(10, 8))
+        check(lambda p: T.sum_all(T.mul(T.attention(p["p0"], p["p1"], p["p2"], 2, mask), w)),
+              [(10, 8), (10, 8), (10, 8)])
+
+    def test_padded_keys_change_nothing(self):
+        # each prompt's real rows match running it alone, and with the loss
+        # on real rows only, padded rows get exactly zero gradient
+        rng = np.random.default_rng(7)
+        lengths, width = (4, 2, 3), 8
+        mask = np.arange(4) < np.array(lengths)[:, None]
+        q, k, v = (rng.normal(size=(12, width)) for _ in range(3))
+        qt, kt, vt = t(q), t(k), t(v)
+        out = T.attention(qt, kt, vt, 2, mask)
+        for b, n in enumerate(lengths):
+            rows = slice(4 * b, 4 * b + n)
+            alone = T.attention(t(q[rows]), t(k[rows]), t(v[rows]), 2).data
+            assert np.abs(out.data[rows] - alone).max() < 1e-6
+        real = mask.reshape(-1)
+        T.backward(T.sum_all(T.gather_rows(out, np.flatnonzero(real))))
+        for x in (qt, kt, vt):
+            assert np.abs(x.grad[real]).max() > 0
+            assert np.array_equal(x.grad[~real], np.zeros((3, width)))
+
+    def test_bad_mask_rejected(self):
+        q = t(np.ones((6, 8)))
+        with pytest.raises(DimensionError):
+            T.attention(q, q, q, 2, np.ones((2, 4), dtype=bool))
+        with pytest.raises(ContractError):
+            T.attention(q, q, q, 2, np.array([[True] * 3, [False] * 3]))
+
     @pytest.mark.parametrize("shapes, heads", [
         (((3, 8), (4, 8), (4, 8)), 2),
         (((3, 8), (3, 8), (3, 6)), 2),
@@ -171,6 +229,24 @@ class TestBackward:
     def test_nonscalar_rejected(self):
         with pytest.raises(ContractError):
             T.backward(t(np.ones((2, 2))))
+
+    def test_add_parents_get_unaliased_grads(self):
+        # add hands one upstream array to both parents; each stores its own copy
+        a, b = t([[1.0, 2.0]]), t([[3.0, 4.0]])
+        T.backward(T.sum_all(T.add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, [[1.0, 1.0]])
+
+    def test_interior_grads_released_leaf_grads_kept(self):
+        w, c = t([[1.0, -2.0]]), t([[3.0, 0.5]], rg=False)
+        sq = T.mul(w, w)
+        mid = T.add(sq, T.mul(w, c))
+        loss = T.sum_all(mid)
+        T.backward(loss)
+        assert sq.grad is None and mid.grad is None and loss.grad is None
+        assert c.grad is None
+        assert np.array_equal(w.grad, 2 * w.data + c.data)
 
     def test_shared_input_accumulates(self):
         w = t([[2.0]])

@@ -271,3 +271,23 @@ class TestFit:
         tcfg = TrainConfig(steps=1, type_policy="inventory", log_every=0)
         with pytest.raises(ContractError, match="2 types.*max_types=1"):
             fit([ex], model, tcfg)
+
+    def test_bad_example_named_within_its_batch(self):
+        # the batch runs as one graph, yet the error still names the dataset
+        # index of the sentence the encoder cannot place: with max_positions
+        # 64 the sentence gets 32 positions, and example 1 has 40 words
+        from promptner.data import vocab_corpus
+        from promptner.encoder import EncoderConfig
+        from promptner.model import Model, ModelConfig
+        from promptner.tokenizer import build_vocab
+        from promptner.trainer import TrainConfig, fit
+
+        long = example(words=["works"] * 38 + ["alain", "farley"], gold=((38, 39, "person"),))
+        data = [example(), long, example()]
+        vocab = build_vocab(vocab_corpus(data, ["person", "organization"]), max_size=300)
+        config = ModelConfig(encoder=EncoderConfig(max_positions=64))
+        model = Model.fresh(config, vocab, seed=0)
+        tcfg = TrainConfig(steps=1, batch_size=3, log_every=0)
+        with pytest.raises(ContractError,
+                           match="training failed on example 1: sentence length 40 exceeds 32"):
+            fit(data, model, tcfg)
