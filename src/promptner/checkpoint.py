@@ -20,10 +20,10 @@ import struct
 import numpy as np
 
 from . import tensor as T
-from .data import _jsonl_records, _mentions
+from .data import _finite, _jsonl_records, _mentions
 from .errors import DataError
 from .matcher import ScoreTable, enumerate_spans, span_count
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, param_shapes
 from .tokenizer import Vocab
 
 MAGIC = b"PNCK"
@@ -67,6 +67,7 @@ def load_checkpoint(path):
             config = ModelConfig.from_dict(header["config"])
             vocab = Vocab.from_dict(header["vocab"])
             entries = [(e["name"], e["shape"]) for e in header["params"]]
+            shapes = dict(entries)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed header: {exc!r}") from exc
         for name, shape in entries:
@@ -79,6 +80,9 @@ def load_checkpoint(path):
         if declared > left:
             raise DataError(f"{path}: truncated payload: the header declares "
                             f"{declared} bytes, {left} are left")
+        wrong = _param_mismatch(shapes, len(entries), config, len(vocab))
+        if wrong:
+            raise DataError(f"{path}: parameters disagree with the header's config: {wrong}")
         params = {}
         for name, shape in entries:
             buf = fh.read(4 * math.prod(shape))
@@ -89,6 +93,23 @@ def load_checkpoint(path):
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the payload")
     return Model(config, vocab, params), header.get("seeds", [])
+
+
+def _param_mismatch(shapes, listed, config, vocab_size):
+    """How a header's name -> shape dict (of ``listed`` entries) differs from
+    the parameters of ``config``, or None."""
+    if len(shapes) != listed:
+        return "a parameter is listed twice"
+    if config.encoder.depth > listed:  # refused before building a table that long
+        return f"encoder depth {config.encoder.depth} for {listed} parameters"
+    expected = param_shapes(config, vocab_size)
+    for name, shape in expected.items():
+        if name not in shapes:
+            return f"{name!r} is missing"
+        if shapes[name] != list(shape):
+            return f"{name!r} has shape {shapes[name]}, the config gives {list(shape)}"
+    extra = [name for name in shapes if name not in expected]
+    return f"{extra[0]!r} is not in the config" if extra else None
 
 
 def save_score_tables(tables, path):
@@ -123,15 +144,18 @@ def _score_table(rec):
     if not isinstance(rec, dict):
         raise DataError("a score-table record must be a JSON object")
     spans = np.array(rec["spans"])
-    if spans.ndim != 2 or spans.shape[1] != 2 or spans.dtype.kind != "i":
+    if (spans.ndim != 2 or spans.shape[1] != 2 or spans.dtype.kind != "i"
+            or any(type(i) is not int for pair in rec["spans"] for i in pair)):
         raise DataError("spans must be a list of [start, end] integer pairs")
     types = list(rec["types"])
-    num_words, k = int(rec["num_words"]), int(rec["k"])
+    num_words, k = rec["num_words"], rec["k"]
+    if not (type(num_words) is int and type(k) is int):
+        raise DataError(f"num_words and k must be JSON integers, got {num_words!r}, {k!r}")
     # the count check first, so a huge num_words is refused before enumerating
     if (len(spans) != span_count(num_words, k)
             or not np.array_equal(spans, enumerate_spans(num_words, k))):
         raise DataError("span list is not the K-capped enumeration")
-    probs = np.asarray(rec["probs"], dtype=np.float64)
+    probs = np.array([_finite(p, "probability") for p in rec["probs"]], dtype=np.float64)
     if probs.size != len(spans) * len(types):
         raise DataError(f"probs length {probs.size} != "
                         f"{len(spans)} spans x {len(types)} types")
@@ -140,7 +164,8 @@ def _score_table(rec):
     probs = probs.reshape(len(spans), len(types))
     logits = rec.get("logits")
     if logits is not None:
-        logits = np.asarray(logits, dtype=np.float64).reshape(len(spans), len(types))
+        logits = np.array([_finite(x, "logit") for x in logits],
+                          dtype=np.float64).reshape(len(spans), len(types))
     return ScoreTable(spans=spans, types=types, probs=probs, logits=logits,
                       num_words=num_words, k=k)
 

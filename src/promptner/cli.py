@@ -8,7 +8,6 @@ artifacts. Errors exit nonzero with a module-attributed message.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -21,7 +20,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, PromptnerError
 from .evaluation import score as eval_score
 from .gradcheck import model_gradcheck
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, pop_fields, typed
 from .tokenizer import build_vocab
 from .trainer import TrainConfig, evaluate_dataset, fit
 
@@ -32,33 +31,11 @@ def _load_config_file(path):
     with open(path, encoding="utf-8") as fh:
         try:
             values = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
             raise ConfigError(f"config: {path}: invalid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config: {path}: expected a JSON object")
     return values
-
-
-# JSON types a config value may have, by field type (the config modules'
-# annotations are strings): ints pass as floats, and only a bool passes as a
-# bool (JSON true is not the int 1 here)
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-
-
-def _typed(path, key, value, kind):
-    """``value`` if it has the JSON type of field type ``kind``."""
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
-        raise ConfigError(f"config: {path}: {key} must be {kind}, got {json.dumps(value)}")
-    return value
-
-
-def _pop_fields(cls, values, path, **renamed):
-    """Pop the entries of ``values`` that set fields of ``cls``, type-checked,
-    as its keyword arguments; ``renamed`` gives a field's file key (None: not
-    settable)."""
-    fields = {renamed.get(f.name, f.name): f for f in dataclasses.fields(cls)}
-    return {fields[key].name: _typed(path, key, values.pop(key), fields[key].type)
-            for key in list(values) if key in fields}
 
 
 def _train_setup(args):
@@ -70,17 +47,18 @@ def _train_setup(args):
     Flags, named after their fields, override the file.
     """
     path = args.config
+    source = f"config: {path}"
     values = _load_config_file(path)
     for key in ("seed", "steps", "k", "max_types", "neg_ratio", "drop_prob"):
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    vocab_size = _typed(path, "vocab_size", values.pop("vocab_size", 2000), "int")
-    init_scale = _typed(path, "init_scale", values.pop("init_scale", 0.02), "float")
-    enc = EncoderConfig(**_pop_fields(EncoderConfig, values, path, dropout="encoder_dropout"))
-    mcfg = ModelConfig(encoder=enc, **_pop_fields(ModelConfig, values, path, encoder=None))
-    tcfg = TrainConfig(**_pop_fields(TrainConfig, values, path))
+    vocab_size = typed(source, "vocab_size", values.pop("vocab_size", 2000), "int")
+    init_scale = typed(source, "init_scale", values.pop("init_scale", 0.02), "float")
+    enc = EncoderConfig(**pop_fields(EncoderConfig, values, source, dropout="encoder_dropout"))
+    mcfg = ModelConfig(encoder=enc, **pop_fields(ModelConfig, values, source, encoder=None))
+    tcfg = TrainConfig(**pop_fields(TrainConfig, values, source))
     if values:
-        raise ConfigError(f"config: {path}: unknown key(s) {', '.join(sorted(values))}")
+        raise ConfigError(f"{source}: unknown key(s) {', '.join(sorted(values))}")
     return mcfg, tcfg, vocab_size, init_scale
 
 

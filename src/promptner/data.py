@@ -12,6 +12,7 @@ spans; it is the desk-scale stand-in for a large annotated corpus.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,16 @@ def _jsonl_records(path):
             if line.strip():
                 try:
                     yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an int too long to convert
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def _finite(x, what):
+    """JSON number ``x`` as a float; a bool, string, NaN, infinity or an int
+    past the float range is refused."""
+    if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+        raise DataError(f"could not convert {what} {x!r} to a finite number")
+    return float(x)
 
 
 def _mentions(rec):
@@ -90,7 +99,7 @@ def _mentions(rec):
             raise DataError(f"malformed ner entry {item!r}")
         if not (type(item[0]) is int and type(item[1]) is int):
             raise DataError(f"span indices must be JSON integers in {item!r}")
-        score = float(item[3]) if len(item) > 3 else 1.0
+        score = _finite(item[3], "score") if len(item) > 3 else 1.0
         mentions.append(EntityMention(item[0], item[1], str(item[2]), score=score))
     return mentions
 

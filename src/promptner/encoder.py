@@ -31,7 +31,7 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.width % self.heads != 0:
+        if self.heads < 1 or self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
@@ -43,43 +43,40 @@ class EncoderOutput:
     h: T.Tensor  # first-subword word rows of every prompt, in prompt order: sum(N_b) x D
 
 
-def init_encoder_params(config, vocab_size, rng, dtype=np.float32, init_scale=0.02):
-    """Fresh encoder parameters, all requires_grad, names prefixed 'encoder.'."""
+def encoder_param_shapes(config, vocab_size):
+    """Name -> shape of every encoder parameter, in draw order."""
     d = config.width
     f = config.ffn_mult * d
-
-    def w(shape):
-        return T.Tensor(rng.normal(0.0, init_scale, size=shape), requires_grad=True, dtype=dtype)
-
-    def zeros(shape):
-        return T.Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    def ones(shape):
-        return T.Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
-    params = {
-        "encoder.tok_emb": w((vocab_size, d)),
-        "encoder.pos_emb": w((config.max_positions, d)),
-        "encoder.final_ln.g": ones((d,)),
-        "encoder.final_ln.b": zeros((d,)),
-    }
+    shapes = {"encoder.tok_emb": (vocab_size, d), "encoder.pos_emb": (config.max_positions, d),
+              "encoder.final_ln.g": (d,), "encoder.final_ln.b": (d,)}
     for i in range(config.depth):
         pre = f"encoder.layer{i}."
-        params[pre + "ln1.g"] = ones((d,))
-        params[pre + "ln1.b"] = zeros((d,))
-        for name in ("wq", "wk", "wv", "wo"):
-            params[pre + name] = w((d, d))
+        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
+        shapes.update({pre + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
         # no key bias: softmax rows are shift-invariant, so its gradient
         # is identically zero and the parameter is redundant
-        for name in ("bq", "bv", "bo"):
-            params[pre + name] = zeros((d,))
-        params[pre + "ln2.g"] = ones((d,))
-        params[pre + "ln2.b"] = zeros((d,))
-        params[pre + "ffn.w1"] = w((d, f))
-        params[pre + "ffn.b1"] = zeros((f,))
-        params[pre + "ffn.w2"] = w((f, d))
-        params[pre + "ffn.b2"] = zeros((d,))
-    return params
+        shapes.update({pre + name: (d,) for name in ("bq", "bv", "bo")})
+        shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,), pre + "ffn.w1": (d, f),
+                       pre + "ffn.b1": (f,), pre + "ffn.w2": (f, d), pre + "ffn.b2": (d,)})
+    return shapes
+
+
+def init_from_shapes(shapes, rng, dtype=np.float32, init_scale=0.02):
+    """requires_grad parameters for a name -> shape table: matrices drawn
+    from N(0, init_scale^2) in table order, layer-norm gains (names ending
+    ".g") ones, other vectors zeros."""
+    def init(name, shape):
+        if len(shape) == 2:
+            return rng.normal(0.0, init_scale, size=shape)
+        return np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+
+    return {name: T.Tensor(init(name, shape), requires_grad=True, dtype=dtype)
+            for name, shape in shapes.items()}
+
+
+def init_encoder_params(config, vocab_size, rng, dtype=np.float32, init_scale=0.02):
+    """Fresh encoder parameters, all requires_grad, names prefixed 'encoder.'."""
+    return init_from_shapes(encoder_param_shapes(config, vocab_size), rng, dtype, init_scale)
 
 
 def _attention(x, mask, params, pre, config, mode, rng):

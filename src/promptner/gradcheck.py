@@ -143,7 +143,7 @@ def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, 
     def f(params):
         sp, logits = model_mod.forward(enc, params, config, mode="eval")
         grid = trainer_mod.build_labels(example, types, sp)
-        return T.bce_with_logits(logits, grid.targets.astype(logits.dtype), reduction="sum")
+        return T.bce_with_logits(logits, grid.targets)
 
     def make_point(point_seed):
         # 1/sqrt(D) weight scale keeps attention logits O(1): smaller scales

@@ -5,7 +5,8 @@ into type embeddings q. Each span (i, j) of width <= K is embedded by a
 two-layer feedforward head applied to the concatenation [h_i ; h_j], and the
 matching probability for (span, type) is the sigmoid of their dot product.
 All spans are computed in one batched call, and so are the spans of every
-prompt of a batch (their word rows shifted by each prompt's word offset).
+prompt of a batch (word rows shifted by each prompt's word offset), which one
+product then scores against every type of the batch.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import tensor as T
+from .encoder import init_from_shapes
 from .errors import ContractError, DimensionError
 
 
@@ -48,22 +50,16 @@ def span_count(num_words, k):
     return w * (num_words + 1) - w * (w + 1) // 2
 
 
-def init_head_params(width, rng, dtype=np.float32, init_scale=0.02):
+def head_param_shapes(width):
     """Two feedforward heads: entity (D->D->D) and span (2D->D->D)."""
     d = width
+    return {"head.ent.w1": (d, d), "head.ent.b1": (d,), "head.ent.w2": (d, d),
+            "head.ent.b2": (d,), "head.span.w1": (2 * d, d), "head.span.b1": (d,),
+            "head.span.w2": (d, d), "head.span.b2": (d,)}
 
-    def w(shape):
-        return T.Tensor(rng.normal(0.0, init_scale, size=shape), requires_grad=True, dtype=dtype)
 
-    def zeros(shape):
-        return T.Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    return {
-        "head.ent.w1": w((d, d)), "head.ent.b1": zeros((d,)),
-        "head.ent.w2": w((d, d)), "head.ent.b2": zeros((d,)),
-        "head.span.w1": w((2 * d, d)), "head.span.b1": zeros((d,)),
-        "head.span.w2": w((d, d)), "head.span.b2": zeros((d,)),
-    }
+def init_head_params(width, rng, dtype=np.float32, init_scale=0.02):
+    return init_from_shapes(head_param_shapes(width), rng, dtype, init_scale)
 
 
 def _ffn2(x, params, prefix, dropout, mode, rng):

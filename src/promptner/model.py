@@ -1,22 +1,46 @@
 """Full model: encoder + matching heads, with a convenience wrapper.
 
 ``forward_batch`` wires a list of EncodedPrompts through the encoder and both
-heads as one graph and returns each prompt's (span, type) logit tensor;
-``forward`` is the same with one prompt. ``Model`` bundles config, vocab and
-parameters and adds prompt chunking for inference with many entity types.
+heads as one graph and scores every span of the batch against every type of
+it in one product; ``forward`` is the same with one prompt. ``Model`` bundles
+config, vocab and parameters and adds prompt chunking for many entity types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import json
+import sys
+from dataclasses import dataclass, field, fields, asdict
 from itertools import accumulate
 
 import numpy as np
 
 from . import matcher, prompt as prompt_mod
-from . import tensor as T
-from .encoder import EncoderConfig, encode, init_encoder_params
-from .errors import ContractError
+from .encoder import EncoderConfig, encode, encoder_param_shapes, init_from_shapes
+from .errors import ConfigError, ContractError
+
+# JSON types a config value may have, by field type (the config modules'
+# annotations are strings): ints pass as floats, and only a bool passes as a
+# bool (JSON true is not the int 1 here)
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def typed(source, key, value, kind):
+    """``value`` if it has the JSON type of field type ``kind`` (and, for a
+    float, is finite)."""
+    if (isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind])
+            or (kind == "float" and not abs(value) <= sys.float_info.max)):
+        raise ConfigError(f"{source}: {key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def pop_fields(cls, values, source, **renamed):
+    """Pop the entries of ``values`` that set fields of config dataclass
+    ``cls``, type-checked, as its keyword arguments; ``renamed`` gives a
+    field's key (None: not settable)."""
+    by_key = {renamed.get(f.name, f.name): f for f in fields(cls)}
+    return {by_key[key].name: typed(source, key, values.pop(key), by_key[key].type)
+            for key in list(values) if key in by_key}
 
 
 @dataclass
@@ -31,18 +55,26 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["encoder"] = EncoderConfig(**d["encoder"])
-        return cls(**d)
+        """Inverse of ``to_dict``: exactly the fields' keys, each value of its
+        field's JSON type as in config files (ConfigError)."""
+        keys = cls().to_dict()
+        if set(d) != set(keys) or set(d["encoder"]) != set(keys["encoder"]):
+            raise ConfigError(f"config: expected the keys {sorted(keys)}, "
+                              f"with encoder keys {sorted(keys['encoder'])}")
+        values, enc = dict(d), dict(d["encoder"])
+        return cls(encoder=EncoderConfig(**pop_fields(EncoderConfig, enc, "config.encoder")),
+                   **pop_fields(cls, values, "config", encoder=None))
+
+
+def param_shapes(config, vocab_size):
+    """Name -> shape of every parameter of a model of ``config``, in draw order."""
+    return {**encoder_param_shapes(config.encoder, vocab_size),
+            **matcher.head_param_shapes(config.encoder.width)}
 
 
 def init_params(config, vocab_size, seed=0, dtype=np.float32, init_scale=0.02):
-    rng = np.random.default_rng(seed)
-    params = init_encoder_params(config.encoder, vocab_size, rng, dtype=dtype,
-                                 init_scale=init_scale)
-    params.update(matcher.init_head_params(config.encoder.width, rng, dtype=dtype,
-                                           init_scale=init_scale))
-    return params
+    return init_from_shapes(param_shapes(config, vocab_size), np.random.default_rng(seed),
+                            dtype=dtype, init_scale=init_scale)
 
 
 def forward(enc_prompt, params, config, mode="eval", rng=None):
@@ -51,29 +83,22 @@ def forward(enc_prompt, params, config, mode="eval", rng=None):
     Returns (spans, logits_tensor) where logits has shape |spans| x M and is
     connected to the autodiff graph (for training).
     """
-    return forward_batch([enc_prompt], params, config, mode=mode, rng=rng)[0]
+    (spans,), logits = forward_batch([enc_prompt], params, config, mode=mode, rng=rng)
+    return spans, logits
 
 
 def forward_batch(prompts, params, config, mode="eval", rng=None):
-    """One (spans, logits_tensor) pair per prompt, as ``forward`` returns,
-    from one graph: the encoder and both heads run once over the batch, and
-    only each prompt's span x type product is its own."""
+    """Each prompt's spans, and one sum(S_b) x sum(M_b) logits tensor scoring
+    every span of the batch against every type of it, from one graph. Prompt
+    b's own pairs are the block of its spans' rows and its types' columns;
+    the other blocks pair one prompt's spans with another's types."""
     out = encode(prompts, params, config.encoder, mode=mode, rng=rng)
     spans = [matcher.enumerate_spans(len(p.words), config.k) for p in prompts]
-    words = list(accumulate((len(p.words) for p in prompts), initial=0))
-    types = list(accumulate((len(p.entity_types) for p in prompts), initial=0))
-    rows = list(accumulate((len(sp) for sp in spans), initial=0))
+    words = accumulate((len(p.words) for p in prompts), initial=0)
     q = matcher.entity_embed(out.p, params, dropout=config.head_dropout, mode=mode, rng=rng)
     s = matcher.span_embed(out.h, np.concatenate([sp + w for sp, w in zip(spans, words)]),
                            params, dropout=config.head_dropout, mode=mode, rng=rng)
-    return [(sp, matcher.match_scores(_rows(s, rows[b], rows[b + 1]),
-                                      _rows(q, types[b], types[b + 1])))
-            for b, sp in enumerate(spans)]
-
-
-def _rows(t, start, stop):
-    """Rows start:stop of t; t itself, with no node, when that is all of it."""
-    return t if stop - start == t.shape[0] else T.gather_rows(t, np.arange(start, stop))
+    return spans, matcher.match_scores(s, q)
 
 
 class Model:

@@ -9,9 +9,10 @@ every ``requires_grad`` tensor's ``grad`` slot.
 Only the operations the model needs are implemented, and broadcasting is
 restricted to scalars so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
-masks the padded keys. Inputs are never mutated. Leaf gradients accumulate
-additively (running backward twice without zeroing doubles them); interior
-gradients are released as soon as their node's backward has run.
+masks the padded keys, and :func:`bce_with_logits` weighs each pair. Inputs
+are never mutated. Leaf gradients accumulate additively (running backward
+twice without zeroing doubles them); interior gradients are released as soon
+as their node's backward has run.
 """
 
 from __future__ import annotations
@@ -124,18 +125,6 @@ def mul(a, b):
             a._accumulate(_reduce_to_shape(g * b.data, a.data.shape))
         if b.requires_grad:
             b._accumulate(_reduce_to_shape(g * a.data, b.data.shape))
-
-    out._backward = bw
-    return out
-
-
-def sigmoid(a):
-    y = expit(a.data)
-    out = _result(y.astype(a.dtype, copy=False), (a,), "sigmoid")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * y * (1.0 - y))
 
     out._backward = bw
     return out
@@ -372,28 +361,25 @@ def sum_all(a):
     return out
 
 
-def bce_with_logits(logits, targets, reduction="sum"):
-    """Binary cross-entropy computed stably from logits.
+def bce_with_logits(logits, targets, weights=None):
+    """Binary cross-entropy computed stably from logits, weighted per pair.
 
     Uses max(x,0) - x*y + log1p(exp(-|x|)) elementwise, which is finite for
-    any finite logit. ``reduction`` is "sum" or "mean" over all elements.
+    any finite logit, and returns the sum of ``weights`` (None: all 1) times
+    those terms. A pair of weight 0 adds exactly 0 to the loss and to its
+    logit's gradient; weights of 1/size give the mean.
     """
     y = np.asarray(targets, dtype=logits.dtype)
-    if y.shape != logits.shape:
-        raise DimensionError(f"targets shape {y.shape} != logits shape {logits.shape}")
-    if reduction not in ("sum", "mean"):
-        raise ContractError(f"unknown reduction {reduction!r}")
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=logits.dtype)
+    if y.shape != logits.shape or w.shape != logits.shape:
+        raise DimensionError(f"targets {y.shape} and weights {w.shape} != logits {logits.shape}")
     x = logits.data
-    elem = np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    total = elem.sum() if reduction == "sum" else elem.mean()
-    out = _result(np.asarray(total, dtype=logits.dtype), (logits,), "bce_with_logits")
+    elem = w * (np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x))))
+    out = _result(np.asarray(elem.sum(), dtype=logits.dtype), (logits,), "bce_with_logits")
 
     def bw(g):
         if logits.requires_grad:
-            d = (expit(x) - y).astype(x.dtype, copy=False)
-            if reduction == "mean":
-                d = d / x.size
-            logits._accumulate(d * g)
+            logits._accumulate(w * (expit(x) - y).astype(x.dtype, copy=False) * g)
 
     out._backward = bw
     return out

@@ -14,7 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataError
 
 ENT = "[ENT]"
 SEP = "[SEP]"
@@ -68,8 +68,15 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, d):
-        tokens = list(d["tokens"])
-        return cls({t: i for i, t in enumerate(tokens)}, tokens)
+        """Inverse of ``to_dict``: distinct string tokens, the specials among
+        them (DataError)."""
+        tokens = d["tokens"]
+        if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}):
+            raise DataError("vocab tokens must be a list of strings")
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) != len(tokens) or not all(s in token_to_id for s in SPECIALS):
+            raise DataError(f"vocab tokens must be distinct and include {', '.join(SPECIALS)}")
+        return cls(token_to_id, tokens)
 
 
 @dataclass

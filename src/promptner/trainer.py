@@ -2,15 +2,15 @@
 
 Each training step builds a prompt per example (positives plus negative
 types sampled from the rest of the batch, shuffled, randomly dropped),
-scores every (span, type) pair of the batch in one padded graph, and
-minimizes the summed binary cross-entropy of each example's own grid.
+scores every span of the batch against every type of the batch in one
+padded graph, and minimizes one binary cross-entropy whose per-pair weights
+keep each example's own (span, type) block and mask out the rest.
 Optimization is AdamW with decoupled weight decay and a linear-warmup /
 cosine-decay schedule applied per parameter group.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +51,7 @@ class TrainingExample:
 class LabelGrid:
     targets: np.ndarray      # |spans| x |types|, 1.0 for positive pairs
     filtered_wide: int = 0   # gold spans wider than K, dropped from supervision
+    weights: np.ndarray = None  # per-pair loss weights like targets; None: all 1
 
 
 def build_labels(example, prompt_types, spans):
@@ -74,9 +75,9 @@ def build_labels(example, prompt_types, spans):
     return LabelGrid(targets=targets, filtered_wide=len(gold) - len(hits))
 
 
-def bce_loss(logits, grid, reduction="sum"):
-    """Binary cross-entropy over the whole grid, computed from logits."""
-    return T.bce_with_logits(logits, grid.targets, reduction=reduction)
+def bce_loss(logits, grid):
+    """Binary cross-entropy over the grid from logits, weighted by ``grid.weights``."""
+    return T.bce_with_logits(logits, grid.targets, grid.weights)
 
 
 def sample_negative_types(example, batch_pool, ratio, rng, max_types=25):
@@ -210,17 +211,23 @@ class TrainConfig:
 
 
 def batch_loss(model, examples, prompts, rng, reduction="sum"):
-    """Summed BCE of a batch as one train-mode graph; example i is scored with
-    ``prompts[i]`` and supervised on its gold of that prompt's types.
-    Returns (loss, per-example loss values, gold spans wider than K)."""
-    terms, wide = [], 0
-    scored = forward_batch(prompts, model.params, model.config, mode="train", rng=rng)
-    for example, enc, (spans, logits) in zip(examples, prompts, scored):
+    """Summed BCE of a batch as one train-mode graph; example b is scored with
+    ``prompts[b]`` and supervised on its gold of that prompt's types, in its own
+    block of the batch's logits, whose pairs weigh 1 ("sum") or 1/its size
+    ("mean"); other pairs weigh 0. Returns (loss, gold spans wider than K)."""
+    spans, logits = forward_batch(prompts, model.params, model.config, mode="train", rng=rng)
+    targets = np.zeros(logits.shape, dtype=logits.dtype)
+    weights = np.zeros_like(targets)
+    row = col = wide = 0
+    for example, enc, sp in zip(examples, prompts, spans):
         gold = [m for m in example.gold if m.type in enc.entity_types]
-        grid = build_labels(TrainingExample(example.words, gold), enc.entity_types, spans)
-        terms.append(bce_loss(logits, grid, reduction=reduction))
+        grid = build_labels(TrainingExample(example.words, gold), enc.entity_types, sp)
+        block = (slice(row, row + len(sp)), slice(col, col + len(enc.entity_types)))
+        targets[block] = grid.targets
+        weights[block] = 1.0 if reduction == "sum" else 1.0 / grid.targets.size
+        row, col = block[0].stop, block[1].stop
         wide += grid.filtered_wide
-    return functools.reduce(T.add, terms), [t.item() for t in terms], wide
+    return bce_loss(logits, LabelGrid(targets, weights=weights)), wide
 
 
 def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
@@ -280,13 +287,14 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
                 raise ContractError(
                     f"training failed on example {batch_ids[bi]}: {exc}") from exc
             prompts.append(enc)
-        loss, losses, wide = batch_loss(model, batch, prompts, rng, reduction=tcfg.reduction)
+        loss, wide = batch_loss(model, batch, prompts, rng, reduction=tcfg.reduction)
         wide_filtered_total += wide
         T.backward(loss)
+        mean_loss = loss.item() / len(batch)
         del loss  # free this step's graph before the next step builds its own
 
         adamw_step(model.params, state)
-        record = {"step": step, "loss": float(np.mean(losses)),
+        record = {"step": step, "loss": mean_loss,
                   "lr": lr_at(min(step, tcfg.steps), tcfg.steps, tcfg.lr_encoder,
                               tcfg.warmup_frac)}
         if dev is not None and tcfg.eval_every and step % tcfg.eval_every == 0:

@@ -120,7 +120,7 @@ def test_criterion_4_loss_arithmetic():
     stable = np.array([
         T.bce_with_logits(
             T.Tensor(np.array([[x]]), requires_grad=False, dtype=np.float64),
-            np.array([[y]]), reduction="sum").item()
+            np.array([[y]])).item()
         for x, y in zip(logits[:200], targets[:200])])
     sig = 1.0 / (1.0 + np.exp(-logits[:200]))
     naive = -(targets[:200] * np.log(sig) + (1 - targets[:200]) * np.log(1 - sig))
@@ -129,14 +129,14 @@ def test_criterion_4_loss_arithmetic():
     # remaining pairs in one batched call
     full = T.bce_with_logits(
         T.Tensor(logits.reshape(-1, 1), requires_grad=False, dtype=np.float64),
-        targets.reshape(-1, 1), reduction="sum").item()
+        targets.reshape(-1, 1)).item()
     sig_all = 1.0 / (1.0 + np.exp(-logits))
     naive_all = -(targets * np.log(sig_all) + (1 - targets) * np.log(1 - sig_all)).sum()
     batch_err = abs(full - naive_all) / abs(naive_all)
 
     ln2 = T.bce_with_logits(
         T.Tensor(np.array([[0.0]]), requires_grad=False, dtype=np.float64),
-        np.array([[1.0]]), reduction="sum").item()
+        np.array([[1.0]])).item()
     ln2_err = abs(ln2 - math.log(2.0))
 
     ok = max_err_single < 1e-6 and batch_err < 1e-6 and ln2_err < 1e-9

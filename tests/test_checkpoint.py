@@ -121,6 +121,43 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="truncated payload"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h["config"].update(k="3"), "k must be int"),
+        (lambda h: h["config"]["encoder"].update(dropout=True), "dropout must be float"),
+        (lambda h: h["config"].update(span_cap=4), "expected the keys"),
+        (lambda h: h["config"].pop("k"), "expected the keys"),
+        (lambda h: h["config"]["encoder"].pop("depth"), "expected the keys"),
+        (lambda h: h["config"]["encoder"].update(heads=0), "heads 0"),
+        (lambda h: h["vocab"]["tokens"].remove("[ENT]"), "include"),
+        (lambda h: h["vocab"]["tokens"].append("[SEP]"), "distinct"),
+        (lambda h: h["vocab"]["tokens"].append(7), "strings"),
+        (lambda h: h["params"].remove({"name": "head.span.w1", "shape": [128, 64]}),
+         "'head.span.w1' is missing"),
+        (lambda h: h["config"]["encoder"].update(depth=3), "'encoder.layer2.ln1.g' is missing"),
+        (lambda h: h["config"]["encoder"].update(depth=10**9), "encoder depth"),
+        (lambda h: h["params"][-1].update(shape=[64, 1]), r"has shape \[64, 1\]"),
+        (lambda h: h["params"].append({"name": "head.extra", "shape": [0]}),
+         "'head.extra' is not in the config"),
+        (lambda h: h["params"].append({"name": "head.span.w1", "shape": [0]}), "listed twice"),
+    ])
+    def test_header_checked_against_its_config(self, tmp_path, edit, message):
+        # config values typed as config files are, the vocab's specials, and
+        # parameter names and shapes against the config's shape table
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, edit)
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
+    def test_config_values_that_shape_no_parameter_load(self, tmp_path):
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update(k=3, max_types=5))
+        config = load_checkpoint(path)[0].config
+        assert (config.k, config.max_types) == (3, 5)
+
     def test_nan_weight_rejected(self, tmp_path):
         model, _ = tiny_model()
         first = sorted(model.params)[0]
@@ -179,8 +216,24 @@ class TestScoreTables:
          "integer"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0.5]], "probs": [0.5]}',
          "integer"),
+        ('{"num_words": 2, "k": 2, "types": ["a"], "spans": [[0, 0], [0, true], [true, true]], '
+         '"probs": [0.5, 0.5, 0.5]}', "integer"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0], [0]], "probs": [0.5]}',
          ""),
+        ('{"num_words": 3.7, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',
+         "JSON integers"),
+        ('{"num_words": true, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',
+         "JSON integers"),
+        ('{"num_words": 1, "k": 1.0, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',
+         "JSON integers"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": ["0.5"]}',
+         "could not convert probability"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
+         '"logits": [NaN]}', "could not convert logit"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
+         '"logits": [true]}', "could not convert logit"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
+         '"logits": [-Infinity]}', "could not convert logit"),
         ('[1, 2]', "object"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, record, message):
@@ -218,6 +271,10 @@ class TestMentionsIO:
         ('{"ner": [[0.9, 1.7, "person"]]}', "JSON integers"),
         ('{"ner": [[true, true, "person"]]}', "JSON integers"),
         ('{"ner": [[0, 1, "person", "high"]]}', "could not convert"),
+        ('{"ner": [[0, 1, "person", NaN]]}', "could not convert score"),
+        ('{"ner": [[0, 1, "person", true]]}', "could not convert score"),
+        ('{"ner": [[0, 1, "person", 1e999]]}', "could not convert score"),
+        ('{"ner": [[0, 1, "person", 1' + '0' * 5000 + ']]}', "invalid JSON"),
         ('{"ner": [[0, null, "person"]]}', "int"),
         ('{"ner": [5]}', "malformed ner entry"),
         ('{"ner": [[0, 1]]}', "malformed ner entry"),

@@ -13,6 +13,7 @@ import pytest
 from promptner.checkpoint import load_checkpoint, save_score_tables
 from promptner.cli import _train_setup, build_parser, main
 from promptner.matcher import enumerate_spans, make_score_table
+from test_checkpoint import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +99,16 @@ class TestTrainConfig:
         ('{"lr_encodr": 0.001}', "unknown key(s) lr_encodr"),
         ('{"dropout": 0.0}', "unknown key(s) dropout"),
         ('{"steps": 2,', "invalid JSON"),
+        ('{"steps": 1' + '0' * 5000 + '}', "invalid JSON"),
         ('[1, 2]', "JSON object"),
         ('{"steps": "3"}', "steps must be int"),
         ('{"shuffle_types": "no"}', "shuffle_types must be bool"),
         ('{"k": true}', "k must be int"),
         ('{"k": 4.0}', "k must be int"),
         ('{"lr_head": false}', "lr_head must be float"),
+        ('{"head_dropout": NaN}', "head_dropout must be float, got NaN"),
+        ('{"lr_encoder": -Infinity}', "lr_encoder must be float"),
+        ('{"init_scale": 1' + '0' * 400 + '}', "init_scale must be float"),
         ('{"type_policy": 1}', "type_policy must be str"),
         ('{"vocab_size": "big"}', "vocab_size must be int"),
         ('{"init_scale": null}', "init_scale must be float"),
@@ -199,6 +204,21 @@ class TestErrors:
     def test_cut_checkpoint_fails_cleanly(self, workspace, tmp_path, capsys):
         path = tmp_path / "cut.ckpt"
         path.write_bytes(workspace["ckpt"].read_bytes()[:6])
+        rc = main(["predict", "--checkpoint", str(path), "--text", "hi", "--types", "person"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(k="3"),
+        lambda h: h["vocab"]["tokens"].remove("[ENT]"),
+        lambda h: h["params"].remove({"name": "head.span.w1", "shape": [128, 64]}),
+        lambda h: h["config"]["encoder"].update(depth=3),
+    ])
+    def test_checkpoint_disagreeing_with_its_header_fails_cleanly(
+            self, workspace, tmp_path, capsys, edit):
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(workspace["ckpt"].read_bytes())
+        rewrite_header(path, edit)
         rc = main(["predict", "--checkpoint", str(path), "--text", "hi", "--types", "person"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")

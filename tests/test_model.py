@@ -6,7 +6,8 @@ from promptner.data import SynthSpec, synth_dataset, vocab_corpus
 from promptner.encoder import EncoderConfig
 from promptner.errors import ContractError
 from promptner.matcher import span_count
-from promptner.model import Model, ModelConfig, forward, forward_batch, init_params
+from promptner.model import (Model, ModelConfig, forward, forward_batch, init_params,
+                             param_shapes)
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
 from promptner.trainer import batch_loss
@@ -81,16 +82,30 @@ class TestParams:
         b = init_params(config, 50, seed=3)
         assert all(np.array_equal(a[n].data, b[n].data) for n in a)
 
+    def test_draws_do_not_depend_on_dtype(self):
+        config = ModelConfig()
+        a = init_params(config, 50, seed=3, dtype=np.float32)
+        b = init_params(config, 50, seed=3, dtype=np.float64)
+        assert all(np.array_equal(a[n].data, b[n].data.astype(np.float32)) for n in a)
+
+    def test_params_follow_the_shape_table(self):
+        config = ModelConfig(encoder=EncoderConfig(depth=3, width=16, heads=2), k=5)
+        params = init_params(config, 50)
+        shapes = param_shapes(config, 50)
+        assert list(params) == list(shapes)
+        assert all(params[n].shape == shapes[n] for n in shapes)
+
     def test_config_dict_roundtrip(self):
         config = ModelConfig(k=7, max_types=13)
         assert ModelConfig.from_dict(config.to_dict()) == config
 
 
 class TestBatch:
-    def test_batch_matches_one_prompt_at_a_time(self):
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_batch_matches_one_prompt_at_a_time(self, reduction):
         # three prompts of different lengths and type counts, padded into one
-        # batch: logits and the summed loss's parameter grads match running
-        # each prompt alone
+        # batch: each prompt's block of the logits, the loss and the loss's
+        # parameter grads match running each prompt alone
         model, types, train = tiny_model()
         model.config.encoder.dropout = model.config.head_dropout = 0.0
         examples = [train[0], train[3], train[5]]
@@ -98,24 +113,33 @@ class TestBatch:
                    zip([types, types[:1], types[1:3]], examples)]
         assert len({len(p.token_ids) for p in prompts}) == 3
 
-        batched = forward_batch(prompts, model.params, model.config)
-        for enc, (spans, logits) in zip(prompts, batched):
+        spans, logits = forward_batch(prompts, model.params, model.config)
+        assert logits.shape == (sum(map(len, spans)),
+                                sum(len(p.entity_types) for p in prompts))
+        row = col = 0
+        for enc, sp in zip(prompts, spans):
             alone_spans, alone = forward(enc, model.params, model.config)
-            assert np.array_equal(spans, alone_spans)
-            assert np.abs(logits.data - alone.data).max() < 1e-5
+            assert np.array_equal(sp, alone_spans)
+            block = logits.data[row:row + len(sp), col:col + len(enc.entity_types)]
+            assert np.abs(block - alone.data).max() < 1e-5
+            row, col = row + len(sp), col + len(enc.entity_types)
 
-        def grads(batches):
+        def run(batches):
             for p in model.params.values():
                 p.zero_grad()
+            total = 0.0
             for exs, encs in batches:
-                T.backward(batch_loss(model, exs, encs, rng=None)[0])
-            return {n: p.grad for n, p in model.params.items()}
+                loss, _ = batch_loss(model, exs, encs, rng=None, reduction=reduction)
+                T.backward(loss)
+                total += loss.item()
+            return total, {n: p.grad for n, p in model.params.items()}
 
-        together = grads([(examples, prompts)])
-        apart = grads([([ex], [enc]) for ex, enc in zip(examples, prompts)])
-        for name, g in apart.items():
+        together, together_grads = run([(examples, prompts)])
+        apart, apart_grads = run([([ex], [enc]) for ex, enc in zip(examples, prompts)])
+        assert abs(together - apart) / apart < 1e-5
+        for name, g in apart_grads.items():
             scale = max(1.0, np.abs(g).max())
-            assert np.abs(together[name] - g).max() / scale < 1e-5, name
+            assert np.abs(together_grads[name] - g).max() / scale < 1e-5, name
 
 
 class TestTapeSize:
@@ -131,7 +155,7 @@ class TestTapeSize:
     def step_nodes(self, n):
         model, train, types = self.recipe()
         prompts = [build_prompt(types, ex.words, model.vocab) for ex in train[:n]]
-        loss, _, _ = batch_loss(model, train[:n], prompts, np.random.default_rng(0))
+        loss, _ = batch_loss(model, train[:n], prompts, np.random.default_rng(0))
         return T.graph_nodes(loss)
 
     def test_one_training_example_stays_small(self):
@@ -142,6 +166,8 @@ class TestTapeSize:
         assert not {n.op for n in nodes} & {"slice_cols", "scale", "softmax_rows"}
 
     def test_one_training_step_is_one_graph(self):
-        # a batch of 8 shares the encoder and head nodes; only each example's
-        # row slices, score product and BCE term are its own
-        assert len(self.step_nodes(8)) <= 130
+        # a batch of 8 shares every node, the score product and the masked
+        # BCE included, so it records no more nodes than one example
+        ops = [n.op for n in self.step_nodes(8)]
+        assert len(ops) <= 84
+        assert ops.count("bce_with_logits") == 1 and ops.count("transpose") == 1

@@ -58,14 +58,6 @@ class TestLinear:
 
 
 class TestElementwise:
-    def test_sigmoid_zero(self):
-        assert T.sigmoid(t([0.0])).data[0] == 0.5
-
-    def test_sigmoid_symmetry(self):
-        x = np.linspace(-8, 8, 33)
-        total = T.sigmoid(t(x)).data + T.sigmoid(t(-x)).data
-        assert np.allclose(total, 1.0)
-
     def test_gelu_gradient(self):
         check(lambda p: T.sum_all(T.mul(T.gelu(p["p0"]), p["p0"])), [(4, 5)], tol=1e-5)
 
@@ -88,7 +80,6 @@ class TestElementwise:
         x = t(np.ones((3, 3)))
         before = x.data.copy()
         T.relu(x)
-        T.sigmoid(x)
         T.attention(x, x, x, 1)
         T.layer_norm(x, t(np.ones(3)), t(np.zeros(3)))
         assert np.array_equal(x.data, before)
@@ -272,26 +263,59 @@ class TestDropout:
 
 class TestBceWithLogits:
     def test_zero_logit_positive(self):
-        loss = T.bce_with_logits(t([[0.0]]), np.array([[1.0]]), "sum")
+        loss = T.bce_with_logits(t([[0.0]]), np.array([[1.0]]))
         assert abs(loss.item() - np.log(2)) < 1e-9
 
     def test_two_pairs_sum(self):
-        loss = T.bce_with_logits(t([[0.0, 0.0]]), np.array([[1.0, 0.0]]), "sum")
+        loss = T.bce_with_logits(t([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
         assert abs(loss.item() - 2 * np.log(2)) < 1e-9
 
     def test_matches_naive_moderate_logits(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-20, 20, size=(100, 10))
         y = (rng.random((100, 10)) < 0.5).astype(float)
-        stable = T.bce_with_logits(t(x), y, "sum").item()
+        stable = T.bce_with_logits(t(x), y).item()
         s = 1 / (1 + np.exp(-x))
         naive = -(y * np.log(s) + (1 - y) * np.log(1 - s)).sum()
         assert abs(stable - naive) / abs(naive) < 1e-9
 
     def test_finite_for_extreme_logits(self):
-        loss = T.bce_with_logits(t([[1000.0, -1000.0]]), np.array([[0.0, 1.0]]), "sum")
+        loss = T.bce_with_logits(t([[1000.0, -1000.0]]), np.array([[0.0, 1.0]]))
         assert np.isfinite(loss.item())
 
     def test_gradient(self):
+        # weights of 1/size: the mean over all pairs
         y = np.array([[1.0, 0.0, 1.0]])
-        check(lambda p: T.bce_with_logits(p["p0"], y, "mean"), [(1, 3)])
+        check(lambda p: T.bce_with_logits(p["p0"], y, np.full((1, 3), 1 / 3)), [(1, 3)])
+
+    def test_weighted_gradient(self):
+        # zero and fractional weights, as a masked batch of blocks has them
+        rng = np.random.default_rng(1)
+        y = (rng.random((4, 5)) < 0.5).astype(float)
+        w = np.where(rng.random((4, 5)) < 0.4, 0.0, rng.uniform(0.1, 2.0, (4, 5)))
+        assert (w == 0).any() and (w != 0).any()
+        check(lambda p: T.bce_with_logits(p["p0"], y, w), [(4, 5)])
+
+    def test_weights_scale_each_term(self):
+        rng = np.random.default_rng(2)
+        x, w = rng.normal(size=(3, 4)), rng.random((3, 4))
+        y = (rng.random((3, 4)) < 0.5).astype(float)
+        terms = [T.bce_with_logits(t([[a]]), [[b]]).item() for a, b in zip(x.flat, y.flat)]
+        weighted = T.bce_with_logits(t(x), y, w).item()
+        assert abs(weighted - np.dot(w.ravel(), terms)) < 1e-12
+
+    def test_zero_weight_pairs_add_exactly_zero(self):
+        # extreme logits on masked pairs change neither the loss nor any grad
+        x = t([[1000.0, -1000.0, 0.5], [-1000.0, 1000.0, -0.25]])
+        y = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+        w = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        loss = T.bce_with_logits(x, y, w)
+        T.backward(loss)
+        kept = T.bce_with_logits(t(x.data[:, 2:]), y[:, 2:]).item()
+        assert loss.item() == kept
+        assert np.all(x.grad[:, :2] == 0.0)
+        assert np.array_equal(x.grad[:, 2], 1 / (1 + np.exp(-x.data[:, 2])) - y[:, 2])
+
+    def test_weights_shape_checked(self):
+        with pytest.raises(DimensionError):
+            T.bce_with_logits(t([[0.0, 0.0]]), [[1.0, 0.0]], [[1.0]])
