@@ -2,9 +2,11 @@
 
 A checkpoint is a single binary file: a 4-byte magic, a uint32 little-endian
 header length, a JSON header (format version, model config, vocab, seed
-lineage, parameter names and shapes in payload order), then the raw payload
-of little-endian float32 row-major tensors in the header-declared order.
-Round-trips are bit-exact.
+lineage, parameter dtype, names and shapes in payload order), then the raw
+payload of little-endian row-major tensors of that dtype in the
+header-declared order. A model with float64 parameters is written as "<f8";
+a header without a dtype is float32, so float32 files keep the bytes they
+had before the dtype was recorded. Round-trips are bit-exact.
 
 Score tables are exported one JSON record per sentence so the decoder can
 run standalone.
@@ -20,7 +22,7 @@ import struct
 import numpy as np
 
 from . import tensor as T
-from .data import _finite, _jsonl_records, _mentions
+from .data import _finite, _jsonl_records, _mentions, _type_name
 from .errors import DataError
 from .matcher import ScoreTable, enumerate_spans, span_count
 from .model import Model, ModelConfig, param_shapes
@@ -28,10 +30,12 @@ from .tokenizer import Vocab
 
 MAGIC = b"PNCK"
 FORMAT_VERSION = 1
+DTYPES = {"<f4": np.float32, "<f8": np.float64}  # header dtype -> parameter dtype
 
 
 def save_checkpoint(path, model, seeds=()):
     names = sorted(model.params)
+    dtype = "<f8" if any(model.params[n].dtype == np.float64 for n in names) else "<f4"
     header = {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -39,13 +43,15 @@ def save_checkpoint(path, model, seeds=()):
         "seeds": list(seeds),
         "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
     }
+    if dtype != "<f4":  # float32 headers stay as they were before dtypes were recorded
+        header["dtype"] = dtype
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for n in names:
-            fh.write(np.ascontiguousarray(model.params[n].data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(model.params[n].data, dtype=dtype).tobytes())
 
 
 def load_checkpoint(path):
@@ -63,6 +69,10 @@ def load_checkpoint(path):
         version = header.get("format_version") if isinstance(header, dict) else None
         if version != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported format version {version}")
+        dtype = header.get("dtype", "<f4")
+        if not (isinstance(dtype, str) and dtype in DTYPES):
+            raise DataError(f"{path}: unsupported parameter dtype {dtype!r}")
+        itemsize = np.dtype(dtype).itemsize
         try:
             config = ModelConfig.from_dict(header["config"])
             vocab = Vocab.from_dict(header["vocab"])
@@ -75,7 +85,7 @@ def load_checkpoint(path):
                     and all(type(d) is int and d >= 0 for d in shape)):
                 raise DataError(f"{path}: shape of {name!r} is not a list of "
                                 f"non-negative ints: {shape!r}")
-        declared = 4 * sum(math.prod(shape) for _, shape in entries)
+        declared = itemsize * sum(math.prod(shape) for _, shape in entries)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if declared > left:
             raise DataError(f"{path}: truncated payload: the header declares "
@@ -85,11 +95,11 @@ def load_checkpoint(path):
             raise DataError(f"{path}: parameters disagree with the header's config: {wrong}")
         params = {}
         for name, shape in entries:
-            buf = fh.read(4 * math.prod(shape))
-            arr = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+            buf = fh.read(itemsize * math.prod(shape))
+            arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: non-finite value in {name!r}")
-            params[name] = T.Tensor(arr, requires_grad=True, dtype=np.float32)
+            params[name] = T.Tensor(arr, requires_grad=True, dtype=DTYPES[dtype])
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the payload")
     return Model(config, vocab, params), header.get("seeds", [])
@@ -147,7 +157,11 @@ def _score_table(rec):
     if (spans.ndim != 2 or spans.shape[1] != 2 or spans.dtype.kind != "i"
             or any(type(i) is not int for pair in rec["spans"] for i in pair)):
         raise DataError("spans must be a list of [start, end] integer pairs")
-    types = list(rec["types"])
+    types = rec["types"]
+    if not isinstance(types, list):
+        raise DataError(f"types must be a list of entity types, got {types!r}")
+    if len({_type_name(t) for t in types}) != len(types):
+        raise DataError(f"types must be distinct, got {types!r}")
     num_words, k = rec["num_words"], rec["k"]
     if not (type(num_words) is int and type(k) is int):
         raise DataError(f"num_words and k must be JSON integers, got {num_words!r}, {k!r}")

@@ -86,6 +86,13 @@ def _finite(x, what):
     return float(x)
 
 
+def _type_name(x):
+    """JSON value ``x`` as an entity type: a non-empty string."""
+    if not (isinstance(x, str) and x):
+        raise DataError(f"entity type {x!r} is not a non-empty string")
+    return x
+
+
 def _mentions(rec):
     """One parsed record's mentions; the caller adds the file position."""
     if not isinstance(rec, dict):
@@ -100,7 +107,7 @@ def _mentions(rec):
         if not (type(item[0]) is int and type(item[1]) is int):
             raise DataError(f"span indices must be JSON integers in {item!r}")
         score = _finite(item[3], "score") if len(item) > 3 else 1.0
-        mentions.append(EntityMention(item[0], item[1], str(item[2]), score=score))
+        mentions.append(EntityMention(item[0], item[1], _type_name(item[2]), score=score))
     return mentions
 
 

@@ -74,11 +74,6 @@ def init_from_shapes(shapes, rng, dtype=np.float32, init_scale=0.02):
             for name, shape in shapes.items()}
 
 
-def init_encoder_params(config, vocab_size, rng, dtype=np.float32, init_scale=0.02):
-    """Fresh encoder parameters, all requires_grad, names prefixed 'encoder.'."""
-    return init_from_shapes(encoder_param_shapes(config, vocab_size), rng, dtype, init_scale)
-
-
 def _attention(x, mask, params, pre, config, mode, rng):
     q = T.linear(x, params[pre + "wq"], params[pre + "bq"])
     k = T.linear(x, params[pre + "wk"])
@@ -142,8 +137,6 @@ def encode(prompts, params, config, mode="eval", rng=None):
         real[b, :n] = True
         ent.append(b * length + np.asarray(prompt.ent_positions, dtype=np.int64))
         word.append(b * length + np.asarray(prompt.word_positions, dtype=np.int64))
-    if ids.min() < 0 or ids.max() >= params["encoder.tok_emb"].shape[0]:
-        raise ContractError("token id out of range for embedding table")
 
     x = T.add(T.gather_rows(params["encoder.tok_emb"], ids.reshape(-1)),
               T.gather_rows(params["encoder.pos_emb"], pos.reshape(-1)))

@@ -2,11 +2,12 @@
 
 Entity-marker representations are refined by a two-layer feedforward head
 into type embeddings q. Each span (i, j) of width <= K is embedded by a
-two-layer feedforward head applied to the concatenation [h_i ; h_j], and the
-matching probability for (span, type) is the sigmoid of their dot product.
-All spans are computed in one batched call, and so are the spans of every
-prompt of a batch (word rows shifted by each prompt's word offset), which one
-product then scores against every type of the batch.
+two-layer feedforward head applied to the concatenation [h_i ; h_j] (one
+``gather_rows`` of the span array), and the matching probability for (span,
+type) is the sigmoid of their dot product. All spans are computed in one
+batched call, and so are the spans of every prompt of a batch (word rows
+shifted by each prompt's word offset), which one product then scores against
+every type of the batch.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import tensor as T
-from .encoder import init_from_shapes
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 
 @dataclass
@@ -58,10 +58,6 @@ def head_param_shapes(width):
             "head.span.w2": (d, d), "head.span.b2": (d,)}
 
 
-def init_head_params(width, rng, dtype=np.float32, init_scale=0.02):
-    return init_from_shapes(head_param_shapes(width), rng, dtype, init_scale)
-
-
 def _ffn2(x, params, prefix, dropout, mode, rng):
     hidden = T.relu(T.linear(x, params[prefix + "w1"], params[prefix + "b1"]))
     if mode == "train" and dropout > 0:
@@ -71,21 +67,16 @@ def _ffn2(x, params, prefix, dropout, mode, rng):
 
 def entity_embed(p, params, dropout=0.0, mode="eval", rng=None):
     """Refine entity-marker rows p (M x D) into type embeddings q (M x D)."""
-    if p.shape[1] != params["head.ent.w1"].shape[0]:
-        raise DimensionError(f"p width {p.shape[1]} != head width {params['head.ent.w1'].shape[0]}")
     return _ffn2(p, params, "head.ent.", dropout, mode, rng)
 
 
 def span_embed(h, spans, params, dropout=0.0, mode="eval", rng=None):
     """Embed every (start, end) row of ``spans`` as FFN([h_start ; h_end])."""
-    pairs = T.concat_cols([T.gather_rows(h, spans[:, 0]), T.gather_rows(h, spans[:, 1])])
-    return _ffn2(pairs, params, "head.span.", dropout, mode, rng)
+    return _ffn2(T.gather_rows(h, spans), params, "head.span.", dropout, mode, rng)
 
 
 def match_scores(span_emb, q):
     """Logits for every (span, type) pair: span_emb @ q^T, |spans| x M."""
-    if span_emb.shape[1] != q.shape[1]:
-        raise DimensionError(f"embedding widths disagree: {span_emb.shape} vs {q.shape}")
     return T.matmul(span_emb, T.transpose(q))
 
 

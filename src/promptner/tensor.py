@@ -2,17 +2,18 @@
 
 A ``Tensor`` wraps a numpy array and records the operations applied to it on
 an implicit tape (each result keeps references to its parents plus a backward
-closure). Calling :func:`backward` on a scalar result walks the recorded
-graph in reverse topological order and accumulates ``d loss / d tensor`` into
-every ``requires_grad`` tensor's ``grad`` slot.
+closure). :func:`backward` on a scalar result walks :func:`graph_nodes` in
+reverse topological order and accumulates ``d loss / d tensor`` into every
+``requires_grad`` tensor's ``grad`` slot.
 
 Only the operations the model needs are implemented, and broadcasting is
 restricted to scalars so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
-masks the padded keys, and :func:`bce_with_logits` weighs each pair. Inputs
-are never mutated. Leaf gradients accumulate additively (running backward
-twice without zeroing doubles them); interior gradients are released as soon
-as their node's backward has run.
+masks the padded keys, :func:`gather_rows` of an (S, 2) span array gives
+each span's two endpoint rows side by side, and :func:`bce_with_logits`
+weighs each pair. Inputs are never mutated. Leaf gradients accumulate
+additively (running backward twice without zeroing doubles them); interior
+gradients are released as soon as their node's backward has run.
 """
 
 from __future__ import annotations
@@ -219,41 +220,24 @@ def transpose(a):
 
 
 def gather_rows(a, idx):
-    """Select rows of a 2-D tensor; backward scatter-adds."""
+    """Select rows of a 2-D tensor; backward scatter-adds. An (R, c) index
+    gives R rows, each its c indexed rows of ``a`` side by side (width c * D)."""
     idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise DimensionError("gather_rows requires a 2-D tensor")
+    if a.data.ndim != 2 or idx.ndim not in (1, 2):
+        raise DimensionError("gather_rows requires a 2-D tensor and a 1-D or 2-D index")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ContractError(f"row index out of range for shape {a.shape}")
-    out = _result(a.data[idx], (a,), "gather_rows")
+    cols = math.prod(idx.shape[1:])  # 1 for a 1-D index
+    out = _result(a.data[idx].reshape(len(idx), cols * a.shape[1]), (a,), "gather_rows")
 
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)  # scattered in place: no table-sized temporary
-
-    out._backward = bw
-    return out
-
-
-def concat_cols(tensors):
-    """Concatenate 2-D tensors along the last axis."""
-    if not tensors:
-        raise ContractError("concat_cols needs at least one tensor")
-    rows = tensors[0].shape[0]
-    for t in tensors:
-        if t.data.ndim != 2 or t.shape[0] != rows:
-            raise DimensionError("concat_cols operands must be 2-D with equal row counts")
-    out = _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), "concat_cols")
-    widths = [t.shape[1] for t in tensors]
-
-    def bw(g):
-        off = 0
-        for t, w in zip(tensors, widths):
-            if t.requires_grad:
-                t._accumulate(g[:, off:off + w])
-            off += w
+            # in place, no table-sized temporary; one index column after
+            # another, the order of ``cols`` separate 1-D gathers
+            g = g.reshape(len(idx), cols, a.shape[1]).swapaxes(0, 1)
+            np.add.at(a.grad, idx.T.reshape(-1), g.reshape(idx.size, a.shape[1]))
 
     out._backward = bw
     return out
@@ -396,15 +380,17 @@ def backward(loss):
     if loss.data.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    topo = _toposort(loss)
+    nodes = graph_nodes(loss)
     loss._accumulate(np.asarray(1.0, dtype=loss.dtype))
-    for node in reversed(topo):
+    for node in reversed(nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
 
 
-def _toposort(root):
+def graph_nodes(root):
+    """Every graph node reachable from `root`, each after its parents. Nodes
+    without requires_grad have only such parents, so they never reorder the rest."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -412,26 +398,8 @@ def _toposort(root):
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents)
     return order
-
-
-def graph_nodes(root):
-    """All graph nodes reachable from `root` (for inspection, e.g. relu kinks)."""
-    out = []
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        out.append(node)
-        stack.extend(node._parents)
-    return out

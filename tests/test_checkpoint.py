@@ -15,11 +15,11 @@ from promptner.model import Model, ModelConfig
 from promptner.tokenizer import build_vocab
 
 
-def tiny_model(seed=0):
+def tiny_model(seed=0, dtype=np.float32):
     train, _ = synth_dataset(train_size=4, dev_size=0, seed=0)
     vocab = build_vocab(vocab_corpus(train, ["person", "organization"]), max_size=300)
     config = ModelConfig()
-    return Model.fresh(config, vocab, seed=seed), train
+    return Model.fresh(config, vocab, seed=seed, dtype=dtype), train
 
 
 def rewrite_header(path, edit):
@@ -33,16 +33,32 @@ def rewrite_header(path, edit):
 
 
 class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        model, _ = tiny_model()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_bit_exact(self, tmp_path, dtype):
+        model, _ = tiny_model(dtype=dtype)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model, seeds=[0])
         loaded, seeds = load_checkpoint(path)
         assert seeds == [0]
         assert sorted(loaded.params) == sorted(model.params)
         for name, p in model.params.items():
-            assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.dtype == dtype
             assert np.array_equal(loaded.params[name].data, p.data)
+
+    def test_float32_header_names_no_dtype(self, tmp_path):
+        # a header without a dtype is float32, so float32 files keep the
+        # bytes they had before the dtype was recorded
+        model, _ = tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+
+        def state_dtype(header):
+            assert "dtype" not in header
+            header["dtype"] = "<f4"
+
+        rewrite_header(path, state_dtype)
+        loaded, _ = load_checkpoint(path)
+        assert all(p.data.dtype == np.float32 for p in loaded.params.values())
 
     def test_config_and_vocab_survive(self, tmp_path):
         model, _ = tiny_model()
@@ -52,8 +68,9 @@ class TestCheckpoint:
         assert loaded.config == model.config
         assert loaded.vocab.id_to_token == model.vocab.id_to_token
 
-    def test_identical_scores_after_roundtrip(self, tmp_path):
-        model, train = tiny_model()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identical_scores_after_roundtrip(self, tmp_path, dtype):
+        model, train = tiny_model(dtype=dtype)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
@@ -139,6 +156,9 @@ class TestCheckpoint:
         (lambda h: h["params"].append({"name": "head.extra", "shape": [0]}),
          "'head.extra' is not in the config"),
         (lambda h: h["params"].append({"name": "head.span.w1", "shape": [0]}), "listed twice"),
+        (lambda h: h.update(dtype="<f2"), "unsupported parameter dtype '<f2'"),
+        (lambda h: h.update(dtype=["<f4"]), "unsupported parameter dtype"),
+        (lambda h: h.update(dtype="<f8"), "truncated payload"),
     ])
     def test_header_checked_against_its_config(self, tmp_path, edit, message):
         # config values typed as config files are, the vocab's specials, and
@@ -234,6 +254,14 @@ class TestScoreTables:
          '"logits": [true]}', "could not convert logit"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
          '"logits": [-Infinity]}', "could not convert logit"),
+        ('{"num_words": 1, "k": 1, "types": [1, "a"], "spans": [[0, 0]], "probs": [0.5, 0.5]}',
+         "entity type 1 is not a non-empty string"),
+        ('{"num_words": 1, "k": 1, "types": "ab", "spans": [[0, 0]], "probs": [0.5, 0.5]}',
+         "types must be a list"),
+        ('{"num_words": 1, "k": 1, "types": ["a", "a"], "spans": [[0, 0]], "probs": [0.5, 0.5]}',
+         "types must be distinct"),
+        ('{"num_words": 1, "k": 1, "types": [""], "spans": [[0, 0]], "probs": [0.5]}',
+         "entity type '' is not a non-empty string"),
         ('[1, 2]', "object"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, record, message):
@@ -279,6 +307,9 @@ class TestMentionsIO:
         ('{"ner": [5]}', "malformed ner entry"),
         ('{"ner": [[0, 1]]}', "malformed ner entry"),
         ('{"ner": 5}', "list"),
+        ('{"ner": [[0, 0, null]]}', "entity type None is not a non-empty string"),
+        ('{"ner": [[0, 0, 3]]}', "entity type 3"),
+        ('{"ner": [[0, 0, ""]]}', "entity type ''"),
         ('[1, 2]', "object"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, record, message):

@@ -107,6 +107,8 @@ class TestDatasetIO:
         ('{"tokenized_text": ["a", "b"], "ner": [5]}', "malformed ner entry"),
         ('{"tokenized_text": ["a", "b"], "ner": 7}', "ner must be a list"),
         ('{"tokenized_text": "ab", "ner": []}', "list of strings"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, 0, null]]}', "entity type None"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, 0, ["t"]]]}', "entity type"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, record, message):
         path = tmp_path / "bad.jsonl"

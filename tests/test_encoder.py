@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptner.encoder import EncoderConfig, encode, init_encoder_params
+from promptner.encoder import EncoderConfig, encode, encoder_param_shapes, init_from_shapes
 from promptner.errors import ConfigError, ContractError, SizingError
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
@@ -13,8 +13,8 @@ def setup(depth=2, width=16, heads=2, max_positions=64):
     vocab = build_vocab([["alain", "farley", "works", "at", "mcgill"],
                          ["person", "organization", "location", "date", "event"]],
                         max_size=300)
-    params = init_encoder_params(config, len(vocab), np.random.default_rng(0),
-                                 dtype=np.float64)
+    params = init_from_shapes(encoder_param_shapes(config, len(vocab)),
+                              np.random.default_rng(0), dtype=np.float64)
     return config, vocab, params
 
 

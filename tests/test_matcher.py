@@ -5,9 +5,9 @@ from scipy.special import expit
 
 from promptner import tensor as T
 from promptner.errors import ContractError, DimensionError
-from promptner.matcher import (enumerate_spans, entity_embed,
-                               init_head_params, make_score_table, match_scores,
-                               span_count, span_embed)
+from promptner.encoder import init_from_shapes
+from promptner.matcher import (enumerate_spans, entity_embed, head_param_shapes,
+                               make_score_table, match_scores, span_count, span_embed)
 
 
 def tensor(arr):
@@ -56,18 +56,18 @@ class TestEnumerateSpans:
 
 class TestHeads:
     def test_param_shapes(self):
-        params = init_head_params(8, np.random.default_rng(0))
+        params = init_from_shapes(head_param_shapes(8), np.random.default_rng(0))
         assert params["head.span.w1"].shape == (16, 8)
         assert params["head.ent.w1"].shape == (8, 8)
         assert all(n.startswith("head.") for n in params)
 
     def test_entity_embed_shape(self):
-        params = init_head_params(8, np.random.default_rng(0), dtype=np.float64)
+        params = init_from_shapes(head_param_shapes(8), np.random.default_rng(0), dtype=np.float64)
         q = entity_embed(tensor(np.random.default_rng(1).normal(size=(3, 8))), params)
         assert q.shape == (3, 8)
 
     def test_zero_weights_give_zero_embeddings(self):
-        params = init_head_params(4, np.random.default_rng(0), dtype=np.float64)
+        params = init_from_shapes(head_param_shapes(4), np.random.default_rng(0), dtype=np.float64)
         for p in params.values():
             p.data[:] = 0.0
         q = entity_embed(tensor(np.random.default_rng(1).normal(size=(2, 4))), params)
@@ -76,7 +76,7 @@ class TestHeads:
     def test_identity_layers_pass_positive_inputs_through(self):
         # w1 = w2 = I, biases 0: relu is the identity on positive inputs,
         # so q == p for strictly positive p
-        params = init_head_params(3, np.random.default_rng(0), dtype=np.float64)
+        params = init_from_shapes(head_param_shapes(3), np.random.default_rng(0), dtype=np.float64)
         for name in ("head.ent.w1", "head.ent.w2"):
             params[name].data[:] = np.eye(3)
         for name in ("head.ent.b1", "head.ent.b2"):
@@ -85,7 +85,7 @@ class TestHeads:
         assert np.allclose(entity_embed(p, params).data, p.data)
 
     def test_batched_span_embed_matches_per_span_loop(self):
-        params = init_head_params(4, np.random.default_rng(0), dtype=np.float64)
+        params = init_from_shapes(head_param_shapes(4), np.random.default_rng(0), dtype=np.float64)
         h = tensor(np.random.default_rng(5).normal(size=(6, 4)))
         spans = enumerate_spans(6, 3)
         batched = span_embed(h, spans, params).data
@@ -96,12 +96,12 @@ class TestHeads:
             assert np.allclose(batched[i], single[0], rtol=1e-12, atol=1e-15)
 
     def test_entity_embed_width_mismatch(self):
-        params = init_head_params(8, np.random.default_rng(0))
+        params = init_from_shapes(head_param_shapes(8), np.random.default_rng(0))
         with pytest.raises(DimensionError):
             entity_embed(tensor(np.zeros((2, 5))), params)
 
     def test_span_embed_uses_endpoints(self):
-        params = init_head_params(4, np.random.default_rng(0), dtype=np.float64)
+        params = init_from_shapes(head_param_shapes(4), np.random.default_rng(0), dtype=np.float64)
         h = tensor(np.random.default_rng(2).normal(size=(5, 4)))
         spans = np.array([[0, 2], [1, 1]])
         out = span_embed(h, spans, params)
@@ -112,7 +112,7 @@ class TestHeads:
         assert np.allclose(out.data[0], again.data[1])
 
     def test_span_embed_bounds(self):
-        params = init_head_params(4, np.random.default_rng(0))
+        params = init_from_shapes(head_param_shapes(4), np.random.default_rng(0))
         with pytest.raises(ContractError):
             span_embed(tensor(np.zeros((2, 4))), np.array([[0, 5]]), params)
 

@@ -57,6 +57,36 @@ class TestLinear:
             T.linear(x, w, b)
 
 
+class TestGatherRows:
+    # a one-word span gathers row 0 twice; rows 2 and 3 are shared by spans
+    SPANS = np.array([[0, 0], [0, 2], [2, 3], [1, 3], [3, 3]])
+
+    def test_span_rows_gradient(self):
+        w = np.random.default_rng(8).normal(size=(5, 6))
+        check(lambda p: T.sum_all(T.mul(T.gather_rows(p["p0"], self.SPANS), w)), [(4, 3)])
+
+    def test_span_rows_are_endpoint_rows_side_by_side(self):
+        a = t(np.random.default_rng(9).normal(size=(4, 3)))
+        out = T.gather_rows(a, self.SPANS)
+        halves = [T.gather_rows(a, self.SPANS[:, i]).data for i in (0, 1)]
+        assert np.array_equal(out.data, np.concatenate(halves, axis=1))
+
+    @pytest.mark.parametrize("shape, width", [((0,), 3), ((0, 2), 6)])
+    def test_empty_index(self, shape, width):
+        a = t(np.ones((4, 3)))
+        out = T.gather_rows(a, np.zeros(shape, dtype=np.int64))
+        assert out.shape == (0, width)
+        T.backward(T.sum_all(out))
+        assert np.array_equal(a.grad, np.zeros((4, 3)))
+
+    def test_bad_index_rejected(self):
+        a = t(np.ones((4, 3)))
+        with pytest.raises(ContractError):
+            T.gather_rows(a, np.array([[0, 4]]))
+        with pytest.raises(DimensionError):
+            T.gather_rows(a, np.zeros((1, 2, 2), dtype=np.int64))
+
+
 class TestElementwise:
     def test_gelu_gradient(self):
         check(lambda p: T.sum_all(T.mul(T.gelu(p["p0"]), p["p0"])), [(4, 5)], tol=1e-5)
@@ -238,6 +268,14 @@ class TestBackward:
         assert sq.grad is None and mid.grad is None and loss.grad is None
         assert c.grad is None
         assert np.array_equal(w.grad, 2 * w.data + c.data)
+
+    def test_graph_nodes_put_parents_first(self):
+        w, c = t([[1.0, -2.0]]), t([[3.0, 0.5]], rg=False)
+        loss = T.sum_all(T.add(T.mul(w, w), T.mul(w, c)))
+        nodes = T.graph_nodes(loss)
+        pos = {id(n): i for i, n in enumerate(nodes)}
+        assert len(pos) == len(nodes) == 6 and nodes[-1] is loss
+        assert all(pos[id(p)] < pos[id(n)] for n in nodes for p in n._parents)
 
     def test_shared_input_accumulates(self):
         w = t([[2.0]])
