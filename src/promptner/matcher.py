@@ -2,9 +2,10 @@
 
 Entity-marker representations are refined by a two-layer feedforward head
 into type embeddings q. Each span (i, j) of width <= K is embedded by a
-two-layer feedforward head applied to the concatenation [h_i ; h_j] (one
-``gather_rows`` of the span array), and the matching probability for (span,
-type) is the sigmoid of their dot product. All spans are computed in one
+two-layer feedforward head applied to the concatenation [h_i ; h_j], whose
+first layer ``tensor.span_endpoints`` computes by endpoint without building
+the concatenation, and the matching probability for (span, type) is the
+sigmoid of their dot product. All spans are computed in one
 batched call, and so are the spans of every prompt of a batch (word rows
 shifted by each prompt's word offset), which one product then scores against
 every type of the batch.
@@ -58,8 +59,8 @@ def head_param_shapes(width):
             "head.span.w2": (d, d), "head.span.b2": (d,)}
 
 
-def _ffn2(x, params, prefix, dropout, mode, rng):
-    hidden = T.relu(T.linear(x, params[prefix + "w1"], params[prefix + "b1"]))
+def _ffn2(first, params, prefix, dropout, mode, rng):  # a head after its first layer
+    hidden = T.relu(first)
     if mode == "train" and dropout > 0:
         hidden = T.dropout(hidden, dropout, rng)
     return T.linear(hidden, params[prefix + "w2"], params[prefix + "b2"])
@@ -67,12 +68,14 @@ def _ffn2(x, params, prefix, dropout, mode, rng):
 
 def entity_embed(p, params, dropout=0.0, mode="eval", rng=None):
     """Refine entity-marker rows p (M x D) into type embeddings q (M x D)."""
-    return _ffn2(p, params, "head.ent.", dropout, mode, rng)
+    return _ffn2(T.linear(p, params["head.ent.w1"], params["head.ent.b1"]), params,
+                 "head.ent.", dropout, mode, rng)
 
 
 def span_embed(h, spans, params, dropout=0.0, mode="eval", rng=None):
     """Embed every (start, end) row of ``spans`` as FFN([h_start ; h_end])."""
-    return _ffn2(T.gather_rows(h, spans), params, "head.span.", dropout, mode, rng)
+    first = T.span_endpoints(h, spans, params["head.span.w1"], params["head.span.b1"])
+    return _ffn2(first, params, "head.span.", dropout, mode, rng)
 
 
 def match_scores(span_emb, q):

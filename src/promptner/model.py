@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import matcher, prompt as prompt_mod
+from . import matcher, prompt as prompt_mod, tensor as T
 from .encoder import EncoderConfig, encode, encoder_param_shapes, init_from_shapes
 from .errors import ConfigError, ContractError
 
@@ -120,12 +120,14 @@ class Model:
         types = list(entity_types)
         if not types or len(set(types)) != len(types):
             raise ContractError("entity types must be non-empty and distinct")
+        # gradient-free views of the parameters: no tape, each array freed after its last use
+        params = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in self.params.items()}
         logits_cols = []
         for group in prompt_mod.chunk_types(types, self.config.max_types):
             enc = prompt_mod.build_prompt(group, words, self.vocab,
                                           max_types=self.config.max_types,
                                           max_positions=self.config.encoder.max_positions)
-            spans, logits = forward(enc, self.params, self.config, mode="eval")
+            spans, logits = forward(enc, params, self.config, mode="eval")
             logits_cols.append(logits.data)
         all_logits = np.concatenate(logits_cols, axis=1)
         return matcher.make_score_table(spans, types, all_logits,

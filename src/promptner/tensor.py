@@ -1,19 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a numpy array and records the operations applied to it on
-an implicit tape (each result keeps references to its parents plus a backward
-closure). :func:`backward` on a scalar result walks :func:`graph_nodes` in
-reverse topological order and accumulates ``d loss / d tensor`` into every
+A ``Tensor`` wraps a numpy array. An operation with a ``requires_grad``
+operand records its result on an implicit tape (the result keeps its operands
+and a backward closure); one on gradient-free operands records nothing, so
+each intermediate is freed as soon as its last consumer has run.
+:func:`backward` on a scalar result walks :func:`graph_nodes` in reverse
+topological order and accumulates ``d loss / d tensor`` into every
 ``requires_grad`` tensor's ``grad`` slot.
 
 Only the operations the model needs are implemented, and broadcasting is
 restricted to scalars so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
-masks the padded keys, :func:`gather_rows` of an (S, 2) span array gives
-each span's two endpoint rows side by side, and :func:`bce_with_logits`
-weighs each pair. Inputs are never mutated. Leaf gradients accumulate
-additively (running backward twice without zeroing doubles them); interior
-gradients are released as soon as their node's backward has run.
+masks the padded keys, :func:`span_endpoints` computes a span head's first
+layer from each span's two endpoint rows, and :func:`bce_with_logits` weighs
+each pair. Inputs are never mutated; :func:`attention` and :func:`gelu` work
+in place on their own temporaries. Leaf gradients accumulate additively
+(running backward twice without zeroing doubles them); interior gradients
+are released as soon as their node's backward has run.
 """
 
 from __future__ import annotations
@@ -25,8 +28,12 @@ from scipy.special import erf, expit
 
 from .errors import ContractError, DimensionError
 
-_SQRT2 = np.sqrt(2.0)  # a float64 scalar: the GELU forward runs in float64
+_SQRT2 = np.sqrt(2.0)  # a float64 scalar: the float64 GELU's erf argument
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)  # a Python float keeps x's dtype
+# Abramowitz & Stegun 7.1.26: erfc(u) ~ t (a1 + t (a2 + ... + t a5)) exp(-u^2)
+# for u >= 0, with t = 1 / (1 + p u); |error| < 1.5e-7. p / sqrt 2 takes |x|.
+_AS_P = 0.3275911 / math.sqrt(2.0)
+_AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 
 
 class Tensor:
@@ -34,14 +41,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float32, _parents=(), _op="leaf"):
+    def __init__(self, data, requires_grad=False, dtype=np.float32, _parents=(), _op="leaf",
+                 _backward=None):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
-        self._backward = None
+        self._backward = _backward
         self.op = _op
 
     # -- basic introspection ------------------------------------------------
@@ -73,23 +81,23 @@ class Tensor:
             self.grad += g.astype(self.data.dtype, copy=False)
 
 
-def _result(data, parents, op):
-    rg = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=rg, dtype=data.dtype, _parents=tuple(parents), _op=op)
-    return out
+def _result(data, parents, op, backward):
+    """The node of ``data``; it keeps ``parents`` and the ``backward(grad)``
+    closure, and so the operands' arrays, only when some parent requires grad."""
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data, dtype=data.dtype, _op=op)
+    return Tensor(data, True, data.dtype, tuple(parents), op, backward)
 
 
-def _as_tensor(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
-def _check_broadcast(a, b):
-    """Allow equal shapes or a scalar operand only (biases go through linear)."""
-    if a.shape != b.shape and a.ndim and b.ndim:
+def _operands(a, b):
+    """Both operands as tensors (b in a's dtype), of equal shapes or one a
+    scalar: broadcasting stops there (biases go through linear)."""
+    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
+    b = b if isinstance(b, Tensor) else Tensor(b, dtype=a.dtype)
+    if a.shape != b.shape and a.data.ndim and b.data.ndim:
         raise DimensionError(f"shapes {a.shape} and {b.shape} are not broadcast-compatible "
                              "(only scalar broadcast supported)")
+    return a, b
 
 
 def _reduce_to_shape(g, shape):
@@ -100,10 +108,7 @@ def _reduce_to_shape(g, shape):
 # -- elementwise ------------------------------------------------------------
 
 def add(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = _as_tensor(b, a)
-    _check_broadcast(a.data, b.data)
-    out = _result(a.data + b.data, (a, b), "add")
+    a, b = _operands(a, b)
 
     def bw(g):
         if a.requires_grad:
@@ -111,15 +116,11 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_reduce_to_shape(g, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _result(a.data + b.data, (a, b), "add", bw)
 
 
 def mul(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = _as_tensor(b, a)
-    _check_broadcast(a.data, b.data)
-    out = _result(a.data * b.data, (a, b), "mul")
+    a, b = _operands(a, b)
 
     def bw(g):
         if a.requires_grad:
@@ -127,35 +128,47 @@ def mul(a, b):
         if b.requires_grad:
             b._accumulate(_reduce_to_shape(g * a.data, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _result(a.data * b.data, (a, b), "mul", bw)
 
 
 def relu(a):
-    out = _result(np.maximum(a.data, 0), (a,), "relu")
+    return _result(np.maximum(a.data, 0), (a,), "relu",
+                   lambda g: a._accumulate(g * (a.data > 0)))
 
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
 
-    out._backward = bw
-    return out
+def _normal_cdf_f32(x):
+    """Phi(x) for float32 x, in place on its temporaries: y = erfc(|x| /
+    sqrt 2), then Phi = y/2 below 0 (no cancellation) and y/2 + (1 - y) from 0."""
+    u = np.abs(x)
+    t = u * _AS_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    y = t * _AS_A[-1]
+    for a in reversed(_AS_A[:-1]):
+        y += a
+        y *= t
+    np.square(u, out=u)
+    u *= -0.5
+    y *= np.exp(u, out=u)
+    np.subtract(1.0, y, out=u)
+    u *= x >= 0
+    y *= 0.5
+    y += u
+    return y
 
 
 def gelu(a):
-    """Exact (erf-based) GELU; the float64 cdf is kept in the input dtype."""
+    """Erf-based (not tanh) GELU, x Phi(x), in the input dtype: scipy's erf
+    for float64, the Abramowitz & Stegun erf (|error| < 1.5e-7) for float32."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    out = _result((x * cdf).astype(a.dtype, copy=False), (a,), "gelu")
-    cdf = cdf.astype(a.dtype, copy=False)
+    cdf = (_normal_cdf_f32(x) if x.dtype == np.float32
+           else (0.5 * (1.0 + erf(x / _SQRT2))).astype(a.dtype, copy=False))
 
     def bw(g):
-        if a.requires_grad:
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-            a._accumulate(g * (cdf + x * pdf))
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        a._accumulate(g * (cdf + x * pdf))
 
-    out._backward = bw
-    return out
+    return _result(x * cdf, (a,), "gelu", bw)
 
 
 def dropout(a, p, rng):
@@ -165,14 +178,7 @@ def dropout(a, p, rng):
     if p == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= p).astype(a.dtype) / np.asarray(1.0 - p, dtype=a.dtype)
-    out = _result(a.data * mask, (a,), "dropout")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    out._backward = bw
-    return out
+    return _result(a.data * mask, (a,), "dropout", lambda g: a._accumulate(g * mask))
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -189,7 +195,6 @@ def linear(x, w, b=None):
     y = x.data @ w.data
     if b is not None:
         y += b.data
-    out = _result(y, (x, w) if b is None else (x, w, b), "linear")
 
     def bw(g):
         if x.requires_grad:
@@ -199,8 +204,7 @@ def linear(x, w, b=None):
         if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    out._backward = bw
-    return out
+    return _result(y, (x, w) if b is None else (x, w, b), "linear", bw)
 
 
 matmul = linear  # x @ w: a linear node without a bias
@@ -209,38 +213,58 @@ matmul = linear  # x @ w: a linear node without a bias
 def transpose(a):
     if a.data.ndim != 2:
         raise DimensionError("transpose requires a 2-D tensor")
-    out = _result(a.data.T.copy(), (a,), "transpose")
+    return _result(a.data.T.copy(), (a,), "transpose", lambda g: a._accumulate(g.T))
 
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
 
-    out._backward = bw
-    return out
+def _check_rows(idx, a):
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ContractError(f"row index out of range for shape {a.shape}")
 
 
 def gather_rows(a, idx):
-    """Select rows of a 2-D tensor; backward scatter-adds. An (R, c) index
-    gives R rows, each its c indexed rows of ``a`` side by side (width c * D)."""
+    """Select rows of a 2-D tensor by a 1-D index; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.ndim not in (1, 2):
-        raise DimensionError("gather_rows requires a 2-D tensor and a 1-D or 2-D index")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ContractError(f"row index out of range for shape {a.shape}")
-    cols = math.prod(idx.shape[1:])  # 1 for a 1-D index
-    out = _result(a.data[idx].reshape(len(idx), cols * a.shape[1]), (a,), "gather_rows")
+    if a.data.ndim != 2 or idx.ndim != 1:
+        raise DimensionError("gather_rows requires a 2-D tensor and a 1-D index")
+    _check_rows(idx, a)
 
     def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            # in place, no table-sized temporary; one index column after
-            # another, the order of ``cols`` separate 1-D gathers
-            g = g.reshape(len(idx), cols, a.shape[1]).swapaxes(0, 1)
-            np.add.at(a.grad, idx.T.reshape(-1), g.reshape(idx.size, a.shape[1]))
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)  # in place, no table-sized temporary
 
-    out._backward = bw
-    return out
+    return _result(a.data[idx], (a,), "gather_rows", bw)
+
+
+def span_endpoints(h, spans, w1, b1):
+    """First span-head layer, [h_start ; h_end] w1 + b1, for every (start,
+    end) row of the (S, 2) index ``spans`` into the N x D rows of h, without
+    the concatenation: with w1 = [w_0 ; w_1] (2D x F), row i is
+    (h w_0)[start_i] + (h w_1)[end_i] + b1, N-row products, not S-row ones."""
+    spans = np.asarray(spans, dtype=np.int64)
+    if h.data.ndim != 2 or spans.ndim != 2 or spans.shape[1] != 2:
+        raise DimensionError("span_endpoints requires a 2-D tensor and an (S, 2) index")
+    if w1.data.ndim != 2 or w1.shape[0] != 2 * h.shape[1] or b1.shape != (w1.shape[1],):
+        raise DimensionError(f"span weights {w1.shape}, bias {b1.shape} do not fit width {h.shape[1]}")
+    _check_rows(spans, h)
+    w = w1.data.reshape(2, h.shape[1], -1)  # w_0 and w_1
+    hw = h.data @ w
+    y = hw[0, spans[:, 0]]
+    y += hw[1, spans[:, 1]]
+    y += b1.data
+
+    def bw(g):
+        if b1.requires_grad:
+            b1._accumulate(g.sum(axis=0))
+        gk = np.zeros((2, h.shape[0], g.shape[1]), dtype=g.dtype)  # by start, by end
+        np.add.at(gk[0], spans[:, 0], g)
+        np.add.at(gk[1], spans[:, 1], g)
+        if h.requires_grad:
+            h._accumulate((gk @ w.transpose(0, 2, 1)).sum(axis=0))
+        if w1.requires_grad:
+            w1._accumulate((h.data.T @ gk).reshape(w1.shape))
+
+    return _result(y, (h, w1, b1), "span_endpoints", bw)
 
 
 # -- normalization ----------------------------------------------------------
@@ -256,8 +280,6 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = _result((xhat * gamma.data + beta.data).astype(x.dtype, copy=False),
-                  (x, gamma, beta), "layer_norm")
 
     def bw(g):
         if gamma.requires_grad:
@@ -270,8 +292,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             m2 = (gg * xhat).mean(axis=-1, keepdims=True)
             x._accumulate((gg - m1 - xhat * m2) * inv)
 
-    out._backward = bw
-    return out
+    return _result((xhat * gamma.data + beta.data).astype(x.dtype, copy=False),
+                   (x, gamma, beta), "layer_norm", bw)
 
 
 # -- attention --------------------------------------------------------------
@@ -284,7 +306,8 @@ def attention(q, k, v, heads, mask=None):
     its own prompt only. Head h owns column block h (width d_h = D / heads)
     and computes softmax(q_h k_h^T / sqrt(d_h)) v_h into the same block of
     the result. The softmax is computed shift-invariantly per row, so adding
-    one row vector to every key leaves the output unchanged.
+    one row vector to every key leaves the output unchanged. The score block
+    and its gradient are scaled, shifted, exponentiated and normalized in place.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"attention needs equal 2-D shapes, got "
@@ -309,40 +332,35 @@ def attention(q, k, v, heads, mask=None):
 
     s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    z = (qh @ kh.transpose(0, 1, 3, 2)) * s
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= s
     if padded:
-        z += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, None, :]
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = _result(merge(p @ vh), (q, k, v), "attention")
+        p += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bw(g):
         gh = split(g)
         if v.requires_grad:
             v._accumulate(merge(p.transpose(0, 1, 3, 2) @ gh))
-        gp = gh @ vh.transpose(0, 1, 3, 2)
-        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * s
+        gz = gh @ vh.transpose(0, 1, 3, 2)  # d loss / d p, then d loss / d z
+        gz -= (gz * p).sum(axis=-1, keepdims=True)
+        gz *= p
+        gz *= s
         if q.requires_grad:
             q._accumulate(merge(gz @ kh))
         if k.requires_grad:
             k._accumulate(merge(gz.transpose(0, 1, 3, 2) @ qh))
 
-    out._backward = bw
-    return out
+    return _result(merge(p @ vh), (q, k, v), "attention", bw)
 
 
 # -- reductions and losses --------------------------------------------------
 
 def sum_all(a):
-    out = _result(np.asarray(a.data.sum(), dtype=a.dtype), (a,), "sum")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, 1.0) * g)
-
-    out._backward = bw
-    return out
+    return _result(np.asarray(a.data.sum(), dtype=a.dtype), (a,), "sum",
+                   lambda g: a._accumulate(np.full_like(a.data, 1.0) * g))
 
 
 def bce_with_logits(logits, targets, weights=None):
@@ -359,14 +377,8 @@ def bce_with_logits(logits, targets, weights=None):
         raise DimensionError(f"targets {y.shape} and weights {w.shape} != logits {logits.shape}")
     x = logits.data
     elem = w * (np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x))))
-    out = _result(np.asarray(elem.sum(), dtype=logits.dtype), (logits,), "bce_with_logits")
-
-    def bw(g):
-        if logits.requires_grad:
-            logits._accumulate(w * (expit(x) - y).astype(x.dtype, copy=False) * g)
-
-    out._backward = bw
-    return out
+    return _result(np.asarray(elem.sum(), dtype=logits.dtype), (logits,), "bce_with_logits",
+                   lambda g: logits._accumulate(w * (expit(x) - y).astype(x.dtype, copy=False) * g))
 
 
 # -- backward pass ----------------------------------------------------------

@@ -132,7 +132,13 @@ def segment(word, vocab):
 
     The word is normalized first; at each position the longest vocabulary
     unit is consumed. An unmatchable remainder collapses to a single [UNK].
+    Each raw word is segmented once per vocab, in a cache emptied when it
+    reaches 2**16 words; every call returns a fresh WordSegmentation.
     """
+    cache = vocab.__dict__.setdefault("_segments", {})
+    if word in cache:
+        w, ids = cache[word]
+        return WordSegmentation(word=w, subword_ids=list(ids))
     w = normalize(word)
     if not w:
         raise ContractError("cannot segment an empty word")
@@ -151,4 +157,7 @@ def segment(word, vocab):
             break
         ids.append(vocab.token_to_id[match])
         pos += len(match)
+    if len(cache) >= 2**16:
+        cache.clear()
+    cache[word] = (w, tuple(ids))
     return WordSegmentation(word=w, subword_ids=ids)

@@ -49,6 +49,19 @@ class TestScoreTable:
         assert table.types == types
         assert table.num_words == len(words)
 
+    def test_gradient_free_forward_records_no_tape(self):
+        # score_table's forward runs on gradient-free views of the parameters:
+        # the same logits as the recorded forward, and no node but the result
+        model, types, train = tiny_model()
+        enc = build_prompt(types, train[0].words, model.vocab)
+        free = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in model.params.items()}
+        _, logits = forward(enc, free, model.config)
+        _, recorded = forward(enc, model.params, model.config)
+        assert np.array_equal(logits.data, recorded.data)
+        assert np.array_equal(model.score_table(train[0].words, types).logits, recorded.data)
+        assert T.graph_nodes(logits) == [logits]
+        assert len(T.graph_nodes(recorded)) > 1
+
     def test_chunking_unions_columns(self):
         # more types than max_types: each chunk is scored separately and the
         # columns are concatenated in the original type order
@@ -161,14 +174,32 @@ class TestTapeSize:
     def test_one_training_example_stays_small(self):
         # attention is one tape op, so no per-head split/rejoin nodes are
         # recorded, each projection with its bias is one linear node, and
-        # one gather places each span's endpoint rows side by side
+        # one span_endpoints node takes each span's endpoint rows through the
+        # span head's first layer
         nodes = self.step_nodes(1)
-        assert len(nodes) <= 82
+        assert len(nodes) <= 81
         assert not {n.op for n in nodes} & {"slice_cols", "scale", "softmax_rows", "concat_cols"}
 
     def test_one_training_step_is_one_graph(self):
         # a batch of 8 shares every node, the score product and the masked
         # BCE included, so it records no more nodes than one example
         ops = [n.op for n in self.step_nodes(8)]
-        assert len(ops) <= 82 and "concat_cols" not in ops
+        assert len(ops) <= 81 and "concat_cols" not in ops
         assert ops.count("bce_with_logits") == 1 and ops.count("transpose") == 1
+
+
+class TestTapeDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_node_changes_dtype(self, dtype):
+        # a train-mode step of 8 (dropout on): every node's data and every
+        # leaf gradient keeps the parameters' dtype
+        train, _ = synth_dataset(SynthSpec(), train_size=8, dev_size=0, seed=0)
+        types = sorted(SynthSpec().types)
+        model = Model.fresh(ModelConfig(), build_vocab(vocab_corpus(train, types)), dtype=dtype)
+        prompts = [build_prompt(types, ex.words, model.vocab) for ex in train]
+        loss, _ = batch_loss(model, train, prompts, np.random.default_rng(0))
+        nodes = T.graph_nodes(loss)
+        assert {"dropout", "gelu", "attention", "span_endpoints"} <= {n.op for n in nodes}
+        assert {n.data.dtype for n in nodes} == {np.dtype(dtype)}
+        T.backward(loss)
+        assert {p.grad.dtype for p in model.params.values()} == {np.dtype(dtype)}

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.special import erf
+
 from promptner import tensor as T
 from promptner.errors import ContractError, DimensionError
 from promptner.gradcheck import grad_check
+from promptner.matcher import enumerate_spans
 
 
 def t(data, rg=True, dtype=np.float64):
@@ -58,33 +61,60 @@ class TestLinear:
 
 
 class TestGatherRows:
-    # a one-word span gathers row 0 twice; rows 2 and 3 are shared by spans
-    SPANS = np.array([[0, 0], [0, 2], [2, 3], [1, 3], [3, 3]])
+    def test_gradient_repeated_rows(self):
+        w = np.random.default_rng(8).normal(size=(5, 3))
+        check(lambda p: T.sum_all(T.mul(T.gather_rows(p["p0"], [0, 2, 2, 3, 0]), w)), [(4, 3)])
 
-    def test_span_rows_gradient(self):
-        w = np.random.default_rng(8).normal(size=(5, 6))
-        check(lambda p: T.sum_all(T.mul(T.gather_rows(p["p0"], self.SPANS), w)), [(4, 3)])
-
-    def test_span_rows_are_endpoint_rows_side_by_side(self):
-        a = t(np.random.default_rng(9).normal(size=(4, 3)))
-        out = T.gather_rows(a, self.SPANS)
-        halves = [T.gather_rows(a, self.SPANS[:, i]).data for i in (0, 1)]
-        assert np.array_equal(out.data, np.concatenate(halves, axis=1))
-
-    @pytest.mark.parametrize("shape, width", [((0,), 3), ((0, 2), 6)])
-    def test_empty_index(self, shape, width):
+    def test_empty_index(self):
         a = t(np.ones((4, 3)))
-        out = T.gather_rows(a, np.zeros(shape, dtype=np.int64))
-        assert out.shape == (0, width)
+        out = T.gather_rows(a, np.zeros(0, dtype=np.int64))
+        assert out.shape == (0, 3)
         T.backward(T.sum_all(out))
         assert np.array_equal(a.grad, np.zeros((4, 3)))
 
     def test_bad_index_rejected(self):
         a = t(np.ones((4, 3)))
         with pytest.raises(ContractError):
-            T.gather_rows(a, np.array([[0, 4]]))
+            T.gather_rows(a, np.array([0, 4]))
+        with pytest.raises(DimensionError):  # a span array goes to span_endpoints
+            T.gather_rows(a, np.zeros((1, 2), dtype=np.int64))
+
+
+class TestSpanEndpoints:
+    # a one-word span uses row 0 as its start and end; starts and ends repeat
+    SPANS = np.array([[0, 0], [0, 2], [2, 3], [1, 3], [3, 3]])
+    # two prompts' word rows with two unused rows between them, as in a batch
+    BATCH = np.concatenate([enumerate_spans(4, 2), enumerate_spans(3, 3) + 6])
+
+    def test_matches_concatenated_endpoint_rows(self):
+        rng = np.random.default_rng(9)
+        h, w1, b1 = rng.normal(size=(4, 3)), rng.normal(size=(6, 5)), rng.normal(size=5)
+        out = T.span_endpoints(t(h), self.SPANS, t(w1), t(b1))
+        cat = np.concatenate([h[self.SPANS[:, 0]], h[self.SPANS[:, 1]]], axis=1)
+        assert np.allclose(out.data, cat @ w1 + b1, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, spans", [(4, SPANS), (4, np.zeros((0, 2), dtype=np.int64)),
+                                             (9, BATCH)])
+    def test_gradient(self, rows, spans):
+        w = np.random.default_rng(8).normal(size=(len(spans), 5))
+        check(lambda p: T.sum_all(T.mul(T.span_endpoints(p["p0"], spans, p["p1"], p["p2"]), w)),
+              [(rows, 3), (6, 5), (5,)])
+
+    def test_unused_rows_get_zero_gradient(self):
+        h = t(np.random.default_rng(4).normal(size=(9, 3)))
+        w1 = t(np.random.default_rng(5).normal(size=(6, 5)))
+        T.backward(T.sum_all(T.span_endpoints(h, self.BATCH, w1, t(np.zeros(5)))))
+        assert np.array_equal(h.grad[4:6], np.zeros((2, 3)))
+        assert np.abs(h.grad[[0, 1, 2, 3, 6, 7, 8]]).min() > 0
+
+    def test_bad_inputs_rejected(self):
+        h, w1, b1 = t(np.ones((4, 3))), t(np.ones((6, 5))), t(np.zeros(5))
+        with pytest.raises(ContractError):
+            T.span_endpoints(h, np.array([[0, 4]]), w1, b1)
         with pytest.raises(DimensionError):
-            T.gather_rows(a, np.zeros((1, 2, 2), dtype=np.int64))
+            T.span_endpoints(h, np.array([0, 1]), w1, b1)
+        with pytest.raises(DimensionError):
+            T.span_endpoints(h, self.SPANS, t(np.ones((3, 5))), b1)
 
 
 class TestElementwise:
@@ -100,6 +130,12 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             T.add(t(np.ones((4, 3))), t(np.zeros(3)))
 
+    def test_python_scalar_takes_the_tensor_dtype(self):
+        # 0.1 is not rounded to float32 on its way into a float64 product
+        x = np.array([1.0, 3.0])
+        assert np.array_equal(T.mul(t(x), 0.1).data, x * 0.1)
+        assert np.array_equal(T.add(t(x), 0.1).data, x + 0.1)
+
     def test_scalar_broadcast_backward(self):
         x = t(np.ones((4, 3)))
         c = t(2.0)
@@ -107,12 +143,42 @@ class TestElementwise:
         assert np.allclose(x.grad, 2.0) and np.allclose(c.grad, 12.0)
 
     def test_no_input_mutation(self):
-        x = t(np.ones((3, 3)))
-        before = x.data.copy()
-        T.relu(x)
-        T.attention(x, x, x, 1)
-        T.layer_norm(x, t(np.ones(3)), t(np.zeros(3)))
-        assert np.array_equal(x.data, before)
+        # forward and backward, with and without a padded key, in both dtypes
+        rng = np.random.default_rng(3)
+        spans = np.array([[0, 1], [2, 3], [1, 1]])
+        mask = np.array([[True, True], [True, False]])
+        for dtype in (np.float32, np.float64):
+            x, w1, b1 = (T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
+                         for s in [(4, 4), (8, 3), (3,)])
+            before = [x.data.copy(), w1.data.copy(), b1.data.copy(), spans.copy()]
+            outs = [T.relu(x), T.gelu(x), T.attention(x, x, x, 2), T.attention(x, x, x, 2, mask),
+                    T.layer_norm(x, t(np.ones(4), dtype=dtype), t(np.zeros(4), dtype=dtype)),
+                    T.span_endpoints(x, spans, w1, b1)]
+            loss = outs[0]
+            for out in outs:
+                loss = T.add(T.sum_all(T.mul(out, out)), T.sum_all(loss))
+            T.backward(loss)
+            after = [x.data, w1.data, b1.data, spans]
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    # NaN must propagate
+    GRID = np.concatenate([np.linspace(-10, 10, 4001), [0.0, -0.0, 10, -10, np.inf, -np.inf,
+                                                        np.nan]])
+
+    @np.errstate(invalid="ignore")  # -inf * Phi(-inf) is NaN here and in float64
+    def test_gelu_float32_within_1e6_of_float64_erf(self):
+        x = self.GRID.astype(np.float32)
+        out = T.gelu(T.Tensor(x)).data
+        x64 = x.astype(np.float64)
+        ref = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+    @np.errstate(invalid="ignore")
+    def test_gelu_float64_is_the_scipy_erf_formula(self):
+        x = np.concatenate([self.GRID, np.random.default_rng(1).normal(scale=3, size=500)])
+        assert np.array_equal(T.gelu(t(x)).data, x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))),
+                              equal_nan=True)
 
 
 class TestLayerNorm:

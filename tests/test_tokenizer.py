@@ -115,6 +115,23 @@ class TestSegment:
         rebuilt = "".join(v.id_to_token[i] if i != v.unk_id else "" for i in seg.subword_ids)
         assert normalize(word).startswith(rebuilt)
 
+    def test_repeated_calls_return_fresh_equal_segmentations(self):
+        # the second call is served from the vocab's cache: equal to a fresh
+        # vocab's answer, and changing one result does not change the next
+        v = small_vocab()
+        first = segment("McGill", v)
+        first.subword_ids.append(v.unk_id)
+        first.word = "changed"
+        again = segment("McGill", v)
+        assert again == segment("McGill", small_vocab()) and again is not first
+        assert again.word == "mcgill" and v.unk_id not in again.subword_ids
+
+    def test_cache_is_bounded(self):
+        v = small_vocab()
+        for i in range(2**16 + 5):
+            segment(f"w{i}", v)
+        assert len(v._segments) <= 2**16
+
 
 class TestVocabRoundtrip:
     def test_dict_roundtrip(self):
