@@ -108,6 +108,10 @@ class Model:
         self.config = config
         self.vocab = vocab
         self.params = params
+        # score_table runs on gradient-free views: no tape, each intermediate
+        # freed after its last use. They share the parameter arrays, so
+        # in-place updates such as training's stay visible.
+        self._frozen = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in params.items()}
 
     @classmethod
     def fresh(cls, config, vocab, seed=0, dtype=np.float32, init_scale=0.02):
@@ -120,14 +124,12 @@ class Model:
         types = list(entity_types)
         if not types or len(set(types)) != len(types):
             raise ContractError("entity types must be non-empty and distinct")
-        # gradient-free views of the parameters: no tape, each array freed after its last use
-        params = {name: T.Tensor(p.data, dtype=p.dtype) for name, p in self.params.items()}
         logits_cols = []
         for group in prompt_mod.chunk_types(types, self.config.max_types):
             enc = prompt_mod.build_prompt(group, words, self.vocab,
                                           max_types=self.config.max_types,
                                           max_positions=self.config.encoder.max_positions)
-            spans, logits = forward(enc, params, self.config, mode="eval")
+            spans, logits = forward(enc, self._frozen, self.config, mode="eval")
             logits_cols.append(logits.data)
         all_logits = np.concatenate(logits_cols, axis=1)
         return matcher.make_score_table(spans, types, all_logits,

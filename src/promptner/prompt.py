@@ -41,26 +41,40 @@ def build_prompt(entity_types, words, vocab, max_types=25, max_positions=512):
     if len(entity_types) > max_types:
         raise ContractError(f"{len(entity_types)} entity types exceeds max_types={max_types}")
 
+    section, ent_positions = _type_section(tuple(entity_types), vocab)
+    token_ids = list(section)
+    word_positions = []
+    for word in words:
+        word_positions.append(len(token_ids))
+        token_ids.extend(tokenizer.subword_ids(word, vocab))
+
+    if len(token_ids) > max_positions:
+        raise SizingError(f"prompt length {len(token_ids)} exceeds max_positions={max_positions}")
+
+    return EncodedPrompt(token_ids=token_ids, ent_positions=list(ent_positions),
+                         word_positions=word_positions,
+                         entity_types=list(entity_types), words=list(words))
+
+
+def _type_section(entity_types, vocab):
+    """Token ids of ``([ENT] type_subwords) x M, [SEP]`` and the [ENT]
+    positions, as tuples. Each type tuple is built once per vocab, in a cache
+    emptied when it reaches 2**10 tuples (training draws many)."""
+    cache = vocab.__dict__.setdefault("_type_sections", {})
+    if entity_types in cache:
+        return cache[entity_types]
     token_ids = []
     ent_positions = []
     for etype in entity_types:
         ent_positions.append(len(token_ids))
         token_ids.append(vocab.ent_id)
         for type_word in etype.split():
-            token_ids.extend(tokenizer.segment(type_word, vocab).subword_ids)
+            token_ids.extend(tokenizer.subword_ids(type_word, vocab))
     token_ids.append(vocab.sep_id)
-
-    word_positions = []
-    for word in words:
-        word_positions.append(len(token_ids))
-        token_ids.extend(tokenizer.segment(word, vocab).subword_ids)
-
-    if len(token_ids) > max_positions:
-        raise SizingError(f"prompt length {len(token_ids)} exceeds max_positions={max_positions}")
-
-    return EncodedPrompt(token_ids=token_ids, ent_positions=ent_positions,
-                         word_positions=word_positions,
-                         entity_types=list(entity_types), words=list(words))
+    if len(cache) >= 2**10:
+        cache.clear()
+    cache[entity_types] = section = (tuple(token_ids), tuple(ent_positions))
+    return section
 
 
 def chunk_types(entity_types, max_types):

@@ -13,10 +13,12 @@ restricted to scalars so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
 masks the padded keys, :func:`span_endpoints` computes a span head's first
 layer from each span's two endpoint rows, and :func:`bce_with_logits` weighs
-each pair. Inputs are never mutated; :func:`attention` and :func:`gelu` work
-in place on their own temporaries. Leaf gradients accumulate additively
-(running backward twice without zeroing doubles them); interior gradients
-are released as soon as their node's backward has run.
+each pair. Inputs are never mutated; :func:`attention`, :func:`gelu` and
+:func:`layer_norm` work in place on their own temporaries, and
+:func:`attention` normalises its softmax at the output, not over its score
+block. Leaf gradients accumulate additively (running backward twice without
+zeroing doubles them); interior gradients are released as soon as their
+node's backward has run.
 """
 
 from __future__ import annotations
@@ -277,9 +279,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"gamma/beta must have shape ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - mu  # the one deviation, scaled in place below
+    var = np.mean(xhat * xhat, axis=-1, keepdims=True)  # numpy's var, to the bit
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
 
     def bw(g):
         if gamma.requires_grad:
@@ -292,8 +295,9 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             m2 = (gg * xhat).mean(axis=-1, keepdims=True)
             x._accumulate((gg - m1 - xhat * m2) * inv)
 
-    return _result((xhat * gamma.data + beta.data).astype(x.dtype, copy=False),
-                   (x, gamma, beta), "layer_norm", bw)
+    y = xhat * gamma.data
+    y += beta.data
+    return _result(y.astype(x.dtype, copy=False), (x, gamma, beta), "layer_norm", bw)
 
 
 # -- attention --------------------------------------------------------------
@@ -306,8 +310,14 @@ def attention(q, k, v, heads, mask=None):
     its own prompt only. Head h owns column block h (width d_h = D / heads)
     and computes softmax(q_h k_h^T / sqrt(d_h)) v_h into the same block of
     the result. The softmax is computed shift-invariantly per row, so adding
-    one row vector to every key leaves the output unchanged. The score block
-    and its gradient are scaled, shifted, exponentiated and normalized in place.
+    one row vector to every key leaves the output unchanged.
+
+    The score block is held keys x queries and takes four passes: the
+    product (q is scaled first, an L x D product), each query's max, and the
+    shift and exp in place. The softmax is normalised at the output: one
+    product of the block with [v | 1] gives e^T v and each query's sum r of
+    e, and the output is (e^T v) / r, an L x d_h division. The backward only
+    reads the block.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"attention needs equal 2-D shapes, got "
@@ -331,29 +341,37 @@ def attention(q, k, v, heads, mask=None):
         return a.transpose(0, 2, 1, 3).reshape(rows, width)
 
     s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ kh.transpose(0, 1, 3, 2)
-    p *= s
+    qh, kh, vh = split(q.data * s), split(k.data), split(v.data)
+    e = kh @ qh.swapaxes(2, 3)  # keys x queries: numpy reduces columns faster than rows
     if padded:
-        p += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+        e += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, :, None]
+    e -= e.max(axis=2, keepdims=True)
+    np.exp(e, out=e)
+    v1 = np.empty((nb, heads, dh + 1, length), dtype=v.dtype)  # [v | 1]^T
+    v1[:, :, :dh] = vh.swapaxes(2, 3)
+    v1[:, :, dh] = 1
+    ev = v1 @ e  # (e^T v)^T, and each query's sum r of e in the last row
+    r = ev[:, :, dh:]
+    ot = ev[:, :, :dh] / r  # the output o, transposed per head
 
     def bw(g):
-        gh = split(g)
+        # p = e / r is the softmax, keys x queries: d v = p g and
+        # d z = p * (v g^T - g.o), g.o one number per query. Each L x L term
+        # takes e and the L x d_h g / r, so the block is only read.
+        gt = split(g).swapaxes(2, 3) / r
         if v.requires_grad:
-            v._accumulate(merge(p.transpose(0, 1, 3, 2) @ gh))
-        gz = gh @ vh.transpose(0, 1, 3, 2)  # d loss / d p, then d loss / d z
-        gz -= (gz * p).sum(axis=-1, keepdims=True)
-        gz *= p
-        gz *= s
+            v._accumulate(merge(e @ gt.swapaxes(2, 3)))
+        gz = vh @ gt  # keys x queries, as e
+        gz -= (gt * ot).sum(axis=2, keepdims=True)
+        gz *= e
         if q.requires_grad:
-            q._accumulate(merge(gz @ kh))
+            gq = kh.swapaxes(2, 3) @ gz
+            gq *= s
+            q._accumulate(merge(gq.swapaxes(2, 3)))
         if k.requires_grad:
-            k._accumulate(merge(gz.transpose(0, 1, 3, 2) @ qh))
+            k._accumulate(merge(gz @ qh))
 
-    return _result(merge(p @ vh), (q, k, v), "attention", bw)
+    return _result(merge(ot.swapaxes(2, 3)), (q, k, v), "attention", bw)
 
 
 # -- reductions and losses --------------------------------------------------

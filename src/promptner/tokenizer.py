@@ -132,13 +132,17 @@ def segment(word, vocab):
 
     The word is normalized first; at each position the longest vocabulary
     unit is consumed. An unmatchable remainder collapses to a single [UNK].
-    Each raw word is segmented once per vocab, in a cache emptied when it
-    reaches 2**16 words; every call returns a fresh WordSegmentation.
+    Every call returns a fresh WordSegmentation of :func:`subword_ids`.
     """
+    return WordSegmentation(word=normalize(word), subword_ids=list(subword_ids(word, vocab)))
+
+
+def subword_ids(word, vocab):
+    """The subword ids of :func:`segment` as a tuple. Each raw word is
+    segmented once per vocab, in a cache emptied when it reaches 2**16 words."""
     cache = vocab.__dict__.setdefault("_segments", {})
     if word in cache:
-        w, ids = cache[word]
-        return WordSegmentation(word=w, subword_ids=list(ids))
+        return cache[word]
     w = normalize(word)
     if not w:
         raise ContractError("cannot segment an empty word")
@@ -159,5 +163,5 @@ def segment(word, vocab):
         pos += len(match)
     if len(cache) >= 2**16:
         cache.clear()
-    cache[word] = (w, tuple(ids))
-    return WordSegmentation(word=w, subword_ids=ids)
+    cache[word] = ids = tuple(ids)
+    return ids

@@ -155,7 +155,9 @@ class OptimState:
 
 
 def adamw_step(params, state):
-    """One AdamW update with bias correction and decoupled weight decay."""
+    """One AdamW update with bias correction and decoupled weight decay, in
+    place on each parameter and its moments, with two scratch arrays per
+    parameter (the arithmetic and its order are those of the textbook form)."""
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient")
@@ -169,16 +171,23 @@ def adamw_step(params, state):
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        u = np.multiply(g, 1 - state.beta1)
         m *= state.beta1
-        m += (1 - state.beta1) * g
+        m += u
+        np.multiply(g, 1 - state.beta2, out=u)
+        u *= g
         v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        mhat = m / (1 - state.beta1 ** t)
-        vhat = v / (1 - state.beta2 ** t)
+        v += u
+        np.divide(v, 1 - state.beta2 ** t, out=u)  # vhat
+        np.sqrt(u, out=u)
+        u += state.eps
+        step = np.divide(m, 1 - state.beta1 ** t)  # mhat
         lr = lr_at(sched_step, state.total_steps, state.base_lr_for(name), state.warmup_frac)
+        step *= lr
+        step /= u
         if state.weight_decay:
             p.data *= 1.0 - lr * state.weight_decay
-        p.data -= (lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
+        p.data -= step
 
 
 @dataclass

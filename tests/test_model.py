@@ -62,6 +62,19 @@ class TestScoreTable:
         assert T.graph_nodes(logits) == [logits]
         assert len(T.graph_nodes(recorded)) > 1
 
+    def test_in_place_parameter_edits_are_scored(self):
+        # the gradient-free views are built once per model and share the
+        # parameter arrays, as training's in-place updates need
+        model, types, train = tiny_model()
+        words = train[0].words
+        before = model.score_table(words, types).logits
+        model.params["head.ent.w1"].data *= 2.0
+        after = model.score_table(words, types).logits
+        enc = build_prompt(types, words, model.vocab)
+        _, recorded = forward(enc, model.params, model.config)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, recorded.data)
+
     def test_chunking_unions_columns(self):
         # more types than max_types: each chunk is scored separately and the
         # columns are concatenated in the original type order

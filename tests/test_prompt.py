@@ -2,12 +2,28 @@ import pytest
 
 from promptner.errors import ContractError, SizingError
 from promptner.prompt import EncodedPrompt, build_prompt, chunk_types
-from promptner.tokenizer import build_vocab
+from promptner.tokenizer import build_vocab, segment
 
 
 def make_vocab():
     return build_vocab([["alain", "farley", "works", "at", "mcgill"],
                         ["person", "organization", "location"]], max_size=300)
+
+
+def uncached_prompt(entity_types, words, vocab):
+    """The prompt layout built word by word from segment(), no cache."""
+    token_ids, ent_positions, word_positions = [], [], []
+    for etype in entity_types:
+        ent_positions.append(len(token_ids))
+        token_ids.append(vocab.ent_id)
+        for type_word in etype.split():
+            token_ids.extend(segment(type_word, vocab).subword_ids)
+    token_ids.append(vocab.sep_id)
+    for word in words:
+        word_positions.append(len(token_ids))
+        token_ids.extend(segment(word, vocab).subword_ids)
+    return EncodedPrompt(token_ids, ent_positions, word_positions, list(entity_types),
+                         list(words))
 
 
 class TestBuildPrompt:
@@ -50,6 +66,27 @@ class TestBuildPrompt:
         assert pieces > 1
         shifted = build_prompt(["person"], ["farleyat", "works"], v)
         assert (shifted.word_positions[1] - base.word_positions[1]) == pieces - 1
+
+    def test_same_as_the_uncached_build(self):
+        # cached type sections and word ids give the same prompt, also on a
+        # cache hit, and a returned prompt's lists are its own
+        v = make_vocab()
+        cases = [(["person", "organization"], ["alain", "works", "at", "McGill"]),
+                 (["organization", "person"], ["farleyat", "#", "works"]),
+                 (["the location", "person"], ["alain"]),
+                 (["person", "organization"], ["mcgill", "at", "works"])]
+        for types, words in cases + cases:
+            p = build_prompt(types, words, v)
+            assert p == uncached_prompt(types, words, make_vocab())
+            p.token_ids.append(0)
+            p.ent_positions.append(0)
+        assert build_prompt(*cases[0], v) == uncached_prompt(*cases[0], v)
+
+    def test_type_section_cache_is_bounded(self):
+        v = make_vocab()
+        for i in range(2**10 + 5):
+            build_prompt([f"t{i}"], ["works"], v)
+        assert len(v._type_sections) <= 2**10
 
     def test_empty_inputs_rejected(self):
         v = make_vocab()

@@ -148,17 +148,18 @@ class TestElementwise:
         spans = np.array([[0, 1], [2, 3], [1, 1]])
         mask = np.array([[True, True], [True, False]])
         for dtype in (np.float32, np.float64):
-            x, w1, b1 = (T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
-                         for s in [(4, 4), (8, 3), (3,)])
-            before = [x.data.copy(), w1.data.copy(), b1.data.copy(), spans.copy()]
-            outs = [T.relu(x), T.gelu(x), T.attention(x, x, x, 2), T.attention(x, x, x, 2, mask),
+            x, k, v, w1, b1 = (T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
+                               for s in [(4, 4), (4, 4), (4, 4), (8, 3), (3,)])
+            inputs = [x, k, v, w1, b1]
+            before = [a.data.copy() for a in inputs] + [spans.copy()]
+            outs = [T.relu(x), T.gelu(x), T.attention(x, k, v, 2), T.attention(x, k, v, 2, mask),
                     T.layer_norm(x, t(np.ones(4), dtype=dtype), t(np.zeros(4), dtype=dtype)),
                     T.span_endpoints(x, spans, w1, b1)]
             loss = outs[0]
             for out in outs:
                 loss = T.add(T.sum_all(T.mul(out, out)), T.sum_all(loss))
             T.backward(loss)
-            after = [x.data, w1.data, b1.data, spans]
+            after = [a.data for a in inputs] + [spans]
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     # NaN must propagate
@@ -195,20 +196,38 @@ class TestLayerNorm:
                                         T.layer_norm(p["p0"], p["p1"], p["p2"]))),
               [(3, 6), (6,), (6,)], tol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_the_two_pass_formula_to_the_bit(self, dtype):
+        rng = np.random.default_rng(8)
+        for shape in [(1, 1), (1, 7), (3, 6), (5, 64), (17, 33), (290, 64), (2, 3, 8), (4, 257)]:
+            x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+            gamma, beta = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+            mu = x.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+            out = T.layer_norm(*(T.Tensor(a, dtype=dtype) for a in (x, gamma, beta))).data
+            assert out.dtype == dtype
+            assert np.array_equal(out, (x - mu) * inv * gamma + beta), shape
+
     def test_empty_row_rejected(self):
         with pytest.raises(DimensionError):
             T.layer_norm(t(np.ones((2, 0))), t(np.ones(0)), t(np.zeros(0)))
 
 
-def reference_attention(q, k, v, heads):
-    """Per-head loop in plain numpy: softmax(q_h k_h^T / sqrt(d_h)) v_h."""
-    dh = q.shape[1] // heads
+def reference_attention(q, k, v, heads, mask=None):
+    """Per prompt and per head in plain float64 numpy: softmax(q_h k_h^T /
+    sqrt(d_h)) v_h over the prompt's real keys, each row shifted by its max."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    mask = np.ones((1, len(q)), dtype=bool) if mask is None else mask
+    length, dh = mask.shape[1], q.shape[1] // heads
     out = np.empty_like(q)
-    for h in range(heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        z = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        out[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+    for b, real in enumerate(mask):
+        rows = slice(b * length, (b + 1) * length)
+        keys = b * length + np.flatnonzero(real)
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            z = q[rows, cols] @ k[keys, cols].T / np.sqrt(dh)
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            out[rows, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[keys, cols]
     return out
 
 
@@ -224,6 +243,46 @@ class TestAttention:
         q, k, v = (rng.normal(size=(6, 12)) for _ in range(3))
         out = T.attention(t(q), t(k), t(v), 3).data
         assert np.abs(out - reference_attention(q, k, v, 3)).max() < 1e-12
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_matches_reference_softmax(self, dtype, tol, padded):
+        # two prompts of 6 rows, the second with 2 padded keys when padded
+        rng = np.random.default_rng(11)
+        mask = np.arange(6) < np.array([[6], [4 if padded else 6]])
+        q, k, v = (rng.normal(size=(12, 8)).astype(dtype) for _ in range(3))
+        out = T.attention(*(T.Tensor(a, dtype=dtype) for a in (q, k, v)), 2, mask).data
+        assert out.dtype == dtype
+        assert np.abs(out - reference_attention(q, k, v, 2, mask)).max() < tol
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-3), (np.float64, 1e-9)])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_scores_of_1e3_match_the_shifted_reference(self, dtype, tol, padded):
+        # without the shift, exp overflows at these scores in both dtypes
+        rng = np.random.default_rng(12)
+        mask = np.arange(6) < np.array([[6], [3 if padded else 6]])
+        q, k = (rng.normal(size=(12, 8)).astype(dtype) * 30 for _ in range(2))
+        v = rng.normal(size=(12, 8)).astype(dtype)
+        z = q[:, :4] @ k[:, :4].T / 2.0
+        assert z.max() > 1e3 and z.min() < -1e3
+        out = T.attention(*(T.Tensor(a, dtype=dtype) for a in (q, k, v)), 2, mask).data
+        assert np.isfinite(out).all()
+        assert np.abs(out - reference_attention(q, k, v, 2, mask)).max() < tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_second_backward_doubles_the_grads_exactly(self, dtype, padded):
+        # the backward reads the stored score block and never writes it
+        rng = np.random.default_rng(13)
+        mask = np.arange(5) < np.array([[5], [3 if padded else 5]])
+        q, k, v = (T.Tensor(rng.normal(size=(10, 8)), requires_grad=True, dtype=dtype)
+                   for _ in range(3))
+        w = T.Tensor(rng.normal(size=(10, 8)), dtype=dtype)
+        loss = T.sum_all(T.mul(T.attention(q, k, v, 2, mask), w))
+        T.backward(loss)
+        first = [x.grad.copy() for x in (q, k, v)]
+        T.backward(loss)
+        assert all(np.array_equal(x.grad, 2 * g) for x, g in zip((q, k, v), first))
 
     def test_key_shift_invariance(self):
         # why the encoder has no key bias: k + c adds q.c to a whole score row

@@ -228,6 +228,35 @@ class TestAdamW:
         with pytest.raises(ContractError):
             state.base_lr_for("head.w")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_is_the_textbook_form_to_the_bit(self, dtype):
+        # 12 steps, two groups, weight decay: params and moments equal those
+        # of the expression form, so checkpoints and traces keep their bytes
+        rng = np.random.default_rng(0)
+        shapes = {"encoder.a": (3, 4), "encoder.b": (4,), "head.c": (5, 2)}
+        params = {n: T.Tensor(rng.normal(size=s) * 0.02, requires_grad=True, dtype=dtype)
+                  for n, s in shapes.items()}  # the init scale: updates are not lost in p
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(x) for n, x in ref.items()}
+        v = {n: np.zeros_like(x) for n, x in ref.items()}
+        state = OptimState(group_lrs={"encoder.": 3e-3, "head.": 1e-2}, total_steps=10,
+                          weight_decay=0.01)
+        for t in range(1, 13):
+            for n, p in params.items():
+                p.grad = rng.normal(size=shapes[n]).astype(dtype)
+            adamw_step(params, state)
+            for n, p in params.items():
+                g = p.grad
+                m[n] = state.beta1 * m[n] + (1 - state.beta1) * g
+                v[n] = state.beta2 * v[n] + (1 - state.beta2) * g * g
+                mhat = m[n] / (1 - state.beta1 ** t)
+                vhat = v[n] / (1 - state.beta2 ** t)
+                lr = lr_at(min(t, 10), 10, state.base_lr_for(n), state.warmup_frac)
+                ref[n] *= 1.0 - lr * state.weight_decay
+                ref[n] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+                assert np.array_equal(p.data, ref[n]), (t, n)
+                assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+
     def test_two_groups_use_their_own_rates(self):
         params = {"encoder.w": T.Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64),
                   "head.w": T.Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
