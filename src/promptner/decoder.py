@@ -7,6 +7,12 @@ nested mode additionally allows proper containment (at least one differing
 endpoint) but never partial overlap, and never two types on the identical
 span unless the multi-label escape hatch is enabled.
 
+Without multi-label, only each span's first pair in that order, its best
+type (ties: the smaller name), is visited. This is exact: whether a span is
+accepted depends on the accepted spans only, never on its type, and those
+only grow, so once the first pair is accepted or rejected, every later pair
+of the span is rejected.
+
 Acceptance checks read per-position arrays over the words a candidate
 covers: flat mode a covered-word mask, nested mode the farthest end of an
 accepted span per start and the farthest start per end. A candidate is at
@@ -58,7 +64,9 @@ def decode(table, config=None, stats=None):
 
     ``table`` needs .spans (the (S, 2) array of ``enumerate_spans``), .types
     and .probs (S x |types|). Output order follows acceptance order (best
-    score first).
+    score first). ``stats``, when given, gets the number of pairs above the
+    threshold (``candidates``) and adds the number of pairs visited to
+    ``pops`` (one per span without multi-label, so pops <= candidates).
     """
     config = config or DecodeConfig()
     # float64, so the threshold is compared at full precision for any dtype
@@ -69,8 +77,11 @@ def decode(table, config=None, stats=None):
     name_rank = {t: r for r, t in enumerate(sorted(set(table.types)))}
     type_rank = np.array([name_rank[t] for t in table.types], dtype=np.int64)
     order = np.lexsort((type_rank[cols], ends, starts, -p))
+    candidates = len(order)
+    if not config.allow_multilabel:  # each span's first pair only
+        order = order[np.sort(np.unique(rows[order], return_index=True)[1])]
     if stats is not None:
-        stats.candidates = len(order)
+        stats.candidates = candidates
         stats.pops += len(order)
 
     accepted = []

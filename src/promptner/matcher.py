@@ -1,19 +1,21 @@
-"""Entity/span embedding heads and the matching score table.
+"""Entity/span heads and the matching score table.
 
 Entity-marker representations are refined by a two-layer feedforward head
-into type embeddings q. Each span (i, j) of width <= K is embedded by a
-two-layer feedforward head applied to the concatenation [h_i ; h_j], whose
-first layer ``tensor.span_endpoints`` computes by endpoint without building
-the concatenation, and the matching probability for (span, type) is the
-sigmoid of their dot product. All spans are computed in one
-batched call, and so are the spans of every prompt of a batch (word rows
-shifted by each prompt's word offset), which one product then scores against
-every type of the batch.
+into type embeddings q. GLiNER embeds each span (i, j) of width <= K by a
+two-layer feedforward head on the concatenation [h_i ; h_j] and scores it
+against a type by the sigmoid of their dot product. Neither the
+concatenation nor the span embedding is built here: ``tensor.span_endpoints``
+computes the head's first layer by endpoint, and ``tensor.span_scores`` moves
+its second layer to the type side, (r w2 + b2) q^T = r (w2 q^T) + q b2 for
+the hidden rows r. All spans are computed in one batched call, and so are
+the spans of every prompt of a batch (word rows shifted by each prompt's
+word offset), which one product then scores against every type of the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -33,17 +35,22 @@ class ScoreTable:
     k: int = 0
 
 
+@lru_cache(maxsize=2**10)
 def enumerate_spans(num_words, k):
     """All spans of width <= min(k, num_words), ordered by (start, end), in
     the package's one span layout: an (S, 2) int64 array of inclusive
-    (start, end) word indices, row i naming row i of a score table."""
+    (start, end) word indices, row i naming row i of a score table. The
+    array is read-only and shared: it is built once per (num_words, k), in a
+    cache of the 2**10 most recent pairs."""
     if num_words < 1 or k < 1:
         raise ContractError("num_words and k must be >= 1")
     w = min(k, num_words)
     starts = np.repeat(np.arange(num_words, dtype=np.int64), w)
     ends = starts + np.tile(np.arange(w, dtype=np.int64), num_words)
     keep = ends < num_words
-    return np.stack([starts[keep], ends[keep]], axis=1)
+    spans = np.stack([starts[keep], ends[keep]], axis=1)
+    spans.flags.writeable = False
+    return spans
 
 
 def span_count(num_words, k):
@@ -59,28 +66,33 @@ def head_param_shapes(width):
             "head.span.w2": (d, d), "head.span.b2": (d,)}
 
 
-def _ffn2(first, params, prefix, dropout, mode, rng):  # a head after its first layer
+def _hidden(first, dropout, mode, rng):  # a head's hidden rows after its first layer
     hidden = T.relu(first)
     if mode == "train" and dropout > 0:
         hidden = T.dropout(hidden, dropout, rng)
-    return T.linear(hidden, params[prefix + "w2"], params[prefix + "b2"])
+    return hidden
 
 
 def entity_embed(p, params, dropout=0.0, mode="eval", rng=None):
     """Refine entity-marker rows p (M x D) into type embeddings q (M x D)."""
-    return _ffn2(T.linear(p, params["head.ent.w1"], params["head.ent.b1"]), params,
-                 "head.ent.", dropout, mode, rng)
+    hidden = _hidden(T.linear(p, params["head.ent.w1"], params["head.ent.b1"]),
+                     dropout, mode, rng)
+    return T.linear(hidden, params["head.ent.w2"], params["head.ent.b2"])
 
 
 def span_embed(h, spans, params, dropout=0.0, mode="eval", rng=None):
-    """Embed every (start, end) row of ``spans`` as FFN([h_start ; h_end])."""
+    """The span head's hidden rows r = relu([h_start ; h_end] w1 + b1), one
+    per (start, end) row of ``spans``; its second layer is applied by
+    ``match_scores``, so no span embedding is built."""
     first = T.span_endpoints(h, spans, params["head.span.w1"], params["head.span.b1"])
-    return _ffn2(first, params, "head.span.", dropout, mode, rng)
+    return _hidden(first, dropout, mode, rng)
 
 
-def match_scores(span_emb, q):
-    """Logits for every (span, type) pair: span_emb @ q^T, |spans| x M."""
-    return T.matmul(span_emb, T.transpose(q))
+def match_scores(span_hidden, q, params):
+    """Logits for every (span, type) pair, |spans| x M: the span embeddings
+    (r w2 + b2) of the hidden rows r of ``span_embed`` dotted with the type
+    embeddings q, as one ``span_scores`` op."""
+    return T.span_scores(span_hidden, params["head.span.w2"], params["head.span.b2"], q)
 
 
 def make_score_table(spans, types, logits, num_words, k):

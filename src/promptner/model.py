@@ -96,9 +96,9 @@ def forward_batch(prompts, params, config, mode="eval", rng=None):
     spans = [matcher.enumerate_spans(len(p.words), config.k) for p in prompts]
     words = accumulate((len(p.words) for p in prompts), initial=0)
     q = matcher.entity_embed(out.p, params, dropout=config.head_dropout, mode=mode, rng=rng)
-    s = matcher.span_embed(out.h, np.concatenate([sp + w for sp, w in zip(spans, words)]),
+    r = matcher.span_embed(out.h, np.concatenate([sp + w for sp, w in zip(spans, words)]),
                            params, dropout=config.head_dropout, mode=mode, rng=rng)
-    return spans, matcher.match_scores(s, q)
+    return spans, matcher.match_scores(r, q, params)
 
 
 class Model:

@@ -13,12 +13,15 @@ restricted to scalars so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
 masks the padded keys, :func:`span_endpoints` computes a span head's first
 layer from each span's two endpoint rows, and :func:`bce_with_logits` weighs
-each pair. Inputs are never mutated; :func:`attention`, :func:`gelu` and
-:func:`layer_norm` work in place on their own temporaries, and
-:func:`attention` normalises its softmax at the output, not over its score
-block. Leaf gradients accumulate additively (running backward twice without
-zeroing doubles them); interior gradients are released as soon as their
-node's backward has run.
+each pair; :func:`span_scores` scores the span head's hidden rows against
+the types with the head's second layer moved to the type side. Inputs are
+never mutated; :func:`attention`, :func:`gelu` and :func:`layer_norm` work in
+place on their own temporaries, and :func:`attention` exponentiates its
+scores unshifted (shifting only when that overflows or underflows) and
+normalises its softmax at the output, not over its score block. Leaf
+gradients accumulate additively (running backward twice without zeroing
+doubles them); interior gradients are released as soon as their node's
+backward has run.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)  # a Python float keeps x's dtype
 # for u >= 0, with t = 1 / (1 + p u); |error| < 1.5e-7. p / sqrt 2 takes |x|.
 _AS_P = 0.3275911 / math.sqrt(2.0)
 _AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+# attention's unshifted softmax falls back to the shifted one below this sum
+_MIN_SUM = 2.0 ** -100
 
 
 class Tensor:
@@ -212,12 +217,6 @@ def linear(x, w, b=None):
 matmul = linear  # x @ w: a linear node without a bias
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise DimensionError("transpose requires a 2-D tensor")
-    return _result(a.data.T.copy(), (a,), "transpose", lambda g: a._accumulate(g.T))
-
-
 def _check_rows(idx, a):
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ContractError(f"row index out of range for shape {a.shape}")
@@ -242,7 +241,7 @@ def span_endpoints(h, spans, w1, b1):
     """First span-head layer, [h_start ; h_end] w1 + b1, for every (start,
     end) row of the (S, 2) index ``spans`` into the N x D rows of h, without
     the concatenation: with w1 = [w_0 ; w_1] (2D x F), row i is
-    (h w_0)[start_i] + (h w_1)[end_i] + b1, N-row products, not S-row ones."""
+    (h w_0 + b1)[start_i] + (h w_1)[end_i], N-row products, not S-row ones."""
     spans = np.asarray(spans, dtype=np.int64)
     if h.data.ndim != 2 or spans.ndim != 2 or spans.shape[1] != 2:
         raise DimensionError("span_endpoints requires a 2-D tensor and an (S, 2) index")
@@ -251,9 +250,9 @@ def span_endpoints(h, spans, w1, b1):
     _check_rows(spans, h)
     w = w1.data.reshape(2, h.shape[1], -1)  # w_0 and w_1
     hw = h.data @ w
+    hw[0] += b1.data  # on the N start rows, before the gather
     y = hw[0, spans[:, 0]]
     y += hw[1, spans[:, 1]]
-    y += b1.data
 
     def bw(g):
         if b1.requires_grad:
@@ -269,6 +268,35 @@ def span_endpoints(h, spans, w1, b1):
     return _result(y, (h, w1, b1), "span_endpoints", bw)
 
 
+def span_scores(r, w2, b2, q):
+    """Span-type logits (r w2 + b2) q^T of the S x D hidden rows r of the span
+    head and the M x E type embeddings q, computed as r (w2 q^T) + q b2: the
+    head's second layer moves to the type side, so the S x E span embeddings
+    are never built and a D x E x M product replaces the S x D x E one."""
+    if r.data.ndim != 2 or w2.data.ndim != 2 or q.data.ndim != 2:
+        raise DimensionError("span_scores requires 2-D rows, weights and types")
+    if w2.shape[0] != r.shape[1] or b2.shape != (w2.shape[1],) or q.shape[1] != w2.shape[1]:
+        raise DimensionError(f"span weights {w2.shape}, bias {b2.shape} do not fit "
+                             f"rows {r.shape} and types {q.shape}")
+    a = w2.data @ q.data.T  # D x M
+    y = r.data @ a
+    y += q.data @ b2.data
+
+    def bw(g):
+        ga = r.data.T @ g  # d (w2 q^T), D x M
+        gc = g.sum(axis=0)  # d (q b2), one number per type
+        if r.requires_grad:
+            r._accumulate(g @ a.T)
+        if w2.requires_grad:
+            w2._accumulate(ga @ q.data)
+        if b2.requires_grad:
+            b2._accumulate(gc @ q.data)
+        if q.requires_grad:
+            q._accumulate(ga.T @ w2.data + np.outer(gc, b2.data))
+
+    return _result(y, (r, w2, b2, q), "span_scores", bw)
+
+
 # -- normalization ----------------------------------------------------------
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -278,9 +306,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         raise DimensionError("layer_norm needs a non-empty last dimension")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"gamma/beta must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # means as sums over d: ndarray.mean's result to the bit, without its overhead
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xhat = x.data - mu  # the one deviation, scaled in place below
-    var = np.mean(xhat * xhat, axis=-1, keepdims=True)  # numpy's var, to the bit
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d  # numpy's var, to the bit
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
 
@@ -291,8 +320,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             beta._accumulate(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gg = g * gamma.data
-            m1 = gg.mean(axis=-1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
             x._accumulate((gg - m1 - xhat * m2) * inv)
 
     y = xhat * gamma.data
@@ -309,15 +338,18 @@ def attention(q, k, v, heads, mask=None):
     (None: one prompt of all rows), and each row attends to the real keys of
     its own prompt only. Head h owns column block h (width d_h = D / heads)
     and computes softmax(q_h k_h^T / sqrt(d_h)) v_h into the same block of
-    the result. The softmax is computed shift-invariantly per row, so adding
-    one row vector to every key leaves the output unchanged.
+    the result. Adding one row vector to every key leaves the output
+    unchanged (softmax is shift-invariant per row).
 
-    The score block is held keys x queries and takes four passes: the
-    product (q is scaled first, an L x D product), each query's max, and the
-    shift and exp in place. The softmax is normalised at the output: one
-    product of the block with [v | 1] gives e^T v and each query's sum r of
-    e, and the output is (e^T v) / r, an L x d_h division. The backward only
-    reads the block.
+    The score block is held keys x queries and takes two passes: the product
+    (q is scaled first, an L x D product) and the exp in place, unshifted.
+    The softmax is normalised at the output: one product of the block with
+    [v | 1] gives e^T v and each query's sum r of e, and the output is
+    (e^T v) / r, an L x d_h division. Without a max shift, exp can overflow
+    or underflow: when some entry of that product is not finite or some r
+    is below 2^-100, the whole call recomputes the block shifted by each
+    query's max (the usual max-subtracted softmax). The backward only reads
+    the block.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"attention needs equal 2-D shapes, got "
@@ -342,15 +374,23 @@ def attention(q, k, v, heads, mask=None):
 
     s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
     qh, kh, vh = split(q.data * s), split(k.data), split(v.data)
-    e = kh @ qh.swapaxes(2, 3)  # keys x queries: numpy reduces columns faster than rows
-    if padded:
-        e += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, :, None]
-    e -= e.max(axis=2, keepdims=True)
-    np.exp(e, out=e)
     v1 = np.empty((nb, heads, dh + 1, length), dtype=v.dtype)  # [v | 1]^T
     v1[:, :, :dh] = vh.swapaxes(2, 3)
     v1[:, :, dh] = 1
-    ev = v1 @ e  # (e^T v)^T, and each query's sum r of e in the last row
+
+    def exp_scores(shift):
+        e = kh @ qh.swapaxes(2, 3)  # keys x queries: numpy reduces columns faster than rows
+        if padded:
+            e += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, :, None]
+        if shift:
+            e -= e.max(axis=2, keepdims=True)
+        np.exp(e, out=e)
+        return e, v1 @ e  # (e^T v)^T, and each query's sum r of e in the last row
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, ev = exp_scores(False)
+    if not np.isfinite(ev).all() or ev[:, :, dh].min() < _MIN_SUM:  # overflow or underflow
+        e, ev = exp_scores(True)
     r = ev[:, :, dh:]
     ot = ev[:, :, :dh] / r  # the output o, transposed per head
 

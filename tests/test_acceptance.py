@@ -86,13 +86,16 @@ def test_criterion_2_overfit_oracle():
 
 
 def test_criterion_3_decoder_oracle():
-    """1000 random tables: decoder == brute-force oracle, invariants hold."""
+    """1000 random tables, every other one with tied probabilities, in both
+    modes with multi-label off and on: decoder == brute-force oracle,
+    invariants hold."""
     t0 = time.time()
     rng = np.random.default_rng(2024)
     mismatches = 0
     for i in range(1000):
-        table = random_table(rng, n_max=8, k_max=4, m_max=3)
-        config = DecodeConfig(mode="flat" if i % 2 == 0 else "nested")
+        table = random_table(rng, n_max=8, k_max=4, m_max=3, ties=i % 2 == 1)
+        config = DecodeConfig(mode="flat" if i // 2 % 2 == 0 else "nested",
+                              allow_multilabel=i // 4 % 2 == 1)
         out = decode(table, config)
         if out != oracle_decode(table, config):
             mismatches += 1
@@ -103,7 +106,8 @@ def test_criterion_3_decoder_oracle():
                 disjoint = a[1] < b[0] or b[1] < a[0]
                 contained = ((a[0] >= b[0] and a[1] <= b[1]) or
                              (b[0] >= a[0] and b[1] <= a[1])) and a != b
-                assert disjoint or (config.mode == "nested" and contained)
+                assert (disjoint or (config.mode == "nested" and contained)
+                        or (config.allow_multilabel and a == b))
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 60
     record_criterion(

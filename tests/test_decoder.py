@@ -24,14 +24,21 @@ SIZES = [pytest.param(mode, size, id=mode + suffix)
          for mode in ("flat", "nested")]
 
 
-def random_table(rng, n_max=8, k_max=4, m_max=3):
+def random_table(rng, n_max=8, k_max=4, m_max=3, ties=False):
+    """A random score table; with ``ties``, logits are small integers, so
+    probabilities tie within and across spans, and type names run against
+    column order, so a tie between types is broken by name, not column."""
     n = int(rng.integers(1, n_max + 1))
     k = int(rng.integers(1, k_max + 1))
     m = int(rng.integers(1, m_max + 1))
     spans = enumerate_spans(n, k)
-    logits = rng.normal(0.0, 2.0, size=(len(spans), m))
-    return make_score_table(spans, [f"type{i}" for i in range(m)], logits,
-                            num_words=n, k=k)
+    if ties:
+        logits = rng.integers(-2, 3, size=(len(spans), m)).astype(np.float64)
+        types = [f"type{m - 1 - i}" for i in range(m)]
+    else:
+        logits = rng.normal(0.0, 2.0, size=(len(spans), m))
+        types = [f"type{i}" for i in range(m)]
+    return make_score_table(spans, types, logits, num_words=n, k=k)
 
 
 def _disjoint(a, b):
@@ -88,6 +95,15 @@ class TestAgainstOracle:
             table = random_table(rng, *size)
             assert decode(table, config) == oracle_decode(table, config)
 
+    @pytest.mark.parametrize("multilabel", [False, True])
+    @pytest.mark.parametrize("mode, size", SIZES)
+    def test_tied_tables(self, mode, size, multilabel):
+        rng = np.random.default_rng(19)
+        config = DecodeConfig(mode=mode, allow_multilabel=multilabel)
+        for _ in range(200):
+            table = random_table(rng, *size, ties=True)
+            assert decode(table, config) == oracle_decode(table, config)
+
     @given(st.integers(0, 2**31 - 1), st.sampled_from(["flat", "nested"]))
     @settings(max_examples=60, deadline=None)
     def test_hypothesis_seeds(self, seed, mode):
@@ -122,13 +138,19 @@ class TestInvariants:
             scores = [m.score for m in out]
             assert scores == sorted(scores, reverse=True)
 
-    def test_pops_bounded_by_candidates(self):
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_pops_bounded_by_candidates(self, multilabel):
+        # candidates counts every pair above the threshold; without
+        # multi-label one pair per span is visited
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            table = random_table(rng)
+        for i in range(100):
+            table = random_table(rng, ties=i % 2 == 1)
             stats = DecodeStats()
-            decode(table, DecodeConfig(), stats)
-            assert stats.pops <= stats.candidates
+            decode(table, DecodeConfig(allow_multilabel=multilabel), stats)
+            above = np.asarray(table.probs) > 0.5
+            assert stats.candidates == np.count_nonzero(above)
+            assert stats.pops == (stats.candidates if multilabel
+                                  else np.count_nonzero(above.any(axis=1)))
 
 
 class TestHandCases:

@@ -40,6 +40,14 @@ class TestEnumerateSpans:
         assert span_count(20, 12) == sum(21 - w for w in range(1, 13)) == 174
         assert len(enumerate_spans(20, 12)) == 174
 
+    def test_cached_and_read_only(self):
+        # one shared array per (num_words, k); writing to it raises
+        spans = enumerate_spans(7, 3)
+        assert enumerate_spans(7, 3) is spans
+        assert enumerate_spans(7, 4) is not spans
+        with pytest.raises(ValueError):
+            spans[0, 0] = 5
+
     def test_invalid_args(self):
         with pytest.raises(ContractError):
             enumerate_spans(0, 12)
@@ -117,14 +125,31 @@ class TestHeads:
             span_embed(tensor(np.zeros((2, 4))), np.array([[0, 5]]), params)
 
     def test_match_scores_is_dot_product(self):
-        s = tensor([[1.0, 0.0], [0.0, 2.0]])
+        # w2 = I and b2 = 0: the span embedding is the hidden row itself
+        params = init_from_shapes(head_param_shapes(2), np.random.default_rng(0), dtype=np.float64)
+        params["head.span.w2"].data[:] = np.eye(2)
+        params["head.span.b2"].data[:] = 0.0
+        r = tensor([[1.0, 0.0], [0.0, 2.0]])
         q = tensor([[3.0, 4.0]])
-        out = match_scores(s, q)
+        out = match_scores(r, q, params)
         assert np.allclose(out.data, [[3.0], [8.0]])
 
+    def test_match_scores_is_the_span_embedding_dot_product(self):
+        # logits = (r w2 + b2) q^T, the second span layer applied per span
+        params = init_from_shapes(head_param_shapes(4), np.random.default_rng(0), dtype=np.float64)
+        rng = np.random.default_rng(6)
+        r, q = tensor(np.abs(rng.normal(size=(5, 4)))), tensor(rng.normal(size=(3, 4)))
+        emb = r.data @ params["head.span.w2"].data + params["head.span.b2"].data
+        out = match_scores(r, q, params)
+        assert out.shape == (5, 3)
+        assert np.allclose(out.data, emb @ q.data.T, rtol=1e-12, atol=1e-15)
+
     def test_match_scores_width_mismatch(self):
+        params = init_from_shapes(head_param_shapes(4), np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            match_scores(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4))))
+            match_scores(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4))), params)
+        with pytest.raises(DimensionError):
+            match_scores(tensor(np.zeros((2, 4))), tensor(np.zeros((2, 3))), params)
 
 
 class TestScoreTable:
@@ -137,11 +162,12 @@ class TestScoreTable:
 
     def test_negating_a_type_column_flips_its_probs(self):
         rng = np.random.default_rng(3)
-        s = tensor(rng.normal(size=(4, 5)))
+        params = init_from_shapes(head_param_shapes(5), rng, dtype=np.float64)
+        r = tensor(rng.normal(size=(4, 5)))
         q = tensor(rng.normal(size=(2, 5)))
-        base = match_scores(s, q).data
+        base = match_scores(r, q, params).data
         q_neg = tensor(np.concatenate([q.data[:1], -q.data[1:]]))
-        flipped = match_scores(s, q_neg).data
+        flipped = match_scores(r, q_neg, params).data
         assert np.allclose(expit(flipped[:, 1]), 1.0 - expit(base[:, 1]))
         assert np.allclose(flipped[:, 0], base[:, 0])
 

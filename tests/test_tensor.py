@@ -117,6 +117,52 @@ class TestSpanEndpoints:
             T.span_endpoints(h, self.SPANS, t(np.ones((3, 5))), b1)
 
 
+class TestSpanScores:
+    # three prompts' spans (the second prompt padded by two unused word rows)
+    # against their 2, 3 and 1 types: only each prompt's own block counts
+    BATCH = np.concatenate([enumerate_spans(4, 2), enumerate_spans(3, 3) + 6,
+                            enumerate_spans(2, 2) + 9])
+    TYPES = [2, 3, 1]
+
+    def test_forward_is_the_span_embedding_product_float32(self):
+        rng = np.random.default_rng(14)
+        r, w2, b2, q = (rng.normal(size=s).astype(np.float32)
+                        for s in [(50, 16), (16, 12), (12,), (7, 12)])
+        out = T.span_scores(*(T.Tensor(a) for a in (r, w2, b2, q))).data
+        ref = (r.astype(np.float64) @ w2 + b2) @ q.T.astype(np.float64)
+        assert out.dtype == np.float32 and out.shape == (50, 7)
+        assert np.abs(out - ref).max() < 1e-5 * np.abs(ref).max()
+
+    def test_gradient_one_prompt(self):
+        w = np.random.default_rng(15).normal(size=(6, 3))
+        check(lambda p: T.sum_all(T.mul(T.span_scores(p["p0"], p["p1"], p["p2"], p["p3"]), w)),
+              [(6, 4), (4, 5), (5,), (3, 5)])
+
+    def test_gradient_batch_of_blocks(self):
+        # through span_endpoints and relu, as in the model, with the pair
+        # weights of a batch: 0 outside each prompt's own block
+        counts = [len(enumerate_spans(4, 2)), len(enumerate_spans(3, 3)),
+                  len(enumerate_spans(2, 2))]
+        block = np.zeros((len(self.BATCH), sum(self.TYPES)))
+        for b, (rows, cols) in enumerate(zip(counts, self.TYPES)):
+            r0, c0 = sum(counts[:b]), sum(self.TYPES[:b])
+            block[r0:r0 + rows, c0:c0 + cols] = 1.0
+        w = block * np.random.default_rng(16).normal(size=block.shape)
+
+        def f(p):
+            hidden = T.relu(T.span_endpoints(p["p0"], self.BATCH, p["p1"], p["p2"]))
+            return T.sum_all(T.mul(T.span_scores(hidden, p["p3"], p["p4"], p["p5"]), w))
+
+        check(f, [(11, 3), (6, 4), (4,), (4, 5), (5,), (sum(self.TYPES), 5)])
+
+    def test_bad_shapes_rejected(self):
+        r, w2, b2, q = t(np.ones((5, 4))), t(np.ones((4, 3))), t(np.zeros(3)), t(np.ones((2, 3)))
+        for args in [(t(np.ones((5, 3))), w2, b2, q), (r, w2, t(np.zeros(4)), q),
+                     (r, w2, b2, t(np.ones((2, 4)))), (r, w2, b2, t(np.ones(3)))]:
+            with pytest.raises(DimensionError):
+                T.span_scores(*args)
+
+
 class TestElementwise:
     def test_gelu_gradient(self):
         check(lambda p: T.sum_all(T.mul(T.gelu(p["p0"]), p["p0"])), [(4, 5)], tol=1e-5)
@@ -148,13 +194,14 @@ class TestElementwise:
         spans = np.array([[0, 1], [2, 3], [1, 1]])
         mask = np.array([[True, True], [True, False]])
         for dtype in (np.float32, np.float64):
-            x, k, v, w1, b1 = (T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
-                               for s in [(4, 4), (4, 4), (4, 4), (8, 3), (3,)])
-            inputs = [x, k, v, w1, b1]
+            x, k, v, w1, b1, w2, b2 = (
+                T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
+                for s in [(4, 4), (4, 4), (4, 4), (8, 3), (3,), (4, 3), (3,)])
+            inputs = [x, k, v, w1, b1, w2, b2]
             before = [a.data.copy() for a in inputs] + [spans.copy()]
             outs = [T.relu(x), T.gelu(x), T.attention(x, k, v, 2), T.attention(x, k, v, 2, mask),
                     T.layer_norm(x, t(np.ones(4), dtype=dtype), t(np.zeros(4), dtype=dtype)),
-                    T.span_endpoints(x, spans, w1, b1)]
+                    T.span_endpoints(x, spans, w1, b1), T.span_scores(x, w2, b2, w1)]
             loss = outs[0]
             for out in outs:
                 loss = T.add(T.sum_all(T.mul(out, out)), T.sum_all(loss))
@@ -265,6 +312,22 @@ class TestAttention:
         v = rng.normal(size=(12, 8)).astype(dtype)
         z = q[:, :4] @ k[:, :4].T / 2.0
         assert z.max() > 1e3 and z.min() < -1e3
+        out = T.attention(*(T.Tensor(a, dtype=dtype) for a in (q, k, v)), 2, mask).data
+        assert np.isfinite(out).all()
+        assert np.abs(out - reference_attention(q, k, v, 2, mask)).max() < tol
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_underflowing_query_matches_the_shifted_reference(self, dtype, tol, padded):
+        # every score of query 1 lies below -200: each exp underflows (or its
+        # sum falls below 2^-100), so the call takes the shifted route
+        rng = np.random.default_rng(17)
+        mask = np.arange(6) < np.array([[6], [4 if padded else 6]])
+        k = (5.0 + 0.1 * rng.normal(size=(12, 8))).astype(dtype)
+        q, v = (rng.normal(size=(12, 8)).astype(dtype) for _ in range(2))
+        q[1] = -30.0
+        z = q[1, :4] @ k[:, :4].T / 2.0
+        assert z.max() < -200
         out = T.attention(*(T.Tensor(a, dtype=dtype) for a in (q, k, v)), 2, mask).data
         assert np.isfinite(out).all()
         assert np.abs(out - reference_attention(q, k, v, 2, mask)).max() < tol
