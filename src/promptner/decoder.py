@@ -85,13 +85,13 @@ def decode(table, config=None, stats=None):
         stats.pops += len(order)
 
     accepted = []
-    kept = set()  # accepted (x, y), for the identical-span rule
+    flat, multilabel = config.mode == "flat", config.allow_multilabel
+    kept = set() if flat and multilabel else None  # accepted (x, y), flat multi-label only
     # per-position state over half-open positions 0 .. max end + 1
     size = int(ends.max()) + 2 if len(ends) else 1
     covered = bytearray(size)   # 1 where an accepted span covers the word
     far_end = [0] * size        # far_end[s]: largest y of an accepted [s, y)
     far_start = [size] * size   # far_start[e]: smallest x of an accepted [x, e)
-    flat, multilabel = config.mode == "flat", config.allow_multilabel
     for start, end, col, score in zip(starts[order].tolist(), ends[order].tolist(),
                                       cols[order].tolist(), p[order].tolist()):
         x, y = start, end + 1  # half-open
@@ -101,12 +101,13 @@ def decode(table, config=None, stats=None):
         else:
             # partial overlap: an accepted span starts strictly inside and
             # ends past y, or ends strictly inside and starts before x; a
-            # one-word span cannot be partially overlapped
-            ok = ((y == x + 1 or max(far_end[x + 1:y]) <= y
-                   and min(far_start[x + 1:y]) >= x)
-                  and (multilabel or (x, y) not in kept))
+            # one-word span cannot be partially overlapped; an identical span
+            # comes back only under multi-label, which takes it
+            ok = (y == x + 1 or max(far_end[x + 1:y]) <= y
+                  and min(far_start[x + 1:y]) >= x)
         if ok:
-            kept.add((x, y))
+            if kept is not None:
+                kept.add((x, y))
             covered[x:y] = b"\x01" * (y - x)
             far_end[x] = max(far_end[x], y)
             far_start[y] = min(far_start[y], x)

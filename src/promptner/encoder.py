@@ -80,7 +80,7 @@ def _attention(x, mask, params, pre, config, mode, rng):
     v = T.linear(x, params[pre + "wv"], params[pre + "bv"])
     out = T.attention(q, k, v, config.heads, mask)
     out = T.linear(out, params[pre + "wo"], params[pre + "bo"])
-    if mode == "train" and config.dropout > 0:
+    if mode == "train":
         out = T.dropout(out, config.dropout, rng)
     return out
 
@@ -88,7 +88,7 @@ def _attention(x, mask, params, pre, config, mode, rng):
 def _ffn(x, params, pre, config, mode, rng):
     hidden = T.gelu(T.linear(x, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
     out = T.linear(hidden, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-    if mode == "train" and config.dropout > 0:
+    if mode == "train":
         out = T.dropout(out, config.dropout, rng)
     return out
 
@@ -115,14 +115,12 @@ def positions(prompt, config):
 def encode(prompts, params, config, mode="eval", rng=None):
     """Run the encoder over a list of EncodedPrompts as one padded batch.
 
-    ``mode`` is "train" (dropout on, requires ``rng``) or "eval"
+    ``mode`` is "train" (dropout on, drawn from ``rng``) or "eval"
     (deterministic). Entity-marker rows are gathered at ent_positions, word
     rows at word_positions, prompt after prompt.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown mode {mode!r}")
-    if mode == "train" and config.dropout > 0 and rng is None:
-        raise ContractError("train mode with dropout needs an rng")
     if not prompts:
         raise ContractError("encode needs at least one prompt")
     length = max(len(p.token_ids) for p in prompts)

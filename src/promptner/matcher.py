@@ -68,7 +68,7 @@ def head_param_shapes(width):
 
 def _hidden(first, dropout, mode, rng):  # a head's hidden rows after its first layer
     hidden = T.relu(first)
-    if mode == "train" and dropout > 0:
+    if mode == "train":
         hidden = T.dropout(hidden, dropout, rng)
     return hidden
 

@@ -136,6 +136,6 @@ class Model:
                                         num_words=len(words), k=self.config.k)
 
     def predict(self, words, entity_types, decode_config=None):
-        from .decoder import DecodeConfig, decode
+        from .decoder import decode
         table = self.score_table(words, entity_types)
-        return decode(table, decode_config or DecodeConfig())
+        return decode(table, decode_config)

@@ -8,8 +8,8 @@ each intermediate is freed as soon as its last consumer has run.
 topological order and accumulates ``d loss / d tensor`` into every
 ``requires_grad`` tensor's ``grad`` slot.
 
-Only the operations the model needs are implemented, and broadcasting is
-restricted to scalars so every backward rule stays small and auditable. A
+Only the operations the model needs are implemented, and nothing
+broadcasts, so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
 masks the padded keys, :func:`span_endpoints` computes a span head's first
 layer from each span's two endpoint rows, and :func:`bce_with_logits` weighs
@@ -50,8 +50,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=np.float32, _parents=(), _op="leaf",
                  _backward=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -96,46 +94,19 @@ def _result(data, parents, op, backward):
     return Tensor(data, True, data.dtype, tuple(parents), op, backward)
 
 
-def _operands(a, b):
-    """Both operands as tensors (b in a's dtype), of equal shapes or one a
-    scalar: broadcasting stops there (biases go through linear)."""
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = b if isinstance(b, Tensor) else Tensor(b, dtype=a.dtype)
-    if a.shape != b.shape and a.data.ndim and b.data.ndim:
-        raise DimensionError(f"shapes {a.shape} and {b.shape} are not broadcast-compatible "
-                             "(only scalar broadcast supported)")
-    return a, b
-
-
-def _reduce_to_shape(g, shape):
-    """Sum gradient g down to `shape` (undo a scalar broadcast)."""
-    return g if g.shape == shape else g.sum()
-
-
 # -- elementwise ------------------------------------------------------------
 
 def add(a, b):
-    a, b = _operands(a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"add needs equal shapes, got {a.shape} and {b.shape}")
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(_reduce_to_shape(g, a.data.shape))
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(_reduce_to_shape(g, b.data.shape))
+            b._accumulate(g)
 
     return _result(a.data + b.data, (a, b), "add", bw)
-
-
-def mul(a, b):
-    a, b = _operands(a, b)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_reduce_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_reduce_to_shape(g * a.data, b.data.shape))
-
-    return _result(a.data * b.data, (a, b), "mul", bw)
 
 
 def relu(a):
@@ -179,11 +150,15 @@ def gelu(a):
 
 
 def dropout(a, p, rng):
-    """Recorded mask multiply; backward is exact for the sampled mask."""
+    """Recorded mask multiply; backward is exact for the sampled mask. The
+    dropout rules live here only: p == 0 returns ``a`` itself (no node, no
+    draw from ``rng``), and any other p in [0, 1) needs an ``rng``."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability {p} outside [0, 1)")
     if p == 0.0:
         return a
+    if rng is None:
+        raise ContractError(f"dropout of {p} needs an rng")
     mask = (rng.random(a.data.shape) >= p).astype(a.dtype) / np.asarray(1.0 - p, dtype=a.dtype)
     return _result(a.data * mask, (a,), "dropout", lambda g: a._accumulate(g * mask))
 
@@ -415,11 +390,6 @@ def attention(q, k, v, heads, mask=None):
 
 
 # -- reductions and losses --------------------------------------------------
-
-def sum_all(a):
-    return _result(np.asarray(a.data.sum(), dtype=a.dtype), (a,), "sum",
-                   lambda g: a._accumulate(np.full_like(a.data, 1.0) * g))
-
 
 def bce_with_logits(logits, targets, weights=None):
     """Binary cross-entropy computed stably from logits, weighted per pair.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import prompt as prompt_mod
 from . import tensor as T
-from .decoder import DecodeConfig, decode
+from .decoder import decode
 from .encoder import positions
 from .errors import ContractError
 from .evaluation import score as eval_score
@@ -320,7 +320,6 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
 
 def evaluate_dataset(model, dataset, entity_types=None, decode_config=None):
     """Predict on every example and score exact-match micro F1."""
-    decode_config = decode_config or DecodeConfig()
     preds, golds = [], []
     for example in dataset:
         types = entity_types or example.positive_types

@@ -1,10 +1,38 @@
-"""Shared pytest plumbing: the acceptance-criteria result reporter.
+"""Shared pytest plumbing: the acceptance-criteria result reporter, and the
+two tape ops the tests build scalar losses from.
 
 Acceptance tests register one line per criterion; the summary is printed at
 the end of the run so it is visible without -s.
 """
 
+import numpy as np
+
+from promptner import tensor as T
+
 _criterion_lines = []
+
+
+def mul(a, b):
+    """Elementwise a * b as a tape node: ``b`` a tensor of a's shape, or a
+    constant (an array of a's shape or a scalar) taken in a's dtype."""
+    if not isinstance(b, T.Tensor):
+        b = T.Tensor(np.broadcast_to(b, a.shape), dtype=a.dtype)
+    if a.shape != b.shape:
+        raise ValueError(f"mul of shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return T._result(a.data * b.data, (a, b), "mul", bw)
+
+
+def sum_all(a):
+    """The sum of every element of ``a`` as a scalar tape node."""
+    return T._result(np.asarray(a.data.sum(), dtype=a.dtype), (a,), "sum",
+                     lambda g: a._accumulate(np.full_like(a.data, 1.0) * g))
 
 
 def record_criterion(name, passed, detail=""):

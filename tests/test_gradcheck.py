@@ -8,6 +8,7 @@ resampling) plus one fast float64 end-to-end pass.
 import numpy as np
 import pytest
 
+from conftest import mul, sum_all
 from promptner import tensor as T
 from promptner.errors import ContractError
 from promptner.gradcheck import (KinkError, grad_check, grad_check_resampling,
@@ -22,7 +23,7 @@ def tensor(arr):
 class TestGradCheck:
     def test_correct_gradient_passes(self):
         params = {"w": tensor([[1.0, 2.0], [3.0, 4.0]])}
-        errs = grad_check(lambda p: T.sum_all(T.mul(p["w"], p["w"])), params,
+        errs = grad_check(lambda p: sum_all(mul(p["w"], p["w"])), params,
                           kink_guard=False)
         assert errs["w"] < 1e-8
 
@@ -34,7 +35,7 @@ class TestGradCheck:
             return out
 
         params = {"w": tensor([[1.0, 2.0]])}
-        errs = grad_check(lambda p: T.sum_all(bad_op(p["w"])), params, kink_guard=False)
+        errs = grad_check(lambda p: sum_all(bad_op(p["w"])), params, kink_guard=False)
         assert errs["w"] > 0.1
 
     def test_nondeterministic_f_rejected(self):
@@ -42,7 +43,7 @@ class TestGradCheck:
 
         def f(p):
             state["n"] += 1
-            return T.sum_all(T.mul(p["w"], float(state["n"])))
+            return sum_all(mul(p["w"], float(state["n"])))
 
         with pytest.raises(ContractError, match="deterministic"):
             grad_check(f, {"w": tensor([[1.0]])}, kink_guard=False)
@@ -50,20 +51,20 @@ class TestGradCheck:
     def test_kink_guard_triggers_near_zero(self):
         params = {"w": tensor([[1e-9]])}
         with pytest.raises(KinkError):
-            grad_check(lambda p: T.sum_all(T.relu(p["w"])), params, eps=1e-5)
+            grad_check(lambda p: sum_all(T.relu(p["w"])), params, eps=1e-5)
 
     def test_kink_guard_quiet_away_from_zero(self):
         params = {"w": tensor([[0.5, -0.5]])}
-        errs = grad_check(lambda p: T.sum_all(T.relu(p["w"])), params, eps=1e-5)
+        errs = grad_check(lambda p: sum_all(T.relu(p["w"])), params, eps=1e-5)
         assert errs["w"] < 1e-8
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ContractError):
-            grad_check(lambda p: T.sum_all(p["w"]), {"w": tensor([1.0])}, eps=0.0)
+            grad_check(lambda p: sum_all(p["w"]), {"w": tensor([1.0])}, eps=0.0)
 
     def test_sampled_coordinates_subset(self):
         params = {"w": tensor(np.random.default_rng(0).normal(size=(10, 10)))}
-        errs = grad_check(lambda p: T.sum_all(T.mul(p["w"], p["w"])), params,
+        errs = grad_check(lambda p: sum_all(mul(p["w"], p["w"])), params,
                           samples_per_param=5, kink_guard=False)
         assert errs["w"] < 1e-8
 
@@ -79,14 +80,14 @@ class TestResampling:
             return {"w": tensor([[val]])}
 
         errs, rejected = grad_check_resampling(
-            make_point, lambda p: T.sum_all(T.relu(p["w"])), max_resamples=5)
+            make_point, lambda p: sum_all(T.relu(p["w"])), max_resamples=5)
         assert rejected == 1
         assert errs["w"] < 1e-8
 
     def test_gives_up_eventually(self):
         make_point = lambda seed: {"w": tensor([[1e-9]])}
         with pytest.raises(RuntimeError, match="kink-free"):
-            grad_check_resampling(make_point, lambda p: T.sum_all(T.relu(p["w"])),
+            grad_check_resampling(make_point, lambda p: sum_all(T.relu(p["w"])),
                                   max_resamples=3)
 
 

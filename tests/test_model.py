@@ -37,6 +37,14 @@ class TestForward:
         _, b = forward(enc, model.params, model.config)
         assert np.array_equal(a.data, b.data)
 
+    def test_train_head_dropout_needs_rng(self):
+        # encoder dropout off, head dropout on: the heads still need an rng
+        model, types, train = tiny_model()
+        enc = build_prompt(types, train[0].words, model.vocab)
+        config = ModelConfig(encoder=EncoderConfig(dropout=0.0), head_dropout=0.4)
+        with pytest.raises(ContractError):
+            forward(enc, model.params, config, mode="train")
+
 
 class TestScoreTable:
     def test_table_matches_forward(self):

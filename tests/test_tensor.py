@@ -3,6 +3,7 @@ import pytest
 
 from scipy.special import erf
 
+from conftest import mul, sum_all
 from promptner import tensor as T
 from promptner.errors import ContractError, DimensionError
 from promptner.gradcheck import grad_check
@@ -35,8 +36,8 @@ class TestMatmul:
             T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
     def test_gradient(self):
-        check(lambda p: T.sum_all(T.mul(T.matmul(p["p0"], p["p1"]),
-                                        T.matmul(p["p0"], p["p1"]))),
+        check(lambda p: sum_all(mul(T.matmul(p["p0"], p["p1"]),
+                                    T.matmul(p["p0"], p["p1"]))),
               [(3, 4), (4, 2)])
 
 
@@ -48,8 +49,8 @@ class TestLinear:
         assert np.array_equal(T.linear(t(x), t(w)).data, x @ w)
 
     def test_gradient(self):
-        check(lambda p: T.sum_all(T.mul(T.linear(p["p0"], p["p1"], p["p2"]),
-                                        T.linear(p["p0"], p["p1"], p["p2"]))),
+        check(lambda p: sum_all(mul(T.linear(p["p0"], p["p1"], p["p2"]),
+                                    T.linear(p["p0"], p["p1"], p["p2"]))),
               [(3, 4), (4, 2), (2,)])
 
     @pytest.mark.parametrize("shapes", [((2, 3), (2, 3), (3,)), ((2, 3), (3, 4), (3,)),
@@ -63,13 +64,13 @@ class TestLinear:
 class TestGatherRows:
     def test_gradient_repeated_rows(self):
         w = np.random.default_rng(8).normal(size=(5, 3))
-        check(lambda p: T.sum_all(T.mul(T.gather_rows(p["p0"], [0, 2, 2, 3, 0]), w)), [(4, 3)])
+        check(lambda p: sum_all(mul(T.gather_rows(p["p0"], [0, 2, 2, 3, 0]), w)), [(4, 3)])
 
     def test_empty_index(self):
         a = t(np.ones((4, 3)))
         out = T.gather_rows(a, np.zeros(0, dtype=np.int64))
         assert out.shape == (0, 3)
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert np.array_equal(a.grad, np.zeros((4, 3)))
 
     def test_bad_index_rejected(self):
@@ -97,13 +98,13 @@ class TestSpanEndpoints:
                                              (9, BATCH)])
     def test_gradient(self, rows, spans):
         w = np.random.default_rng(8).normal(size=(len(spans), 5))
-        check(lambda p: T.sum_all(T.mul(T.span_endpoints(p["p0"], spans, p["p1"], p["p2"]), w)),
+        check(lambda p: sum_all(mul(T.span_endpoints(p["p0"], spans, p["p1"], p["p2"]), w)),
               [(rows, 3), (6, 5), (5,)])
 
     def test_unused_rows_get_zero_gradient(self):
         h = t(np.random.default_rng(4).normal(size=(9, 3)))
         w1 = t(np.random.default_rng(5).normal(size=(6, 5)))
-        T.backward(T.sum_all(T.span_endpoints(h, self.BATCH, w1, t(np.zeros(5)))))
+        T.backward(sum_all(T.span_endpoints(h, self.BATCH, w1, t(np.zeros(5)))))
         assert np.array_equal(h.grad[4:6], np.zeros((2, 3)))
         assert np.abs(h.grad[[0, 1, 2, 3, 6, 7, 8]]).min() > 0
 
@@ -135,7 +136,7 @@ class TestSpanScores:
 
     def test_gradient_one_prompt(self):
         w = np.random.default_rng(15).normal(size=(6, 3))
-        check(lambda p: T.sum_all(T.mul(T.span_scores(p["p0"], p["p1"], p["p2"], p["p3"]), w)),
+        check(lambda p: sum_all(mul(T.span_scores(p["p0"], p["p1"], p["p2"], p["p3"]), w)),
               [(6, 4), (4, 5), (5,), (3, 5)])
 
     def test_gradient_batch_of_blocks(self):
@@ -151,7 +152,7 @@ class TestSpanScores:
 
         def f(p):
             hidden = T.relu(T.span_endpoints(p["p0"], self.BATCH, p["p1"], p["p2"]))
-            return T.sum_all(T.mul(T.span_scores(hidden, p["p3"], p["p4"], p["p5"]), w))
+            return sum_all(mul(T.span_scores(hidden, p["p3"], p["p4"], p["p5"]), w))
 
         check(f, [(11, 3), (6, 4), (4,), (4, 5), (5,), (sum(self.TYPES), 5)])
 
@@ -165,28 +166,16 @@ class TestSpanScores:
 
 class TestElementwise:
     def test_gelu_gradient(self):
-        check(lambda p: T.sum_all(T.mul(T.gelu(p["p0"]), p["p0"])), [(4, 5)], tol=1e-5)
+        check(lambda p: sum_all(mul(T.gelu(p["p0"]), p["p0"])), [(4, 5)], tol=1e-5)
 
     def test_incompatible_shapes(self):
         with pytest.raises(DimensionError):
             T.add(t(np.ones((2, 3))), t(np.ones((3, 2))))
 
     def test_row_broadcast_rejected(self):
-        # a bias row goes through linear; add and mul broadcast scalars only
+        # a bias row goes through linear; add broadcasts nothing
         with pytest.raises(DimensionError):
             T.add(t(np.ones((4, 3))), t(np.zeros(3)))
-
-    def test_python_scalar_takes_the_tensor_dtype(self):
-        # 0.1 is not rounded to float32 on its way into a float64 product
-        x = np.array([1.0, 3.0])
-        assert np.array_equal(T.mul(t(x), 0.1).data, x * 0.1)
-        assert np.array_equal(T.add(t(x), 0.1).data, x + 0.1)
-
-    def test_scalar_broadcast_backward(self):
-        x = t(np.ones((4, 3)))
-        c = t(2.0)
-        T.backward(T.sum_all(T.mul(x, c)))
-        assert np.allclose(x.grad, 2.0) and np.allclose(c.grad, 12.0)
 
     def test_no_input_mutation(self):
         # forward and backward, with and without a padded key, in both dtypes
@@ -204,7 +193,7 @@ class TestElementwise:
                     T.span_endpoints(x, spans, w1, b1), T.span_scores(x, w2, b2, w1)]
             loss = outs[0]
             for out in outs:
-                loss = T.add(T.sum_all(T.mul(out, out)), T.sum_all(loss))
+                loss = T.add(sum_all(mul(out, out)), sum_all(loss))
             T.backward(loss)
             after = [a.data for a in inputs] + [spans]
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -239,8 +228,8 @@ class TestLayerNorm:
         assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-5)
 
     def test_gradient(self):
-        check(lambda p: T.sum_all(T.mul(T.layer_norm(p["p0"], p["p1"], p["p2"]),
-                                        T.layer_norm(p["p0"], p["p1"], p["p2"]))),
+        check(lambda p: sum_all(mul(T.layer_norm(p["p0"], p["p1"], p["p2"]),
+                                    T.layer_norm(p["p0"], p["p1"], p["p2"]))),
               [(3, 6), (6,), (6,)], tol=1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -282,7 +271,7 @@ class TestAttention:
     def test_gradient(self):
         # a weighted sum so every output element gets a different upstream grad
         w = np.random.default_rng(5).normal(size=(5, 8))
-        check(lambda p: T.sum_all(T.mul(T.attention(p["p0"], p["p1"], p["p2"], 2), w)),
+        check(lambda p: sum_all(mul(T.attention(p["p0"], p["p1"], p["p2"], 2), w)),
               [(5, 8), (5, 8), (5, 8)])
 
     def test_matches_per_head_reference(self):
@@ -341,7 +330,7 @@ class TestAttention:
         q, k, v = (T.Tensor(rng.normal(size=(10, 8)), requires_grad=True, dtype=dtype)
                    for _ in range(3))
         w = T.Tensor(rng.normal(size=(10, 8)), dtype=dtype)
-        loss = T.sum_all(T.mul(T.attention(q, k, v, 2, mask), w))
+        loss = sum_all(mul(T.attention(q, k, v, 2, mask), w))
         T.backward(loss)
         first = [x.grad.copy() for x in (q, k, v)]
         T.backward(loss)
@@ -367,14 +356,14 @@ class TestAttention:
         q, k, v = (t(rng.normal(size=(3, 8)), dtype=np.float32) for _ in range(3))
         out = T.attention(q, k, v, 4)
         assert out.dtype == np.float32
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert {q.grad.dtype, k.grad.dtype, v.grad.dtype} == {np.dtype(np.float32)}
 
     def test_gradient_padded_batch(self):
         # two prompts of 5 and 3 rows, the second padded to 5
         mask = np.arange(5) < np.array([[5], [3]])
         w = np.random.default_rng(6).normal(size=(10, 8))
-        check(lambda p: T.sum_all(T.mul(T.attention(p["p0"], p["p1"], p["p2"], 2, mask), w)),
+        check(lambda p: sum_all(mul(T.attention(p["p0"], p["p1"], p["p2"], 2, mask), w)),
               [(10, 8), (10, 8), (10, 8)])
 
     def test_padded_keys_change_nothing(self):
@@ -391,7 +380,7 @@ class TestAttention:
             alone = T.attention(t(q[rows]), t(k[rows]), t(v[rows]), 2).data
             assert np.abs(out.data[rows] - alone).max() < 1e-6
         real = mask.reshape(-1)
-        T.backward(T.sum_all(T.gather_rows(out, np.flatnonzero(real))))
+        T.backward(sum_all(T.gather_rows(out, np.flatnonzero(real))))
         for x in (qt, kt, vt):
             assert np.abs(x.grad[real]).max() > 0
             assert np.array_equal(x.grad[~real], np.zeros((3, width)))
@@ -418,20 +407,20 @@ class TestAttention:
 class TestBackward:
     def test_sum_gives_ones(self):
         w = t(np.arange(6.0).reshape(2, 3))
-        T.backward(T.sum_all(w))
+        T.backward(sum_all(w))
         assert np.allclose(w.grad, 1.0)
 
     def test_quadratic(self):
         w = t([[1.0, -2.0, 3.0]])
-        T.backward(T.sum_all(T.mul(w, w)))
+        T.backward(sum_all(mul(w, w)))
         assert np.allclose(w.grad, 2 * w.data)
 
     def test_double_backward_doubles(self):
         w = t([[1.0, 2.0]])
-        loss = T.sum_all(T.mul(w, w))
+        loss = sum_all(mul(w, w))
         T.backward(loss)
         first = w.grad.copy()
-        loss2 = T.sum_all(T.mul(w, w))
+        loss2 = sum_all(mul(w, w))
         T.backward(loss2)
         assert np.allclose(w.grad, 2 * first)
 
@@ -442,16 +431,16 @@ class TestBackward:
     def test_add_parents_get_unaliased_grads(self):
         # add hands one upstream array to both parents; each stores its own copy
         a, b = t([[1.0, 2.0]]), t([[3.0, 4.0]])
-        T.backward(T.sum_all(T.add(a, b)))
+        T.backward(sum_all(T.add(a, b)))
         assert not np.shares_memory(a.grad, b.grad)
         a.grad += 1.0
         assert np.array_equal(b.grad, [[1.0, 1.0]])
 
     def test_interior_grads_released_leaf_grads_kept(self):
         w, c = t([[1.0, -2.0]]), t([[3.0, 0.5]], rg=False)
-        sq = T.mul(w, w)
-        mid = T.add(sq, T.mul(w, c))
-        loss = T.sum_all(mid)
+        sq = mul(w, w)
+        mid = T.add(sq, mul(w, c))
+        loss = sum_all(mid)
         T.backward(loss)
         assert sq.grad is None and mid.grad is None and loss.grad is None
         assert c.grad is None
@@ -459,7 +448,7 @@ class TestBackward:
 
     def test_graph_nodes_put_parents_first(self):
         w, c = t([[1.0, -2.0]]), t([[3.0, 0.5]], rg=False)
-        loss = T.sum_all(T.add(T.mul(w, w), T.mul(w, c)))
+        loss = sum_all(T.add(mul(w, w), mul(w, c)))
         nodes = T.graph_nodes(loss)
         pos = {id(n): i for i, n in enumerate(nodes)}
         assert len(pos) == len(nodes) == 6 and nodes[-1] is loss
@@ -468,12 +457,18 @@ class TestBackward:
     def test_shared_input_accumulates(self):
         w = t([[2.0]])
         # w used twice: loss = w*w + w  -> grad 2w + 1
-        loss = T.sum_all(T.add(T.mul(w, w), w))
+        loss = sum_all(T.add(mul(w, w), w))
         T.backward(loss)
         assert np.allclose(w.grad, [[5.0]])
 
 
 class TestDropout:
+    def test_rng_needed_unless_p_is_zero(self):
+        x = t(np.ones((2, 2)))
+        assert T.dropout(x, 0.0, None) is x
+        with pytest.raises(ContractError):
+            T.dropout(x, 0.1, None)
+
     def test_deterministic_given_seed(self):
         x = t(np.ones((4, 4)))
         a = T.dropout(x, 0.5, np.random.default_rng(7)).data
@@ -483,7 +478,7 @@ class TestDropout:
     def test_backward_matches_mask(self):
         x = t(np.ones((10, 10)))
         out = T.dropout(x, 0.3, np.random.default_rng(3))
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert np.array_equal(x.grad, out.data)  # mask * 1, inputs all ones
 
 
