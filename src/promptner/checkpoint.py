@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from . import tensor as T
-from .data import _finite, _jsonl_records, _mentions, _type_name
+from .data import _finite, _mentions, _type_name, read_jsonl, write_jsonl
 from .errors import DataError
 from .matcher import ScoreTable, enumerate_spans, span_count
 from .model import Model, ModelConfig, param_shapes
@@ -123,30 +123,19 @@ def _param_mismatch(shapes, listed, config, vocab_size):
 
 
 def save_score_tables(tables, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tables:
-            rec = {
-                "num_words": t.num_words,
-                "k": t.k,
-                "types": list(t.types),
-                "spans": t.spans.tolist(),
-                "probs": np.asarray(t.probs).reshape(-1).tolist(),
-            }
-            if t.logits is not None:
-                rec["logits"] = np.asarray(t.logits).reshape(-1).tolist()
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, (_score_record(t) for t in tables))
+
+
+def _score_record(t):
+    rec = {"num_words": t.num_words, "k": t.k, "types": list(t.types),
+           "spans": t.spans.tolist(), "probs": np.ravel(t.probs).tolist()}
+    if t.logits is not None:
+        rec["logits"] = np.ravel(t.logits).tolist()
+    return rec
 
 
 def load_score_tables(path):
-    tables = []
-    for lineno, rec in _jsonl_records(path):
-        try:
-            tables.append(_score_table(rec))
-        except KeyError as exc:
-            raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:  # DataError is a ValueError
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return tables
+    return read_jsonl(path, _score_table)
 
 
 def _score_table(rec):
@@ -173,8 +162,9 @@ def _score_table(rec):
     if probs.size != len(spans) * len(types):
         raise DataError(f"probs length {probs.size} != "
                         f"{len(spans)} spans x {len(types)} types")
-    if probs.size and not ((probs > 0) & (probs < 1)).all():
-        raise DataError("probabilities must lie in (0, 1)")
+    # a float32 sigmoid saturates to exactly 0 or 1
+    if probs.size and not ((probs >= 0) & (probs <= 1)).all():
+        raise DataError("probabilities must lie in [0, 1]")
     probs = probs.reshape(len(spans), len(types))
     logits = rec.get("logits")
     if logits is not None:
@@ -186,20 +176,12 @@ def _score_table(rec):
 
 def save_mentions(mention_lists, path, words_lists=None):
     """Prediction records, dataset-compatible: [start, end, type, score]."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, mentions in enumerate(mention_lists):
-            rec = {"ner": [[m.start, m.end, m.type, m.score] for m in mentions]}
-            if words_lists is not None:
-                rec["tokenized_text"] = list(words_lists[i])
-            fh.write(json.dumps(rec) + "\n")
+    records = ({"ner": [[m.start, m.end, m.type, m.score] for m in ms]} for ms in mention_lists)
+    if words_lists is not None:
+        records = ({**r, "tokenized_text": list(words_lists[i])} for i, r in enumerate(records))
+    write_jsonl(path, records)
 
 
 def load_mentions(path):
     """Mention lists from a prediction or dataset file (scores optional)."""
-    out = []
-    for lineno, rec in _jsonl_records(path):
-        try:
-            out.append(_mentions(rec))
-        except (TypeError, ValueError) as exc:  # DataError is a ValueError
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return read_jsonl(path, _mentions)

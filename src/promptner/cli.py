@@ -76,9 +76,7 @@ def cmd_train(args):
     trace = fit(train, model, tcfg, dev=dev, dev_types=all_types,
                 log=lambda rec: print(json.dumps(rec)))
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for rec in trace:
-                fh.write(json.dumps(rec) + "\n")
+        data_mod.write_jsonl(args.trace, trace)
 
     ckpt.save_checkpoint(args.out, model, seeds=[tcfg.seed])
     if dev:
@@ -123,12 +121,10 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     pred = ckpt.load_mentions(args.pred)
     gold = ckpt.load_mentions(args.gold)
-    report = eval_score(pred, gold)
-    line = json.dumps(report.to_dict())
-    print(line)
+    report = eval_score(pred, gold).to_dict()
+    print(json.dumps(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        data_mod.write_jsonl(args.out, [report])
     return 0
 
 

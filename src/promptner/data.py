@@ -67,15 +67,31 @@ class SynthSpec:
     max_span_width: int = 12
 
 
-def _jsonl_records(path):
-    """(line number, parsed JSON) for every non-blank line of a JSONL file."""
+def read_jsonl(path, parse):
+    """``parse`` of each non-blank line's JSON value, in order. A bad line is a DataError
+    at ``path:line``: invalid JSON, or a KeyError, TypeError or ValueError from ``parse``."""
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    yield lineno, json.loads(line)
+                    rec = json.loads(line)
                 except ValueError as exc:  # JSONDecodeError, or an int too long to convert
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                try:
+                    records.append(parse(rec))
+                except KeyError as exc:
+                    raise DataError(f"{path}:{lineno}: missing key {exc}") from exc
+                except (TypeError, ValueError) as exc:  # DataError, ContractError too
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def write_jsonl(path, records):
+    """Write each JSON-serialisable record as one line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
 
 
 def _finite(x, what):
@@ -111,27 +127,24 @@ def _mentions(rec):
     return mentions
 
 
+def _example(rec):
+    """One parsed dataset record as a TrainingExample."""
+    gold = _mentions(rec)
+    words = rec.get("tokenized_text")
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        raise DataError("tokenized_text must be a list of strings")
+    return TrainingExample(words=words, gold=gold)
+
+
 def load_dataset(path):
     """Parse and validate a dataset file into TrainingExamples."""
-    examples = []
-    for lineno, rec in _jsonl_records(path):
-        try:
-            gold = _mentions(rec)
-            words = rec.get("tokenized_text")
-            if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
-                raise DataError("tokenized_text must be a list of strings")
-            examples.append(TrainingExample(words=words, gold=gold))
-        except (TypeError, ValueError) as exc:  # DataError and ContractError are ValueErrors
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return examples
+    return read_jsonl(path, _example)
 
 
 def save_dataset(examples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            rec = {"tokenized_text": list(ex.words),
-                   "ner": [[m.start, m.end, m.type] for m in ex.gold]}
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, ({"tokenized_text": list(ex.words),
+                        "ner": [[m.start, m.end, m.type] for m in ex.gold]}
+                       for ex in examples))
 
 
 def _fill_template(template, slot_types, lexicons, rng):

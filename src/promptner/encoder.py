@@ -74,23 +74,19 @@ def init_from_shapes(shapes, rng, dtype=np.float32, init_scale=0.02):
             for name, shape in shapes.items()}
 
 
-def _attention(x, mask, params, pre, config, mode, rng):
+def _attention(x, mask, params, pre, config, dropout, rng):
     q = T.linear(x, params[pre + "wq"], params[pre + "bq"])
     k = T.linear(x, params[pre + "wk"])
     v = T.linear(x, params[pre + "wv"], params[pre + "bv"])
     out = T.attention(q, k, v, config.heads, mask)
     out = T.linear(out, params[pre + "wo"], params[pre + "bo"])
-    if mode == "train":
-        out = T.dropout(out, config.dropout, rng)
-    return out
+    return T.dropout(out, dropout, rng)
 
 
-def _ffn(x, params, pre, config, mode, rng):
+def _ffn(x, params, pre, dropout, rng):
     hidden = T.gelu(T.linear(x, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
     out = T.linear(hidden, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-    if mode == "train":
-        out = T.dropout(out, config.dropout, rng)
-    return out
+    return T.dropout(out, dropout, rng)
 
 
 def positions(prompt, config):
@@ -121,6 +117,7 @@ def encode(prompts, params, config, mode="eval", rng=None):
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown mode {mode!r}")
+    dropout = config.dropout if mode == "train" else 0.0
     if not prompts:
         raise ContractError("encode needs at least one prompt")
     length = max(len(p.token_ids) for p in prompts)
@@ -141,9 +138,9 @@ def encode(prompts, params, config, mode="eval", rng=None):
     for i in range(config.depth):
         pre = f"encoder.layer{i}."
         a = T.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        x = T.add(x, _attention(a, real, params, pre, config, mode, rng))
+        x = T.add(x, _attention(a, real, params, pre, config, dropout, rng))
         b = T.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        x = T.add(x, _ffn(b, params, pre, config, mode, rng))
+        x = T.add(x, _ffn(b, params, pre, dropout, rng))
     x = T.layer_norm(x, params["encoder.final_ln.g"], params["encoder.final_ln.b"])
 
     return EncoderOutput(p=T.gather_rows(x, np.concatenate(ent)),

@@ -33,25 +33,19 @@ class TypeCounts:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
 
+    def to_dict(self):
+        return {"tp": self.tp, "fp": self.fp, "fn": self.fn,
+                "precision": self.precision, "recall": self.recall, "f1": self.f1}
+
 
 @dataclass
-class EvalReport:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    precision: float = 0.0
-    recall: float = 0.0
-    f1: float = 0.0
+class EvalReport(TypeCounts):
+    """Micro counts and scores over all types, and the counts of each type."""
     per_type: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "per_type": {t: {"tp": c.tp, "fp": c.fp, "fn": c.fn,
-                             "precision": c.precision, "recall": c.recall, "f1": c.f1}
-                         for t, c in sorted(self.per_type.items())},
-        }
+        return {**super().to_dict(),
+                "per_type": {t: c.to_dict() for t, c in sorted(self.per_type.items())}}
 
 
 def _triples(mentions):
@@ -75,9 +69,6 @@ def score(pred, gold):
         for triple in g - p:
             per_type.setdefault(triple[2], TypeCounts()).fn += 1
 
-    micro = TypeCounts(tp=sum(c.tp for c in per_type.values()),
-                       fp=sum(c.fp for c in per_type.values()),
-                       fn=sum(c.fn for c in per_type.values()))
-    return EvalReport(tp=micro.tp, fp=micro.fp, fn=micro.fn,
-                      precision=micro.precision, recall=micro.recall, f1=micro.f1,
-                      per_type=per_type)
+    return EvalReport(tp=sum(c.tp for c in per_type.values()),
+                      fp=sum(c.fp for c in per_type.values()),
+                      fn=sum(c.fn for c in per_type.values()), per_type=per_type)

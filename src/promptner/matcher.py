@@ -10,6 +10,7 @@ its second layer to the type side, (r w2 + b2) q^T = r (w2 q^T) + q b2 for
 the hidden rows r. All spans are computed in one batched call, and so are
 the spans of every prompt of a batch (word rows shifted by each prompt's
 word offset), which one product then scores against every type of the batch.
+Each head's hidden rows take dropout at a given rate, 0 outside training.
 """
 
 from __future__ import annotations
@@ -66,26 +67,18 @@ def head_param_shapes(width):
             "head.span.w2": (d, d), "head.span.b2": (d,)}
 
 
-def _hidden(first, dropout, mode, rng):  # a head's hidden rows after its first layer
-    hidden = T.relu(first)
-    if mode == "train":
-        hidden = T.dropout(hidden, dropout, rng)
-    return hidden
-
-
-def entity_embed(p, params, dropout=0.0, mode="eval", rng=None):
+def entity_embed(p, params, dropout=0.0, rng=None):
     """Refine entity-marker rows p (M x D) into type embeddings q (M x D)."""
-    hidden = _hidden(T.linear(p, params["head.ent.w1"], params["head.ent.b1"]),
-                     dropout, mode, rng)
-    return T.linear(hidden, params["head.ent.w2"], params["head.ent.b2"])
+    hidden = T.relu(T.linear(p, params["head.ent.w1"], params["head.ent.b1"]))
+    return T.linear(T.dropout(hidden, dropout, rng), params["head.ent.w2"], params["head.ent.b2"])
 
 
-def span_embed(h, spans, params, dropout=0.0, mode="eval", rng=None):
+def span_embed(h, spans, params, dropout=0.0, rng=None):
     """The span head's hidden rows r = relu([h_start ; h_end] w1 + b1), one
     per (start, end) row of ``spans``; its second layer is applied by
     ``match_scores``, so no span embedding is built."""
     first = T.span_endpoints(h, spans, params["head.span.w1"], params["head.span.b1"])
-    return _hidden(first, dropout, mode, rng)
+    return T.dropout(T.relu(first), dropout, rng)
 
 
 def match_scores(span_hidden, q, params):

@@ -50,6 +50,11 @@ class ModelConfig:
     head_dropout: float = 0.4  # heads are the non-pretrained-equivalent layers
     max_types: int = 25        # per-prompt cap during training
 
+    def __post_init__(self):
+        if self.k < 1 or self.max_types < 1 or not 0.0 <= self.head_dropout < 1.0:
+            raise ConfigError(f"need k >= 1, max_types >= 1 and head_dropout in [0, 1), got "
+                              f"{self.k}, {self.max_types} and {self.head_dropout}")
+
     def to_dict(self):
         return asdict(self)
 
@@ -95,9 +100,10 @@ def forward_batch(prompts, params, config, mode="eval", rng=None):
     out = encode(prompts, params, config.encoder, mode=mode, rng=rng)
     spans = [matcher.enumerate_spans(len(p.words), config.k) for p in prompts]
     words = accumulate((len(p.words) for p in prompts), initial=0)
-    q = matcher.entity_embed(out.p, params, dropout=config.head_dropout, mode=mode, rng=rng)
+    dropout = config.head_dropout if mode == "train" else 0.0  # encode has checked mode
+    q = matcher.entity_embed(out.p, params, dropout=dropout, rng=rng)
     r = matcher.span_embed(out.h, np.concatenate([sp + w for sp, w in zip(spans, words)]),
-                           params, dropout=config.head_dropout, mode=mode, rng=rng)
+                           params, dropout=dropout, rng=rng)
     return spans, matcher.match_scores(r, q, params)
 
 

@@ -2,7 +2,8 @@
 
 The sequence layout is ``([ENT] type_subwords) x M, [SEP], sentence_subwords``.
 Each entity type is represented downstream by its own [ENT] marker position;
-each word by the position of its first subword.
+each word by the position of its first subword. Type and sentence words are
+segmented alike, by ``tokenizer.subword_ids``; no type section is cached.
 """
 
 from __future__ import annotations
@@ -41,28 +42,6 @@ def build_prompt(entity_types, words, vocab, max_types=25, max_positions=512):
     if len(entity_types) > max_types:
         raise ContractError(f"{len(entity_types)} entity types exceeds max_types={max_types}")
 
-    section, ent_positions = _type_section(tuple(entity_types), vocab)
-    token_ids = list(section)
-    word_positions = []
-    for word in words:
-        word_positions.append(len(token_ids))
-        token_ids.extend(tokenizer.subword_ids(word, vocab))
-
-    if len(token_ids) > max_positions:
-        raise SizingError(f"prompt length {len(token_ids)} exceeds max_positions={max_positions}")
-
-    return EncodedPrompt(token_ids=token_ids, ent_positions=list(ent_positions),
-                         word_positions=word_positions,
-                         entity_types=list(entity_types), words=list(words))
-
-
-def _type_section(entity_types, vocab):
-    """Token ids of ``([ENT] type_subwords) x M, [SEP]`` and the [ENT]
-    positions, as tuples. Each type tuple is built once per vocab, in a cache
-    emptied when it reaches 2**10 tuples (training draws many)."""
-    cache = vocab.__dict__.setdefault("_type_sections", {})
-    if entity_types in cache:
-        return cache[entity_types]
     token_ids = []
     ent_positions = []
     for etype in entity_types:
@@ -71,10 +50,17 @@ def _type_section(entity_types, vocab):
         for type_word in etype.split():
             token_ids.extend(tokenizer.subword_ids(type_word, vocab))
     token_ids.append(vocab.sep_id)
-    if len(cache) >= 2**10:
-        cache.clear()
-    cache[entity_types] = section = (tuple(token_ids), tuple(ent_positions))
-    return section
+    word_positions = []
+    for word in words:
+        word_positions.append(len(token_ids))
+        token_ids.extend(tokenizer.subword_ids(word, vocab))
+
+    if len(token_ids) > max_positions:
+        raise SizingError(f"prompt length {len(token_ids)} exceeds max_positions={max_positions}")
+
+    return EncodedPrompt(token_ids=token_ids, ent_positions=ent_positions,
+                         word_positions=word_positions,
+                         entity_types=list(entity_types), words=list(words))
 
 
 def chunk_types(entity_types, max_types):

@@ -20,7 +20,7 @@ from . import prompt as prompt_mod
 from . import tensor as T
 from .decoder import decode
 from .encoder import positions
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .evaluation import score as eval_score
 from .model import forward_batch
 
@@ -217,6 +217,9 @@ class TrainConfig:
             raise ContractError(f"unknown type_policy {self.type_policy!r}")
         if self.reduction not in ("sum", "mean"):
             raise ContractError(f"unknown reduction {self.reduction!r}")
+        if self.batch_size < 1 or not 0.0 <= self.warmup_frac <= 1.0:
+            raise ConfigError(f"need batch_size >= 1 and warmup_frac in [0, 1], got "
+                              f"{self.batch_size} and {self.warmup_frac}")
 
 
 def batch_loss(model, examples, prompts, rng, reduction="sum"):

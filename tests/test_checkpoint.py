@@ -8,7 +8,7 @@ from promptner.checkpoint import (load_checkpoint, load_mentions,
                                   load_score_tables, save_checkpoint,
                                   save_mentions, save_score_tables)
 from promptner.data import synth_dataset, vocab_corpus
-from promptner.decoder import EntityMention
+from promptner.decoder import EntityMention, decode
 from promptner.errors import DataError
 from promptner.matcher import enumerate_spans, make_score_table
 from promptner.model import Model, ModelConfig
@@ -212,6 +212,19 @@ class TestScoreTables:
         assert loaded[0].types == ["a", "b"]
         assert np.allclose(loaded[0].probs, tables[0].probs)
         assert np.allclose(loaded[0].logits, tables[0].logits)
+
+    def test_saturated_probabilities_roundtrip(self, tmp_path):
+        # float32 sigmoids of large logits are exactly 0 and 1; the file of
+        # such a table must load and decode as the table itself does
+        spans = enumerate_spans(5, 3)
+        logits = np.where(np.arange(len(spans) * 2).reshape(-1, 2) % 3 == 0, 100.0, -100.0)
+        table = make_score_table(spans, ["a", "b"], logits.astype(np.float32), num_words=5, k=3)
+        assert table.probs.min() == 0.0 and table.probs.max() == 1.0
+        path = tmp_path / "scores.jsonl"
+        save_score_tables([table], path)
+        (loaded,) = load_score_tables(path)
+        assert decode(table)
+        assert decode(loaded) == decode(table)
 
     def test_wrong_enumeration_rejected(self, tmp_path):
         path = tmp_path / "scores.jsonl"

@@ -166,6 +166,30 @@ class TestEvaluate:
         assert json.loads(out.read_text())["f1"] == 1.0
 
 
+    def test_stdout_bytes(self, tmp_path, capsys):
+        # the report's exact bytes, recorded before EvalReport reused TypeCounts
+        gold, pred, out = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl", tmp_path / "r.json"
+        gold.write_text(
+            '{"tokenized_text": ["alain", "farley", "works"], "ner": [[0, 1, "person"]]}\n\n'
+            '{"tokenized_text": ["paris", "in", "july", "with", "ada"], '
+            '"ner": [[0, 0, "location"], [2, 2, "date"], [4, 4, "person"]]}\n')
+        pred.write_text('{"ner": [[0, 1, "person", 0.9], [4, 4, "location", 0.6]]}\n'
+                        '{"ner": [[0, 0, "Location", 0.7], [1, 2, "date", 0.55], '
+                        '[4, 4, "person", 0.8]]}\n')
+        assert main(["evaluate", "--pred", str(pred), "--gold", str(gold),
+                     "--out", str(out)]) == 0
+        expected = (
+            '{"tp": 3, "fp": 2, "fn": 1, "precision": 0.6, "recall": 0.75, '
+            '"f1": 0.6666666666666665, "per_type": {'
+            '"date": {"tp": 0, "fp": 1, "fn": 1, "precision": 0.0, "recall": 0.0, "f1": 0.0}, '
+            '"location": {"tp": 1, "fp": 1, "fn": 0, "precision": 0.5, "recall": 1.0, '
+            '"f1": 0.6666666666666666}, '
+            '"person": {"tp": 2, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, '
+            '"f1": 1.0}}}\n')
+        assert capsys.readouterr().out == expected
+        assert out.read_text() == expected
+
+
 class TestDecodeScores:
     def test_decodes_exported_tables(self, tmp_path, capsys):
         spans = enumerate_spans(3, 2)

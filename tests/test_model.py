@@ -4,7 +4,7 @@ import pytest
 from promptner import tensor as T
 from promptner.data import SynthSpec, synth_dataset, vocab_corpus
 from promptner.encoder import EncoderConfig
-from promptner.errors import ContractError
+from promptner.errors import ConfigError, ContractError
 from promptner.matcher import span_count
 from promptner.model import (Model, ModelConfig, forward, forward_batch, init_params,
                              param_shapes)
@@ -132,6 +132,15 @@ class TestParams:
     def test_config_dict_roundtrip(self):
         config = ModelConfig(k=7, max_types=13)
         assert ModelConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("values", [{"head_dropout": 1.5}, {"head_dropout": 1.0},
+                                        {"head_dropout": -0.2}, {"k": 0}, {"max_types": 0}])
+    def test_out_of_range_config_rejected(self, values):
+        with pytest.raises(ConfigError):
+            ModelConfig(**values)
+        # the checkpoint and config-file path
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict({**ModelConfig().to_dict(), **values})
 
 
 class TestBatch:

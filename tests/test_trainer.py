@@ -5,9 +5,9 @@ import pytest
 
 from promptner import tensor as T
 from promptner.decoder import EntityMention
-from promptner.errors import ContractError
+from promptner.errors import ConfigError, ContractError
 from promptner.matcher import enumerate_spans
-from promptner.trainer import (OptimState, TrainingExample, adamw_step,
+from promptner.trainer import (OptimState, TrainConfig, TrainingExample, adamw_step,
                                build_labels, drop_types, lr_at,
                                sample_negative_types, shuffle_and_drop)
 
@@ -267,6 +267,18 @@ class TestAdamW:
         adamw_step(params, state)
         assert params["encoder.w"].data[0] == 1.0
         assert params["head.w"].data[0] < 1.0
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("values", [{"batch_size": 0}, {"warmup_frac": 2.0},
+                                        {"warmup_frac": -0.1}])
+    def test_out_of_range_config_rejected(self, values):
+        with pytest.raises(ConfigError):
+            TrainConfig(**values)
+
+    def test_bounds_accepted(self):
+        TrainConfig(batch_size=1, warmup_frac=0.0)
+        TrainConfig(warmup_frac=1.0)
 
 
 class TestFit:
