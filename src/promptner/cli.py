@@ -54,11 +54,16 @@ def _train_setup(args):
             values[key] = getattr(args, key)
     vocab_size = typed(source, "vocab_size", values.pop("vocab_size", 2000), "int")
     init_scale = typed(source, "init_scale", values.pop("init_scale", 0.02), "float")
-    enc = EncoderConfig(**pop_fields(EncoderConfig, values, source, dropout="encoder_dropout"))
-    mcfg = ModelConfig(encoder=enc, **pop_fields(ModelConfig, values, source, encoder=None))
-    tcfg = TrainConfig(**pop_fields(TrainConfig, values, source))
+    enc = pop_fields(EncoderConfig, values, source, dropout="encoder_dropout")
+    model = pop_fields(ModelConfig, values, source, encoder=None)
+    train = pop_fields(TrainConfig, values, source)
     if values:
         raise ConfigError(f"{source}: unknown key(s) {', '.join(sorted(values))}")
+    try:  # the dataclasses' range checks
+        mcfg = ModelConfig(encoder=EncoderConfig(**enc), **model)
+        tcfg = TrainConfig(**train)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return mcfg, tcfg, vocab_size, init_scale
 
 

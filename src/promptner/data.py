@@ -69,14 +69,15 @@ class SynthSpec:
 
 def read_jsonl(path, parse):
     """``parse`` of each non-blank line's JSON value, in order. A bad line is a DataError
-    at ``path:line``: invalid JSON, or a KeyError, TypeError or ValueError from ``parse``."""
+    at ``path:line``: invalid JSON or not UTF-8, or a KeyError, TypeError or ValueError
+    from ``parse``. Lines end at newline bytes (not at a lone carriage return)."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte has a line
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                try:
-                    rec = json.loads(line)
-                except ValueError as exc:  # JSONDecodeError, or an int too long to convert
+                try:  # UnicodeDecodeError, JSONDecodeError, or an int too long to convert
+                    rec = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 try:
                     records.append(parse(rec))

@@ -1,7 +1,8 @@
 """Greedy span selection over a score table.
 
 Candidates with probability strictly above the threshold are sorted once
-and visited best-first (ties: start, end, then type name). Flat mode
+and visited best-first (ties: start, end, then type name); while a table's
+probs are unread, only the few logits above a cut take the sigmoid. Flat mode
 accepts a span only if it is token-disjoint from everything accepted so far;
 nested mode additionally allows proper containment (at least one differing
 endpoint) but never partial overlap, and never two types on the identical
@@ -22,9 +23,11 @@ the O(n log n) sort of the n candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ContractError
 
@@ -62,20 +65,33 @@ class DecodeStats:
 def decode(table, config=None, stats=None):
     """Greedy flat/nested selection; returns accepted EntityMentions.
 
-    ``table`` needs .spans (the (S, 2) array of ``enumerate_spans``), .types
-    and .probs (S x |types|). Output order follows acceptance order (best
-    score first). ``stats``, when given, gets the number of pairs above the
-    threshold (``candidates``) and adds the number of pairs visited to
-    ``pops`` (one per span without multi-label, so pops <= candidates).
+    ``table`` needs .spans (the (S, 2) array of ``enumerate_spans``), .types and
+    .probs (S x |types|), or .logits while a ScoreTable's probs are unread. Output
+    order is acceptance order (best score first). ``stats``, when given, gets the
+    number of pairs above the threshold (``candidates``) and adds the number of
+    pairs visited to ``pops`` (one per span without multi-label, so pops <= candidates).
     """
     config = config or DecodeConfig()
-    # float64, so the threshold is compared at full precision for any dtype
-    probs = np.asarray(table.probs, dtype=np.float64)
-    rows, cols = np.nonzero(probs > config.threshold)
-    p = probs[rows, cols]
+    t = config.threshold
+    if "probs" in vars(table):  # given or read: float64, so t is compared at full precision
+        scores = np.asarray(table.probs, dtype=np.float64)
+        idx = np.flatnonzero(scores > t)
+        p = scores.ravel()[idx]
+    else:
+        # the sigmoid rounded in the logits' dtype is monotone: no logit at or
+        # below a cut c with sigmoid(c) <= t is a candidate (float32's is 1 from
+        # ~16.6, below log(t / (1 - t)) for t within 2^-24 of 1: c steps down)
+        scores = table.logits
+        cut = np.asarray(math.log(t / (1.0 - t)) - 1e-3, dtype=scores.dtype)
+        while float(expit(cut)) > t:
+            cut = cut - 1
+        idx = np.flatnonzero(scores > cut)
+        p = expit(scores.ravel()[idx]).astype(np.float64)
+        idx, p = idx[p > t], p[p > t]
+    rows, cols = np.divmod(idx, scores.shape[1])
     starts, ends = table.spans[rows, 0], table.spans[rows, 1]
-    name_rank = {t: r for r, t in enumerate(sorted(set(table.types)))}
-    type_rank = np.array([name_rank[t] for t in table.types], dtype=np.int64)
+    name_rank = {name: r for r, name in enumerate(sorted(set(table.types)))}
+    type_rank = np.array([name_rank[name] for name in table.types], dtype=np.int64)
     order = np.lexsort((type_rank[cols], ends, starts, -p))
     candidates = len(order)
     if not config.allow_multilabel:  # each span's first pair only
@@ -108,7 +124,8 @@ def decode(table, config=None, stats=None):
         if ok:
             if kept is not None:
                 kept.add((x, y))
-            covered[x:y] = b"\x01" * (y - x)
+            if flat:
+                covered[x:y] = b"\x01" * (y - x)
             far_end[x] = max(far_end[x], y)
             far_start[y] = min(far_start[y], x)
             accepted.append(EntityMention(start, end, table.types[col], score=score))

@@ -6,9 +6,11 @@ learned absolute position embeddings. Each block's attention is the q/k/v
 projections, one ``tensor.attention`` op over all heads, and the output
 projection. A list of prompts runs as one padded batch: B prompts of at
 most L tokens are B*L rows, and attention ignores the padded keys, so each
-prompt's real rows are computed as if it ran alone. Small enough to train
-from scratch on one CPU core, but it exercises every architectural path the
-matching heads depend on.
+prompt's real rows are computed as if it ran alone. The heads read only the
+marker and first-subword rows, so the last layer's queries and all after them
+run on those alone (PoWER-BERT's cut of rows no later layer reads). Small
+enough to train from scratch on one CPU core, but it exercises every
+architectural path the matching heads depend on.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.heads < 1 or self.width % self.heads != 0:
-            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
+        if self.depth < 1 or self.heads < 1 or self.width % self.heads != 0:
+            raise ConfigError(f"need depth >= 1 and heads dividing width, got depth "
+                              f"{self.depth}, width {self.width} and heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
 
@@ -40,7 +43,8 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     p: T.Tensor  # entity-marker rows of every prompt, in prompt order: sum(M_b) x D
-    h: T.Tensor  # first-subword word rows of every prompt, in prompt order: sum(N_b) x D
+    h: T.Tensor  # the read rows: prompt b's markers, words and padding from row b*K: B*K x D
+    word_start: list  # row of h of each prompt's first word; its others follow
 
 
 def encoder_param_shapes(config, vocab_size):
@@ -74,8 +78,8 @@ def init_from_shapes(shapes, rng, dtype=np.float32, init_scale=0.02):
             for name, shape in shapes.items()}
 
 
-def _attention(x, mask, params, pre, config, dropout, rng):
-    q = T.linear(x, params[pre + "wq"], params[pre + "bq"])
+def _attention(queries, x, mask, params, pre, config, dropout, rng):
+    q = T.linear(queries, params[pre + "wq"], params[pre + "bq"])
     k = T.linear(x, params[pre + "wk"])
     v = T.linear(x, params[pre + "wv"], params[pre + "bv"])
     out = T.attention(q, k, v, config.heads, mask)
@@ -112,8 +116,8 @@ def encode(prompts, params, config, mode="eval", rng=None):
     """Run the encoder over a list of EncodedPrompts as one padded batch.
 
     ``mode`` is "train" (dropout on, drawn from ``rng``) or "eval"
-    (deterministic). Entity-marker rows are gathered at ent_positions, word
-    rows at word_positions, prompt after prompt.
+    (deterministic). The read rows are each prompt's ent_positions, then its
+    word_positions, padded with the prompt's first row to K rows.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -121,27 +125,33 @@ def encode(prompts, params, config, mode="eval", rng=None):
     if not prompts:
         raise ContractError("encode needs at least one prompt")
     length = max(len(p.token_ids) for p in prompts)
+    width = max(len(p.ent_positions) + len(p.word_positions) for p in prompts)
     ids = np.zeros((len(prompts), length), dtype=np.int64)
     pos = np.zeros_like(ids)
     real = np.zeros(ids.shape, dtype=bool)
-    ent, word = [], []  # rows of the B*L output; padding is token 0, [PAD]
+    read = np.zeros((len(prompts), width), dtype=np.int64)  # padding: the prompt's row 0
     for b, prompt in enumerate(prompts):
         n = len(prompt.token_ids)
         pos[b, :n] = positions(prompt, config)
         ids[b, :n] = prompt.token_ids
         real[b, :n] = True
-        ent.append(b * length + np.asarray(prompt.ent_positions, dtype=np.int64))
-        word.append(b * length + np.asarray(prompt.word_positions, dtype=np.int64))
+        rows = prompt.ent_positions + prompt.word_positions
+        read[b, :len(rows)] = rows
+    read = (read + length * np.arange(len(prompts))[:, None]).reshape(-1)  # rows of B*L
 
     x = T.add(T.gather_rows(params["encoder.tok_emb"], ids.reshape(-1)),
               T.gather_rows(params["encoder.pos_emb"], pos.reshape(-1)))
     for i in range(config.depth):
         pre = f"encoder.layer{i}."
         a = T.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        x = T.add(x, _attention(a, real, params, pre, config, dropout, rng))
+        queries = a
+        if i == config.depth - 1:
+            x, queries = T.gather_rows(x, read), T.gather_rows(a, read)
+        x = T.add(x, _attention(queries, a, real, params, pre, config, dropout, rng))
         b = T.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         x = T.add(x, _ffn(b, params, pre, dropout, rng))
     x = T.layer_norm(x, params["encoder.final_ln.g"], params["encoder.final_ln.b"])
 
-    return EncoderOutput(p=T.gather_rows(x, np.concatenate(ent)),
-                         h=T.gather_rows(x, np.concatenate(word)))
+    starts = [(b * width, len(p.ent_positions)) for b, p in enumerate(prompts)]
+    ent = np.concatenate([np.arange(s, s + m) for s, m in starts])
+    return EncoderOutput(p=T.gather_rows(x, ent), h=x, word_start=[s + m for s, m in starts])

@@ -21,13 +21,14 @@ class KinkError(RuntimeError):
 
 
 def _relu_margin(loss):
-    """Smallest |pre-activation| over every relu node in the recorded graph."""
+    """Smallest |pre-activation| over every ReLU in the recorded graph: a relu
+    node's input, or the ``pre_relu`` a fused op keeps on its backward."""
     margin = np.inf
     for node in T.graph_nodes(loss):
-        if node.op == "relu":
-            x = node._parents[0].data
-            if x.size:
-                margin = min(margin, float(np.abs(x).min()))
+        fused = getattr(node._backward, "pre_relu", None)
+        x = node._parents[0].data if node.op == "relu" else fused
+        if x is not None and x.size:
+            margin = min(margin, float(np.abs(x).min()))
     return margin
 
 

@@ -8,15 +8,14 @@ concatenation nor the span embedding is built here: ``tensor.span_endpoints``
 computes the head's first layer by endpoint, and ``tensor.span_scores`` moves
 its second layer to the type side, (r w2 + b2) q^T = r (w2 q^T) + q b2 for
 the hidden rows r. All spans are computed in one batched call, and so are
-the spans of every prompt of a batch (word rows shifted by each prompt's
-word offset), which one product then scores against every type of the batch.
+the spans of every prompt of a batch (word indices shifted to the prompt's
+first word row), which one product then scores against every type of it.
 Each head's hidden rows take dropout at a given rate, 0 outside training.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -25,15 +24,20 @@ from . import tensor as T
 from .errors import ContractError
 
 
-@dataclass
 class ScoreTable:
-    """Matching probabilities for one sentence: |spans| x |types|."""
-    spans: np.ndarray  # (S, 2), from enumerate_spans
-    types: list
-    probs: np.ndarray
-    logits: np.ndarray = None
-    num_words: int = 0
-    k: int = 0
+    """Matching scores for one sentence, |spans| x |types|. Probs that are not
+    given are the sigmoid of the logits, computed on first read; until then
+    "probs" is not in the table's ``vars``."""
+
+    def __init__(self, spans, types, probs=None, logits=None, num_words=0, k=0):
+        self.spans, self.types, self.logits = spans, types, logits  # spans: enumerate_spans'
+        self.num_words, self.k = num_words, k
+        if probs is not None:
+            self.probs = probs
+
+    @cached_property
+    def probs(self):
+        return expit(self.logits)
 
 
 @lru_cache(maxsize=2**10)
@@ -75,10 +79,10 @@ def entity_embed(p, params, dropout=0.0, rng=None):
 
 def span_embed(h, spans, params, dropout=0.0, rng=None):
     """The span head's hidden rows r = relu([h_start ; h_end] w1 + b1), one
-    per (start, end) row of ``spans``; its second layer is applied by
-    ``match_scores``, so no span embedding is built."""
-    first = T.span_endpoints(h, spans, params["head.span.w1"], params["head.span.b1"])
-    return T.dropout(T.relu(first), dropout, rng)
+    per (start, end) row of ``spans`` into the rows of h; its second layer
+    is applied by ``match_scores``, so no span embedding is built."""
+    hidden = T.span_endpoints(h, spans, params["head.span.w1"], params["head.span.b1"])
+    return T.dropout(hidden, dropout, rng)
 
 
 def match_scores(span_hidden, q, params):
@@ -89,8 +93,6 @@ def match_scores(span_hidden, q, params):
 
 
 def make_score_table(spans, types, logits, num_words, k):
-    """Wrap raw logits into a ScoreTable with sigmoid probabilities."""
-    logits = np.asarray(logits)
-    return ScoreTable(spans=spans, types=list(types),
-                      probs=expit(logits), logits=logits,
+    """Wrap raw logits into a ScoreTable; its probs are their sigmoid."""
+    return ScoreTable(spans=spans, types=list(types), logits=np.asarray(logits),
                       num_words=num_words, k=k)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, fields, asdict
-from itertools import accumulate
 
 import numpy as np
 
@@ -99,11 +98,10 @@ def forward_batch(prompts, params, config, mode="eval", rng=None):
     the other blocks pair one prompt's spans with another's types."""
     out = encode(prompts, params, config.encoder, mode=mode, rng=rng)
     spans = [matcher.enumerate_spans(len(p.words), config.k) for p in prompts]
-    words = accumulate((len(p.words) for p in prompts), initial=0)
     dropout = config.head_dropout if mode == "train" else 0.0  # encode has checked mode
     q = matcher.entity_embed(out.p, params, dropout=dropout, rng=rng)
-    r = matcher.span_embed(out.h, np.concatenate([sp + w for sp, w in zip(spans, words)]),
-                           params, dropout=dropout, rng=rng)
+    rows = np.concatenate([sp + w for sp, w in zip(spans, out.word_start)])  # spans in out.h
+    r = matcher.span_embed(out.h, rows, params, dropout=dropout, rng=rng)
     return spans, matcher.match_scores(r, q, params)
 
 

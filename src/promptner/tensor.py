@@ -11,8 +11,9 @@ topological order and accumulates ``d loss / d tensor`` into every
 Only the operations the model needs are implemented, and nothing
 broadcasts, so every backward rule stays small and auditable. A
 batch of B prompts padded to L tokens is one B*L x D tensor; :func:`attention`
-masks the padded keys, :func:`span_endpoints` computes a span head's first
-layer from each span's two endpoint rows, and :func:`bce_with_logits` weighs
+masks the padded keys and takes as few query rows per prompt as the caller
+reads, :func:`span_endpoints` computes a span head's first layer and its
+ReLU from each span's two endpoint rows, and :func:`bce_with_logits` weighs
 each pair; :func:`span_scores` scores the span head's hidden rows against
 the types with the head's second layer moved to the type side. Inputs are
 never mutated; :func:`attention`, :func:`gelu` and :func:`layer_norm` work in
@@ -213,10 +214,10 @@ def gather_rows(a, idx):
 
 
 def span_endpoints(h, spans, w1, b1):
-    """First span-head layer, [h_start ; h_end] w1 + b1, for every (start,
-    end) row of the (S, 2) index ``spans`` into the N x D rows of h, without
-    the concatenation: with w1 = [w_0 ; w_1] (2D x F), row i is
-    (h w_0 + b1)[start_i] + (h w_1)[end_i], N-row products, not S-row ones."""
+    """First span-head layer and its ReLU, relu([h_start ; h_end] w1 + b1), for
+    every (start, end) row of the (S, 2) index ``spans`` into the rows of h,
+    without the concatenation: with w1 = [w_0 ; w_1] (2D x F), row i is
+    relu((h w_0 + b1)[start_i] + (h w_1)[end_i]): products of h's rows, not S."""
     spans = np.asarray(spans, dtype=np.int64)
     if h.data.ndim != 2 or spans.ndim != 2 or spans.shape[1] != 2:
         raise DimensionError("span_endpoints requires a 2-D tensor and an (S, 2) index")
@@ -225,11 +226,12 @@ def span_endpoints(h, spans, w1, b1):
     _check_rows(spans, h)
     w = w1.data.reshape(2, h.shape[1], -1)  # w_0 and w_1
     hw = h.data @ w
-    hw[0] += b1.data  # on the N start rows, before the gather
-    y = hw[0, spans[:, 0]]
-    y += hw[1, spans[:, 1]]
+    hw[0] += b1.data  # on the start rows, before the gather
+    z = hw[0, spans[:, 0]]
+    z += hw[1, spans[:, 1]]
 
     def bw(g):
+        g = g * (z > 0)
         if b1.requires_grad:
             b1._accumulate(g.sum(axis=0))
         gk = np.zeros((2, h.shape[0], g.shape[1]), dtype=g.dtype)  # by start, by end
@@ -240,7 +242,8 @@ def span_endpoints(h, spans, w1, b1):
         if w1.requires_grad:
             w1._accumulate((h.data.T @ gk).reshape(w1.shape))
 
-    return _result(y, (h, w1, b1), "span_endpoints", bw)
+    bw.pre_relu = z  # for gradcheck's kink guard
+    return _result(np.maximum(z, 0), (h, w1, b1), "span_endpoints", bw)
 
 
 def span_scores(r, w2, b2, q):
@@ -307,29 +310,30 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # -- attention --------------------------------------------------------------
 
 def attention(q, k, v, heads, mask=None):
-    """Multi-head scaled dot-product attention over B prompts of L rows each.
+    """Multi-head scaled dot-product attention over B prompts.
 
-    q, k and v are B*L x D; ``mask`` is the (B, L) bool array of real tokens
-    (None: one prompt of all rows), and each row attends to the real keys of
-    its own prompt only. Head h owns column block h (width d_h = D / heads)
-    and computes softmax(q_h k_h^T / sqrt(d_h)) v_h into the same block of
-    the result. Adding one row vector to every key leaves the output
-    unchanged (softmax is shift-invariant per row).
+    k and v are B*L x D and q is B*Lq x D: a caller that reads only Lq < L
+    rows of each prompt queries only those. ``mask`` is the (B, L) bool array
+    of real keys (None: one prompt of all rows), and each query attends to
+    the real keys of its own prompt only. Head h owns column block h (width
+    d_h = D / heads) and computes softmax(q_h k_h^T / sqrt(d_h)) v_h into the
+    same block of the B*Lq x D result. Adding one row vector to every key leaves
+    the output unchanged (softmax is shift-invariant per row).
 
     The score block is held keys x queries and takes two passes: the product
-    (q is scaled first, an L x D product) and the exp in place, unshifted.
+    (q is scaled first, an Lq x D product) and the exp in place, unshifted.
     The softmax is normalised at the output: one product of the block with
     [v | 1] gives e^T v and each query's sum r of e, and the output is
-    (e^T v) / r, an L x d_h division. Without a max shift, exp can overflow
+    (e^T v) / r, an Lq x d_h division. Without a max shift, exp can overflow
     or underflow: when some entry of that product is not finite or some r
     is below 2^-100, the whole call recomputes the block shifted by each
     query's max (the usual max-subtracted softmax). The backward only reads
     the block.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise DimensionError(f"attention needs equal 2-D shapes, got "
-                             f"{q.shape}, {k.shape}, {v.shape}")
-    rows, width = q.shape
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise DimensionError(f"attention needs 2-D q, k, v of one width and k, v of one "
+                             f"shape, got {q.shape}, {k.shape}, {v.shape}")
+    rows, width = k.shape
     if heads < 1 or width % heads:
         raise DimensionError(f"width {width} is not divisible by {heads} heads")
     mask = np.ones((1, rows), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
@@ -338,18 +342,20 @@ def attention(q, k, v, heads, mask=None):
     padded = not mask.all()  # the -inf bias is skipped when no key is padding
     if padded and not mask.any(axis=1).all():
         raise ContractError("every prompt needs at least one real token")
-    nb, length = mask.shape
+    nb = mask.shape[0]
+    if q.shape[0] % nb:
+        raise DimensionError(f"{q.shape[0]} query rows do not split into {nb} prompts")
     dh = width // heads
 
-    def split(a):  # B*L x D -> B x heads x L x d_h
-        return a.reshape(nb, length, heads, dh).transpose(0, 2, 1, 3)
+    def split(a):  # B*n x D -> B x heads x n x d_h
+        return a.reshape(nb, len(a) // nb, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):  # B x heads x L x d_h -> B*L x D
-        return a.transpose(0, 2, 1, 3).reshape(rows, width)
+    def merge(a):  # B x heads x n x d_h -> B*n x D
+        return a.transpose(0, 2, 1, 3).reshape(-1, width)
 
     s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
     qh, kh, vh = split(q.data * s), split(k.data), split(v.data)
-    v1 = np.empty((nb, heads, dh + 1, length), dtype=v.dtype)  # [v | 1]^T
+    v1 = np.empty((nb, heads, dh + 1, mask.shape[1]), dtype=v.dtype)  # [v | 1]^T
     v1[:, :, :dh] = vh.swapaxes(2, 3)
     v1[:, :, dh] = 1
 
@@ -371,8 +377,8 @@ def attention(q, k, v, heads, mask=None):
 
     def bw(g):
         # p = e / r is the softmax, keys x queries: d v = p g and
-        # d z = p * (v g^T - g.o), g.o one number per query. Each L x L term
-        # takes e and the L x d_h g / r, so the block is only read.
+        # d z = p * (v g^T - g.o), g.o one number per query. Each L x Lq term
+        # takes e and the Lq x d_h g / r, so the block is only read.
         gt = split(g).swapaxes(2, 3) / r
         if v.requires_grad:
             v._accumulate(merge(e @ gt.swapaxes(2, 3)))

@@ -214,9 +214,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.type_policy not in ("sample", "inventory"):
-            raise ContractError(f"unknown type_policy {self.type_policy!r}")
+            raise ConfigError(f"unknown type_policy {self.type_policy!r}")
         if self.reduction not in ("sum", "mean"):
-            raise ContractError(f"unknown reduction {self.reduction!r}")
+            raise ConfigError(f"unknown reduction {self.reduction!r}")
         if self.batch_size < 1 or not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError(f"need batch_size >= 1 and warmup_frac in [0, 1], got "
                               f"{self.batch_size} and {self.warmup_frac}")

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from promptner.checkpoint import (load_checkpoint, load_mentions,
                                   load_score_tables, save_checkpoint,
@@ -10,7 +11,7 @@ from promptner.checkpoint import (load_checkpoint, load_mentions,
 from promptner.data import synth_dataset, vocab_corpus
 from promptner.decoder import EntityMention, decode
 from promptner.errors import DataError
-from promptner.matcher import enumerate_spans, make_score_table
+from promptner.matcher import ScoreTable, enumerate_spans, make_score_table
 from promptner.model import Model, ModelConfig
 from promptner.tokenizer import build_vocab
 
@@ -212,6 +213,16 @@ class TestScoreTables:
         assert loaded[0].types == ["a", "b"]
         assert np.allclose(loaded[0].probs, tables[0].probs)
         assert np.allclose(loaded[0].logits, tables[0].logits)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lazy_probs_write_the_bytes_of_computed_ones(self, dtype, tmp_path):
+        (table,) = self._tables()
+        logits = table.logits.astype(dtype)
+        lazy = make_score_table(table.spans, table.types, logits, num_words=4, k=3)
+        eager = ScoreTable(table.spans, table.types, expit(logits), logits, num_words=4, k=3)
+        save_score_tables([lazy], tmp_path / "lazy.jsonl")
+        save_score_tables([eager], tmp_path / "eager.jsonl")
+        assert (tmp_path / "lazy.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
 
     def test_saturated_probabilities_roundtrip(self, tmp_path):
         # float32 sigmoids of large logits are exactly 0 and 1; the file of

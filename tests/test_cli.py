@@ -124,6 +124,24 @@ class TestTrainConfig:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+    @pytest.mark.parametrize("content, message", [
+        ('{"batch_size": 0}', "need batch_size >= 1"),
+        ('{"reduction": "max"}', "unknown reduction 'max'"),
+        ('{"type_policy": "all"}', "unknown type_policy 'all'"),
+        ('{"k": 0}', "need k >= 1"),
+        ('{"encoder_dropout": 1.0}', "dropout 1.0 outside [0, 1)"),
+        ('{"width": 10, "heads": 3}', "width 10 and heads 3"),
+    ])
+    def test_range_errors_name_the_file(self, workspace, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        rc = main(["train", "--data", str(workspace["train"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {cfg}: ") and message in err
+
+
 class TestPredict:
     def test_text_mode_prints_json(self, workspace, capsys):
         rc = main(["predict", "--checkpoint", str(workspace["ckpt"]),
@@ -246,6 +264,14 @@ class TestErrors:
         rc = main(["predict", "--checkpoint", str(path), "--text", "hi", "--types", "person"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_file_fails_at_its_line(self, workspace, tmp_path, capsys):
+        path = tmp_path / "pred.jsonl"
+        path.write_bytes(b'{"ner": []}\n\xff\xfe{"ner": []}\n')
+        rc = main(["evaluate", "--pred", str(path), "--gold", str(workspace["dev"])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}:2: invalid JSON: 'utf-8' codec" in err
 
     def test_bad_mention_file_fails_cleanly(self, workspace, tmp_path, capsys):
         path = tmp_path / "pred.jsonl"

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit, logit
 
 from promptner.decoder import DecodeConfig, DecodeStats, EntityMention, decode
 from promptner.errors import ContractError
@@ -259,6 +260,77 @@ class TestEdgeCases:
             DecodeConfig(threshold=0.0)
         with pytest.raises(ContractError):
             DecodeConfig(threshold=1.0)
+
+
+def probs_only(table):
+    """``table`` with its probs given, so decode reads them, not its logits."""
+    return ScoreTable(table.spans, table.types, table.probs, num_words=table.num_words, k=table.k)
+
+
+def decode_both(table, config):
+    """Decoded mentions and candidate counts from the logits and from the probs."""
+    from_logits, from_probs = DecodeStats(), DecodeStats()
+    assert "probs" not in vars(table)
+    out = decode(table, config, from_logits)
+    ref = decode(probs_only(table), config, from_probs)
+    return (out, from_logits.candidates), (ref, from_probs.candidates)
+
+
+class TestLogitsPath:
+    """A table of ``make_score_table`` is decoded from its logits: the sigmoid
+    is taken on the logits above a cut only. Its candidates, order and scores
+    must be those of the same table decoded from its (given) probs."""
+
+    @staticmethod
+    def one_word_spans(logits):
+        # one type over one-word spans: flat decoding accepts every candidate
+        spans = enumerate_spans(len(logits), 1)
+        return make_score_table(spans, ["t"], np.asarray(logits)[:, None],
+                                num_words=len(logits), k=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p0", [1e-3, 0.3, 0.5, 0.7, 0.999, 1 - 2.0 ** -23])
+    def test_probabilities_rounding_onto_the_threshold(self, dtype, p0):
+        # logits a quarter of a probability step of the dtype apart around
+        # log(p0 / (1 - p0)): their rounded sigmoids run through the dtype's
+        # values next to p0. The thresholds are one of those values, which
+        # some pairs round onto exactly, and the float64 numbers either side
+        step = np.spacing(dtype(p0)) / 4 / (p0 * (1 - p0))
+        logits = (logit(p0) + np.arange(-120, 121) * step).astype(dtype)
+        probs = self.one_word_spans(logits).probs.astype(np.float64)
+        values = np.unique(probs)
+        on = float(values[len(values) // 2])
+        assert np.count_nonzero(probs == on) >= 1 and len(values) > 10
+        for t in (np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)):
+            for mode in ("flat", "nested"):
+                got, ref = decode_both(self.one_word_spans(logits), DecodeConfig(mode, t))
+                assert got == ref and got[1] == np.count_nonzero(probs > t)
+
+    def test_threshold_near_one_keeps_saturated_float32_pairs(self):
+        # float32 sigmoids round to exactly 1 from a logit of ~16.6, far
+        # below the logit of t = 1 - 1e-12, ~27.6
+        t = 1 - 1e-12
+        logits = np.linspace(16.0, 25.0, 91).astype(np.float32)
+        got, ref = decode_both(self.one_word_spans(logits), DecodeConfig("flat", t))
+        assert got == ref
+        assert 0 < got[1] < len(logits) and 20 in [m.start for m in got[0]]  # logit 18
+
+    @pytest.mark.parametrize("mode", ["flat", "nested"])
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_random_tables_match_the_probs_path(self, mode, multilabel):
+        # criterion 3's tables, every other one with tied probabilities
+        rng = np.random.default_rng(31)
+        for i in range(250):
+            table = random_table(rng, *WIDE, ties=i % 2 == 1)
+            config = DecodeConfig(mode, float(rng.choice([0.3, 0.5, 0.8])), multilabel)
+            got, ref = decode_both(table, config)
+            assert got == ref
+
+    def test_decoding_leaves_the_probs_uncomputed(self):
+        table = random_table(np.random.default_rng(32), *WIDE)
+        assert decode(table, DecodeConfig(threshold=0.2))
+        assert "probs" not in vars(table)
+        assert np.array_equal(table.probs, expit(table.logits))
 
 
 def test_nested_decode_scaling():

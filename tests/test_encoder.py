@@ -1,27 +1,57 @@
 import numpy as np
 import pytest
 
-from promptner.encoder import EncoderConfig, encode, encoder_param_shapes, init_from_shapes
+from promptner import tensor as T
+from promptner.encoder import (EncoderConfig, _attention, _ffn, encode, encoder_param_shapes,
+                               init_from_shapes, positions)
 from promptner.errors import ConfigError, ContractError, SizingError
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
 
 
-def setup(depth=2, width=16, heads=2, max_positions=64):
+def setup(depth=2, width=16, heads=2, max_positions=64, dtype=np.float64, init_scale=0.02):
     config = EncoderConfig(depth=depth, width=width, heads=heads,
                            max_positions=max_positions, dropout=0.1)
     vocab = build_vocab([["alain", "farley", "works", "at", "mcgill"],
                          ["person", "organization", "location", "date", "event"]],
                         max_size=300)
     params = init_from_shapes(encoder_param_shapes(config, len(vocab)),
-                              np.random.default_rng(0), dtype=np.float64)
+                              np.random.default_rng(0), dtype=dtype, init_scale=init_scale)
     return config, vocab, params
+
+
+def full_depth(prompts, params, config):
+    """Eval-mode reference without the last layer's row cut: every layer and
+    the final norm run on every row, then each prompt's marker rows and word
+    rows are gathered, as (ent rows, word rows) lists of arrays."""
+    length = max(len(p.token_ids) for p in prompts)
+    ids, pos = np.zeros((2, len(prompts), length), dtype=np.int64)
+    real = np.zeros(ids.shape, dtype=bool)
+    for b, prompt in enumerate(prompts):
+        n = len(prompt.token_ids)
+        ids[b, :n], pos[b, :n], real[b, :n] = prompt.token_ids, positions(prompt, config), True
+    x = T.add(T.gather_rows(params["encoder.tok_emb"], ids.ravel()),
+              T.gather_rows(params["encoder.pos_emb"], pos.ravel()))
+    for i in range(config.depth):
+        pre = f"encoder.layer{i}."
+        a = T.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
+        x = T.add(x, _attention(a, a, real, params, pre, config, 0.0, None))
+        b = T.layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
+        x = T.add(x, _ffn(b, params, pre, 0.0, None))
+    x = T.layer_norm(x, params["encoder.final_ln.g"], params["encoder.final_ln.b"]).data
+    return ([x[b * length + np.array(p.ent_positions)] for b, p in enumerate(prompts)],
+            [x[b * length + np.array(p.word_positions)] for b, p in enumerate(prompts)])
 
 
 class TestConfig:
     def test_width_heads_divisibility(self):
         with pytest.raises(ConfigError):
             EncoderConfig(width=10, heads=3)
+
+    def test_depth_at_least_one(self):
+        # the last layer is where the rows the heads do not read are cut
+        with pytest.raises(ConfigError):
+            EncoderConfig(depth=0)
 
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
@@ -47,7 +77,25 @@ class TestEncode:
                               ["alain", "works", "at", "mcgill"], vocab)
         out = encode([prompt], params, config)
         assert out.p.shape == (2, config.width)
-        assert out.h.shape == (4, config.width)
+        # the last layer's read rows: the 2 marker rows, then the 4 word rows
+        assert out.h.shape == (6, config.width) and out.word_start == [2]
+        assert np.array_equal(out.h.data[:2], out.p.data)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_rows_match_full_depth_reference(self, depth, dtype):
+        # three prompts of different type and word counts, so both the
+        # token rows and the read rows are padded
+        config, vocab, params = setup(depth=depth, dtype=dtype, init_scale=0.3)
+        prompts = [build_prompt(["person", "location"], ["alain", "works", "at", "mcgill"], vocab),
+                   build_prompt(["person", "date", "event"], ["farley"], vocab),
+                   build_prompt(["organization"], ["mcgill", "works", "alain"], vocab)]
+        out = encode(prompts, params, config)
+        ents, words = full_depth(prompts, params, config)
+        assert out.h.shape == (3 * 6, config.width) and out.word_start == [2, 9, 13]
+        assert np.abs(out.p.data - np.concatenate(ents)).max() < 1e-5
+        for start, w in zip(out.word_start, words):
+            assert np.abs(out.h.data[start:start + len(w)] - w).max() < 1e-5
 
     def test_eval_deterministic(self):
         config, vocab, params = setup()

@@ -53,6 +53,19 @@ class TestGradCheck:
         with pytest.raises(KinkError):
             grad_check(lambda p: sum_all(T.relu(p["w"])), params, eps=1e-5)
 
+    def test_kink_guard_sees_the_relu_fused_into_span_endpoints(self):
+        # h = 1 and w1 = 1, so each pre-activation is 2 + b1
+        spans = np.array([[0, 0], [0, 1]])
+        h, w1 = tensor(np.ones((2, 1))), tensor(np.ones((2, 2)))
+
+        def f(b1):
+            return lambda p: sum_all(T.span_endpoints(p["h"], spans, p["w1"], b1))
+
+        with pytest.raises(KinkError):
+            grad_check(f(tensor([-2 + 1e-9, -1.5])), {"h": h, "w1": w1}, eps=1e-5)
+        errs = grad_check(f(tensor([-2.5, -1.5])), {"h": h, "w1": w1}, eps=1e-5)
+        assert max(errs.values()) < 1e-8
+
     def test_kink_guard_quiet_away_from_zero(self):
         params = {"w": tensor([[0.5, -0.5]])}
         errs = grad_check(lambda p: sum_all(T.relu(p["w"])), params, eps=1e-5)

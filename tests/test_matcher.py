@@ -6,7 +6,7 @@ from scipy.special import expit
 from promptner import tensor as T
 from promptner.errors import ContractError, DimensionError
 from promptner.encoder import init_from_shapes
-from promptner.matcher import (enumerate_spans, entity_embed, head_param_shapes,
+from promptner.matcher import (ScoreTable, enumerate_spans, entity_embed, head_param_shapes,
                                make_score_table, match_scores, span_count, span_embed)
 
 
@@ -170,6 +170,25 @@ class TestScoreTable:
         flipped = match_scores(r, q_neg, params).data
         assert np.allclose(expit(flipped[:, 1]), 1.0 - expit(base[:, 1]))
         assert np.allclose(flipped[:, 0], base[:, 0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lazy_probs_are_bit_equal_to_the_sigmoid(self, dtype):
+        logits = np.random.default_rng(4).normal(0.0, 8.0, size=(9, 3)).astype(dtype)
+        table = make_score_table(enumerate_spans(4, 3), ["a", "b", "c"], logits,
+                                 num_words=4, k=3)
+        assert "probs" not in vars(table)
+        probs = table.probs
+        assert probs.dtype == dtype and np.array_equal(probs, expit(logits))
+        assert table.probs is probs  # computed once
+
+    def test_given_probs_are_kept(self):
+        spans = enumerate_spans(2, 1)
+        given = np.array([[0.25], [0.75]])
+        table = ScoreTable(spans, ["a"], given, logits=np.zeros((2, 1)))
+        assert table.probs is given
+        lazy = make_score_table(spans, ["a"], np.zeros((2, 1)), num_words=2, k=1)
+        lazy.probs = given
+        assert lazy.probs is given
 
     def test_shape_matches_spans_times_types(self):
         spans = enumerate_spans(3, 2)

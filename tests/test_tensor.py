@@ -88,11 +88,29 @@ class TestSpanEndpoints:
     BATCH = np.concatenate([enumerate_spans(4, 2), enumerate_spans(3, 3) + 6])
 
     def test_matches_concatenated_endpoint_rows(self):
+        # the head's first layer and its ReLU
         rng = np.random.default_rng(9)
         h, w1, b1 = rng.normal(size=(4, 3)), rng.normal(size=(6, 5)), rng.normal(size=5)
         out = T.span_endpoints(t(h), self.SPANS, t(w1), t(b1))
         cat = np.concatenate([h[self.SPANS[:, 0]], h[self.SPANS[:, 1]]], axis=1)
-        assert np.allclose(out.data, cat @ w1 + b1, rtol=1e-12, atol=1e-12)
+        first = cat @ w1 + b1
+        assert (first < 0).any() and (first > 0).any()
+        assert np.allclose(out.data, np.maximum(first, 0), rtol=1e-12, atol=1e-12)
+
+    def test_gradient_through_the_fused_relu(self):
+        # a bias of -1 clips a good share of the outputs to 0, where the
+        # ReLU passes no gradient back
+        w = np.random.default_rng(10).normal(size=(len(self.BATCH), 5))
+        bias = t(np.full(5, -1.0), rg=False)
+
+        def f(p):
+            return sum_all(mul(T.span_endpoints(p["p0"], self.BATCH, p["p1"], bias), w))
+
+        check(f, [(9, 3), (6, 5)], seed=3)
+        rng = np.random.default_rng(3)
+        h, w1 = t(rng.normal(size=(9, 3))), t(rng.normal(size=(6, 5)))
+        out = T.span_endpoints(h, self.BATCH, w1, bias).data
+        assert 0.3 < np.mean(out == 0) < 0.9
 
     @pytest.mark.parametrize("rows, spans", [(4, SPANS), (4, np.zeros((0, 2), dtype=np.int64)),
                                              (9, BATCH)])
@@ -392,8 +410,36 @@ class TestAttention:
         with pytest.raises(ContractError):
             T.attention(q, q, q, 2, np.array([[True] * 3, [False] * 3]))
 
+    # prompt lengths, the query rows read of each prompt, and the batch's
+    # query rows padded to the longest list with the prompt's row 0
+    LENGTHS, READ = (6, 3, 5), ([0, 2, 3, 5], [1, 2], [0, 4, 2])
+    QROWS = np.array([b * 6 + np.pad(r, (0, 4 - len(r))) for b, r in enumerate(READ)]).ravel()
+
+    def test_fewer_query_rows_match_full_attention(self):
+        # each query row's output is the full attention's at the row it reads
+        rng = np.random.default_rng(21)
+        mask = np.arange(6) < np.array(self.LENGTHS)[:, None]
+        q, k, v = (rng.normal(size=(18, 8)).astype(np.float32) for _ in range(3))
+        full = T.attention(*(T.Tensor(a) for a in (q, k, v)), 2, mask).data
+        cut = T.attention(T.Tensor(q[self.QROWS]), T.Tensor(k), T.Tensor(v), 2, mask).data
+        assert cut.shape == (12, 8) and cut.dtype == np.float32
+        assert np.abs(cut - full[self.QROWS]).max() < 1e-6
+
+    def test_gradient_fewer_query_rows_padded_batch(self):
+        # three prompts of 6 padded keys (padding keys in two of them) and
+        # 4 query rows each, padding query rows included
+        mask = np.arange(6) < np.array(self.LENGTHS)[:, None]
+        w = np.random.default_rng(22).normal(size=(12, 8))
+        check(lambda p: sum_all(mul(T.attention(p["p0"], p["p1"], p["p2"], 2, mask), w)),
+              [(12, 8), (18, 8), (18, 8)])
+
+    def test_query_rows_must_split_into_prompts(self):
+        q, kv = t(np.ones((7, 8))), t(np.ones((8, 8)))
+        with pytest.raises(DimensionError):
+            T.attention(q, kv, kv, 2, np.ones((2, 4), dtype=bool))
+
     @pytest.mark.parametrize("shapes, heads", [
-        (((3, 8), (4, 8), (4, 8)), 2),
+        (((3, 8), (4, 8), (3, 8)), 2),
         (((3, 8), (3, 8), (3, 6)), 2),
         (((3, 8), (3, 8), (3, 8)), 3),
         (((8,), (8,), (8,)), 2),

@@ -271,7 +271,8 @@ class TestAdamW:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("values", [{"batch_size": 0}, {"warmup_frac": 2.0},
-                                        {"warmup_frac": -0.1}])
+                                        {"warmup_frac": -0.1}, {"reduction": "max"},
+                                        {"type_policy": "all"}])
     def test_out_of_range_config_rejected(self, values):
         with pytest.raises(ConfigError):
             TrainConfig(**values)
