@@ -174,12 +174,16 @@ def _score_table(rec):
                       num_words=num_words, k=k)
 
 
+def mention_records(mention_lists, words_lists=None):
+    """Prediction records, dataset-compatible: the words when given, then
+    each mention as [start, end, type, score]."""
+    for i, ms in enumerate(mention_lists):
+        words = {} if words_lists is None else {"tokenized_text": list(words_lists[i])}
+        yield {**words, "ner": [[m.start, m.end, m.type, m.score] for m in ms]}
+
+
 def save_mentions(mention_lists, path, words_lists=None):
-    """Prediction records, dataset-compatible: [start, end, type, score]."""
-    records = ({"ner": [[m.start, m.end, m.type, m.score] for m in ms]} for ms in mention_lists)
-    if words_lists is not None:
-        records = ({**r, "tokenized_text": list(words_lists[i])} for i, r in enumerate(records))
-    write_jsonl(path, records)
+    write_jsonl(path, mention_records(mention_lists, words_lists))
 
 
 def load_mentions(path):

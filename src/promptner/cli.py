@@ -54,6 +54,8 @@ def _train_setup(args):
             values[key] = getattr(args, key)
     vocab_size = typed(source, "vocab_size", values.pop("vocab_size", 2000), "int")
     init_scale = typed(source, "init_scale", values.pop("init_scale", 0.02), "float")
+    if init_scale < 0:
+        raise ConfigError(f"{source}: init_scale must be >= 0, got {init_scale}")
     enc = pop_fields(EncoderConfig, values, source, dropout="encoder_dropout")
     model = pop_fields(ModelConfig, values, source, encoder=None)
     train = pop_fields(TrainConfig, values, source)
@@ -94,6 +96,15 @@ def _decode_config(args):
     return DecodeConfig(mode=args.mode, threshold=args.threshold)
 
 
+def _write_mentions(args, mention_lists, words_lists=None):
+    """Prediction records to the --out file when given, else to stdout: the same bytes."""
+    if args.out:
+        ckpt.save_mentions(mention_lists, args.out, words_lists)
+    else:
+        for rec in ckpt.mention_records(mention_lists, words_lists):
+            print(json.dumps(rec))
+
+
 def cmd_predict(args):
     model, _ = ckpt.load_checkpoint(args.checkpoint)
     dcfg = _decode_config(args)
@@ -113,13 +124,7 @@ def cmd_predict(args):
     if not types:
         raise PromptnerError("app: no entity types to predict")
 
-    predictions = [decode(model.score_table(words, types), dcfg) for words in sentences]
-    if args.out:
-        ckpt.save_mentions(predictions, args.out, words_lists=sentences)
-    else:
-        for words, mentions in zip(sentences, predictions):
-            print(json.dumps({"tokenized_text": words,
-                              "ner": [[m.start, m.end, m.type, m.score] for m in mentions]}))
+    _write_mentions(args, [model.predict(words, types, dcfg) for words in sentences], sentences)
     return 0
 
 
@@ -136,12 +141,7 @@ def cmd_evaluate(args):
 def cmd_decode_scores(args):
     tables = ckpt.load_score_tables(args.scores)
     dcfg = _decode_config(args)
-    mentions = [decode(t, dcfg) for t in tables]
-    if args.out:
-        ckpt.save_mentions(mentions, args.out)
-    else:
-        for ms in mentions:
-            print(json.dumps({"ner": [[m.start, m.end, m.type, m.score] for m in ms]}))
+    _write_mentions(args, [decode(t, dcfg) for t in tables])
     return 0
 
 

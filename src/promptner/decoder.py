@@ -16,9 +16,10 @@ of the span is rejected.
 
 Acceptance checks read per-position arrays over the words a candidate
 covers: flat mode a covered-word mask, nested mode the farthest end of an
-accepted span per start and the farthest start per end. A candidate is at
-most K words wide, so each check costs O(K) and the pass is O(n K) after
-the O(n log n) sort of the n candidates.
+accepted span per start and the farthest start per end. Flat multi-label
+finds an accepted identical span by its farthest end (accepted flat spans
+are disjoint). A candidate is at most K words wide, so each check costs
+O(K) and the pass is O(n K) after the O(n log n) sort of the n candidates.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ def decode(table, config=None, stats=None):
 
     accepted = []
     flat, multilabel = config.mode == "flat", config.allow_multilabel
-    kept = set() if flat and multilabel else None  # accepted (x, y), flat multi-label only
     # per-position state over half-open positions 0 .. max end + 1
     size = int(ends.max()) + 2 if len(ends) else 1
     covered = bytearray(size)   # 1 where an accepted span covers the word
@@ -113,7 +113,7 @@ def decode(table, config=None, stats=None):
         x, y = start, end + 1  # half-open
         if flat:
             # an accepted identical span is covered: only multi-label takes it
-            ok = 1 not in covered[x:y] or multilabel and (x, y) in kept
+            ok = 1 not in covered[x:y] or multilabel and far_end[x] == y
         else:
             # partial overlap: an accepted span starts strictly inside and
             # ends past y, or ends strictly inside and starts before x; a
@@ -122,8 +122,6 @@ def decode(table, config=None, stats=None):
             ok = (y == x + 1 or max(far_end[x + 1:y]) <= y
                   and min(far_start[x + 1:y]) >= x)
         if ok:
-            if kept is not None:
-                kept.add((x, y))
             if flat:
                 covered[x:y] = b"\x01" * (y - x)
             far_end[x] = max(far_end[x], y)

@@ -33,9 +33,11 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.depth < 1 or self.heads < 1 or self.width % self.heads != 0:
-            raise ConfigError(f"need depth >= 1 and heads dividing width, got depth "
-                              f"{self.depth}, width {self.width} and heads {self.heads}")
+        if (min(self.depth, self.width, self.heads, self.max_positions) < 1
+                or self.ffn_mult < 0 or self.width % self.heads != 0):
+            raise ConfigError(f"need sizes >= 1, ffn_mult >= 0 and heads dividing width, got "
+                              f"depth {self.depth}, max_positions {self.max_positions}, ffn_mult "
+                              f"{self.ffn_mult}, width {self.width} and heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
 

@@ -114,11 +114,12 @@ def grad_check_resampling(make_point, f, eps=1e-5, samples_per_param=8,
 
 
 def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, eps=1e-5):
-    """Gradient-check the full model (encoder + heads + loss) end to end.
+    """Gradient-check the training loss (``trainer.batch_loss``) end to end.
 
-    Builds a tiny fixed prompt, scores it with dropout disabled, and checks
-    the BCE loss gradient of every parameter tensor against central
-    differences. Returns a name -> max relative error dict.
+    Builds a tiny fixed prompt and checks the gradient of the loss that a
+    training step of it minimizes, with dropout disabled (so train mode draws
+    nothing), for every parameter tensor against central differences.
+    Returns a name -> max relative error dict.
     """
     import dataclasses
 
@@ -142,9 +143,8 @@ def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, 
     enc = prompt_mod.build_prompt(types, example.words, vocab)
 
     def f(params):
-        sp, logits = model_mod.forward(enc, params, config, mode="eval")
-        grid = trainer_mod.build_labels(example, types, sp)
-        return T.bce_with_logits(logits, grid.targets)
+        model = model_mod.Model(config, vocab, params)
+        return trainer_mod.batch_loss(model, [example], [enc], rng=None)[0]
 
     def make_point(point_seed):
         # 1/sqrt(D) weight scale keeps attention logits O(1): smaller scales

@@ -141,5 +141,4 @@ class Model:
 
     def predict(self, words, entity_types, decode_config=None):
         from .decoder import decode
-        table = self.score_table(words, entity_types)
-        return decode(table, decode_config)
+        return decode(self.score_table(words, entity_types), decode_config)

@@ -36,10 +36,6 @@ class Vocab:
     id_to_token: list = field(default_factory=list)
 
     @property
-    def pad_id(self):
-        return self.token_to_id[PAD]
-
-    @property
     def unk_id(self):
         return self.token_to_id[UNK]
 
@@ -83,7 +79,6 @@ class Vocab:
 class WordSegmentation:
     word: str
     subword_ids: list
-    first_index_within_word: int = 0
 
 
 def build_vocab(corpus, max_size=2000, min_freq=1):

@@ -3,8 +3,8 @@
 Each training step builds a prompt per example (positives plus negative
 types sampled from the rest of the batch, shuffled, randomly dropped),
 scores every span of the batch against every type of the batch in one
-padded graph, and minimizes one binary cross-entropy whose per-pair weights
-keep each example's own (span, type) block and mask out the rest.
+padded graph, and minimizes one binary cross-entropy of each example's
+|spans| x |types| targets (``build_labels``) in its own block, masking out the rest.
 Optimization is AdamW with decoupled weight decay and a linear-warmup /
 cosine-decay schedule applied per parameter group.
 """
@@ -47,19 +47,9 @@ class TrainingExample:
         return sorted({m.type for m in self.gold})
 
 
-@dataclass
-class LabelGrid:
-    targets: np.ndarray      # |spans| x |types|, 1.0 for positive pairs
-    filtered_wide: int = 0   # gold spans wider than K, dropped from supervision
-    weights: np.ndarray = None  # per-pair loss weights like targets; None: all 1
-
-
 def build_labels(example, prompt_types, spans):
-    """Binary (span, type) grid: 1 iff the span carries that exact gold type.
-
-    Gold spans wider than the span cap have no row to land on; they are
-    counted in ``filtered_wide`` rather than raising.
-    """
+    """|spans| x |types| float32 targets: 1 iff the span carries that exact
+    gold type. A gold span wider than the span cap has no row and sets no 1."""
     if len(set(prompt_types)) != len(prompt_types):
         raise ContractError("prompt_types must be deduplicated")
     type_index = {t: i for i, t in enumerate(prompt_types)}
@@ -72,12 +62,13 @@ def build_labels(example, prompt_types, spans):
     rows, hits = np.nonzero((spans[:, None, :] == gold[None, :, :]).all(axis=2))
     targets = np.zeros((len(spans), len(prompt_types)), dtype=np.float32)
     targets[rows, cols[hits]] = 1.0
-    return LabelGrid(targets=targets, filtered_wide=len(gold) - len(hits))
+    return targets
 
 
-def bce_loss(logits, grid):
-    """Binary cross-entropy over the grid from logits, weighted by ``grid.weights``."""
-    return T.bce_with_logits(logits, grid.targets, grid.weights)
+def bce_loss(logits, targets, weights=None):
+    """Binary cross-entropy of ``targets`` from logits, weighted by ``weights``
+    (None: all 1)."""
+    return T.bce_with_logits(logits, targets, weights)
 
 
 def sample_negative_types(example, batch_pool, ratio, rng, max_types=25):
@@ -103,7 +94,7 @@ def sample_negative_types(example, batch_pool, ratio, rng, max_types=25):
 def shuffle_and_drop(prompt_types, drop_prob, rng):
     """Uniformly permute the type list, then drop each type independently.
 
-    At least one type always survives (the first of the permutation is kept
+    At least one type always survives (the first of the permutation stays
     when everything else was dropped).
     """
     permuted = [prompt_types[i] for i in rng.permutation(len(prompt_types))]
@@ -111,7 +102,7 @@ def shuffle_and_drop(prompt_types, drop_prob, rng):
 
 
 def drop_types(prompt_types, drop_prob, rng):
-    """Drop each type independently, in list order; the first type is kept
+    """Drop each type independently, in list order; the first type stays
     when everything was dropped. ``drop_prob == 0`` draws nothing."""
     if not 0.0 <= drop_prob < 1.0:
         raise ContractError(f"drop_prob {drop_prob} outside [0, 1)")
@@ -194,7 +185,7 @@ def adamw_step(params, state):
 class TrainConfig:
     steps: int = 2000
     batch_size: int = 8
-    lr_encoder: float = 3e-4   # single desk-scale rate; two groups kept for parity
+    lr_encoder: float = 3e-4   # single desk-scale rate; two groups retained for parity
     lr_head: float = 3e-4
     weight_decay: float = 0.01
     warmup_frac: float = 0.1
@@ -217,29 +208,32 @@ class TrainConfig:
             raise ConfigError(f"unknown type_policy {self.type_policy!r}")
         if self.reduction not in ("sum", "mean"):
             raise ConfigError(f"unknown reduction {self.reduction!r}")
-        if self.batch_size < 1 or not 0.0 <= self.warmup_frac <= 1.0:
-            raise ConfigError(f"need batch_size >= 1 and warmup_frac in [0, 1], got "
-                              f"{self.batch_size} and {self.warmup_frac}")
+        if (min(self.batch_size, self.steps) < 1 or self.seed < 0
+                or not 0.0 <= self.warmup_frac <= 1.0):
+            raise ConfigError(f"need batch_size >= 1, steps >= 1, seed >= 0 and warmup_frac in "
+                              f"[0, 1], got {self.batch_size}, {self.steps}, {self.seed} and "
+                              f"{self.warmup_frac}")
 
 
 def batch_loss(model, examples, prompts, rng, reduction="sum"):
     """Summed BCE of a batch as one train-mode graph; example b is scored with
     ``prompts[b]`` and supervised on its gold of that prompt's types, in its own
     block of the batch's logits, whose pairs weigh 1 ("sum") or 1/its size
-    ("mean"); other pairs weigh 0. Returns (loss, gold spans wider than K)."""
+    ("mean"); other pairs weigh 0. Returns (loss, gold spans wider than K): the
+    gold triples are distinct, so each one with a row sets one 1 of the targets."""
     spans, logits = forward_batch(prompts, model.params, model.config, mode="train", rng=rng)
     targets = np.zeros(logits.shape, dtype=logits.dtype)
     weights = np.zeros_like(targets)
     row = col = wide = 0
     for example, enc, sp in zip(examples, prompts, spans):
         gold = [m for m in example.gold if m.type in enc.entity_types]
-        grid = build_labels(TrainingExample(example.words, gold), enc.entity_types, sp)
+        labels = build_labels(TrainingExample(example.words, gold), enc.entity_types, sp)
         block = (slice(row, row + len(sp)), slice(col, col + len(enc.entity_types)))
-        targets[block] = grid.targets
-        weights[block] = 1.0 if reduction == "sum" else 1.0 / grid.targets.size
+        targets[block] = labels
+        weights[block] = 1.0 if reduction == "sum" else 1.0 / labels.size
         row, col = block[0].stop, block[1].stop
-        wide += grid.filtered_wide
-    return bce_loss(logits, LabelGrid(targets, weights=weights)), wide
+        wide += len(gold) - int(labels.sum())
+    return bce_loss(logits, targets, weights), wide
 
 
 def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
@@ -268,9 +262,7 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
     while step < tcfg.steps:
         if not order:
             order = list(rng.permutation(len(dataset)))
-        batch_ids = []
-        while len(batch_ids) < tcfg.batch_size and order:
-            batch_ids.append(order.pop())
+        batch_ids = [order.pop() for _ in range(min(tcfg.batch_size, len(order)))]
         batch = [dataset[i] for i in batch_ids]
         step += 1
 
@@ -322,15 +314,9 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
 
 
 def evaluate_dataset(model, dataset, entity_types=None, decode_config=None):
-    """Predict on every example and score exact-match micro F1."""
-    preds, golds = [], []
-    for example in dataset:
-        types = entity_types or example.positive_types
-        if not types:
-            preds.append([])
-            golds.append(list(example.gold))
-            continue
-        table = model.score_table(example.words, types)
-        preds.append(decode(table, decode_config))
-        golds.append(list(example.gold))
-    return eval_score(preds, golds)
+    """Predict on every example and score exact-match micro F1. An example
+    with neither gold nor ``entity_types`` has no type to predict: it predicts
+    none (its positive types are empty exactly when its gold is)."""
+    preds = [decode(model.score_table(ex.words, entity_types or ex.positive_types), decode_config)
+             if entity_types or ex.gold else [] for ex in dataset]
+    return eval_score(preds, [list(ex.gold) for ex in dataset])

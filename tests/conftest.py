@@ -1,13 +1,22 @@
-"""Shared pytest plumbing: the acceptance-criteria result reporter, and the
-two tape ops the tests build scalar losses from.
+"""Shared pytest plumbing: the acceptance-criteria result reporter, the two
+tape ops the tests build scalar losses from, and the hypothesis profile.
 
 Acceptance tests register one line per criterion; the summary is printed at
 the end of the run so it is visible without -s.
+
+Hypothesis runs under the ``tier1`` profile: derandomized and without an
+example database, so two runs of the same code draw the same examples and
+the gate cannot differ between them. ``pytest --hypothesis-profile default``
+explores afresh.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from promptner import tensor as T
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 _criterion_lines = []
 

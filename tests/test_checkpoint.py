@@ -146,6 +146,8 @@ class TestCheckpoint:
         (lambda h: h["config"].pop("k"), "expected the keys"),
         (lambda h: h["config"]["encoder"].pop("depth"), "expected the keys"),
         (lambda h: h["config"]["encoder"].update(heads=0), "heads 0"),
+        (lambda h: h["config"]["encoder"].update(width=0), "width 0"),
+        (lambda h: h.update(format_version=2), "unsupported format version 2"),
         (lambda h: h["vocab"]["tokens"].remove("[ENT]"), "include"),
         (lambda h: h["vocab"]["tokens"].append("[SEP]"), "distinct"),
         (lambda h: h["vocab"]["tokens"].append(7), "strings"),
@@ -311,6 +313,13 @@ class TestMentionsIO:
         assert loaded[0][0].key() == (0, 1, "person")
         assert loaded[0][0].score == 0.9
         assert loaded[1] == []
+
+    def test_records_put_the_words_first(self, tmp_path):
+        # the key order of dataset files, and of predict's stdout
+        path = tmp_path / "pred.jsonl"
+        save_mentions([[EntityMention(0, 1, "person", 0.5)]], path, words_lists=[["a", "b"]])
+        assert path.read_text() == ('{"tokenized_text": ["a", "b"], '
+                                    '"ner": [[0, 1, "person", 0.5]]}\n')
 
     def test_reads_dataset_files_without_scores(self, tmp_path):
         path = tmp_path / "gold.jsonl"

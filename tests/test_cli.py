@@ -12,7 +12,9 @@ import pytest
 
 from promptner.checkpoint import load_checkpoint, save_score_tables
 from promptner.cli import _train_setup, build_parser, main
+from promptner.data import load_dataset
 from promptner.matcher import enumerate_spans, make_score_table
+from promptner.trainer import evaluate_dataset
 from test_checkpoint import rewrite_header
 
 
@@ -62,6 +64,15 @@ class TestTrain:
         main(["train", "--data", str(workspace["train"]), "--out", str(out),
               "--steps", "30", "--seed", "0", "--trace", str(tr2)])
         assert tr2.read_text() == workspace["trace"].read_text()
+
+    def test_dev_report_printed_last(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", str(workspace["train"]), "--dev", str(workspace["dev"]),
+                     "--out", str(out), "--steps", "2", "--seed", "0"]) == 0
+        last = json.loads(capsys.readouterr().out.splitlines()[-1])
+        types = sorted({m.type for ex in load_dataset(workspace["train"]) for m in ex.gold})
+        report = evaluate_dataset(load_checkpoint(out)[0], load_dataset(workspace["dev"]), types)
+        assert last == {"dev_report": report.to_dict()}
 
     def test_empty_dataset_fails_cleanly(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -131,6 +142,14 @@ class TestTrainConfig:
         ('{"k": 0}', "need k >= 1"),
         ('{"encoder_dropout": 1.0}', "dropout 1.0 outside [0, 1)"),
         ('{"width": 10, "heads": 3}', "width 10 and heads 3"),
+        ('{"width": -4}', "width -4 and heads 4"),
+        ('{"width": 0}', "width 0 and heads 4"),
+        ('{"ffn_mult": -1}', "ffn_mult -1"),
+        ('{"max_positions": -2}', "max_positions -2"),
+        ('{"init_scale": -1}', "init_scale must be >= 0, got -1"),
+        ('{"steps": -1}', "steps >= 1"),
+        ('{"steps": 0}', "steps >= 1"),
+        ('{"seed": -1}', "seed >= 0"),
     ])
     def test_range_errors_name_the_file(self, workspace, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -140,6 +159,7 @@ class TestTrainConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {cfg}: ") and message in err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestPredict:
@@ -167,6 +187,28 @@ class TestPredict:
                    "--text", "hello world"])
         assert rc == 2
         assert "--types" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "predict needs --data or --text"),
+        (["--text", "hello world", "--types", ","], "no entity types to predict"),
+    ])
+    def test_nothing_to_predict_fails(self, workspace, capsys, argv, message):
+        rc = main(["predict", "--checkpoint", str(workspace["ckpt"])] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: app: ") and message in err
+
+    @pytest.mark.parametrize("source", ["text", "data"])
+    def test_stdout_bytes_equal_out_file(self, workspace, tmp_path, capsys, source):
+        # one record form: the words first, as in dataset files
+        argv = ["predict", "--checkpoint", str(workspace["ckpt"]), "--threshold", "0.1"]
+        argv += (["--text", "alain farley works at mcgill", "--types", "person,organization"]
+                 if source == "text" else ["--data", str(workspace["dev"])])
+        out = tmp_path / "pred.jsonl"
+        assert main(argv) == 0 and main(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        assert all(line.startswith('{"tokenized_text": ') for line in printed.splitlines())
 
 
 class TestEvaluate:
@@ -208,18 +250,28 @@ class TestEvaluate:
         assert out.read_text() == expected
 
 
+def scores_file(tmp_path):
+    """One exported 3-word table whose only pair above 0.5 is (0, 0, person)."""
+    spans = enumerate_spans(3, 2)
+    logits = np.full((len(spans), 1), -4.0)
+    logits[0, 0] = 4.0
+    path = tmp_path / "scores.jsonl"
+    save_score_tables([make_score_table(spans, ["person"], logits, num_words=3, k=2)], path)
+    return path
+
+
 class TestDecodeScores:
     def test_decodes_exported_tables(self, tmp_path, capsys):
-        spans = enumerate_spans(3, 2)
-        logits = np.full((len(spans), 1), -4.0)
-        logits[0, 0] = 4.0
-        table = make_score_table(spans, ["person"], logits, num_words=3, k=2)
-        path = tmp_path / "scores.jsonl"
-        save_score_tables([table], path)
-        rc = main(["decode-scores", "--scores", str(path), "--mode", "flat"])
+        rc = main(["decode-scores", "--scores", str(scores_file(tmp_path)), "--mode", "flat"])
         assert rc == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert [row[:3] for row in rec["ner"]] == [[0, 0, "person"]]
+
+    def test_out_file_bytes_equal_stdout(self, tmp_path, capsys):
+        argv = ["decode-scores", "--scores", str(scores_file(tmp_path))]
+        out = tmp_path / "pred.jsonl"
+        assert main(argv) == 0 and main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_bad_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "scores.jsonl"

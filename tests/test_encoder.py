@@ -53,6 +53,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(depth=0)
 
+    def test_zero_ffn_mult_accepted(self):
+        # an FFN of its biases only trains; the sizes refused are in test_model
+        assert EncoderConfig(ffn_mult=0).ffn_mult == 0
+
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             EncoderConfig(dropout=1.0)

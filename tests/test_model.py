@@ -133,14 +133,19 @@ class TestParams:
         config = ModelConfig(k=7, max_types=13)
         assert ModelConfig.from_dict(config.to_dict()) == config
 
-    @pytest.mark.parametrize("values", [{"head_dropout": 1.5}, {"head_dropout": 1.0},
-                                        {"head_dropout": -0.2}, {"k": 0}, {"max_types": 0}])
+    @pytest.mark.parametrize("values", [
+        {"head_dropout": 1.5}, {"head_dropout": 1.0}, {"head_dropout": -0.2}, {"k": 0},
+        {"max_types": 0}, {"encoder": {"width": 0}}, {"encoder": {"width": -4}},
+        {"encoder": {"ffn_mult": -1}}, {"encoder": {"max_positions": 0}},
+        {"encoder": {"max_positions": -2}}])
     def test_out_of_range_config_rejected(self, values):
+        enc = values.get("encoder", {})
         with pytest.raises(ConfigError):
-            ModelConfig(**values)
+            ModelConfig(**{**values, "encoder": EncoderConfig(**enc)})
         # the checkpoint and config-file path
+        d = ModelConfig().to_dict()
         with pytest.raises(ConfigError):
-            ModelConfig.from_dict({**ModelConfig().to_dict(), **values})
+            ModelConfig.from_dict({**d, **values, "encoder": {**d["encoder"], **enc}})
 
 
 class TestBatch:

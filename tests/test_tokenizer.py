@@ -93,7 +93,7 @@ class TestSegment:
         v = Vocab.from_dict({"tokens": list(SPECIALS) + list("mcgil") + ["mc", "gill"]})
         seg = segment("McGill", v)
         assert seg.subword_ids == [v.token_to_id["mc"], v.token_to_id["gill"]]
-        assert seg.first_index_within_word == 0
+        assert seg.word == "mcgill"
 
     def test_normalizes_before_matching(self):
         v = small_vocab()
@@ -142,7 +142,7 @@ class TestVocabRoundtrip:
 
     def test_special_ids(self):
         v = small_vocab()
-        assert v.id_to_token[v.pad_id] == PAD
+        assert v.token_to_id[PAD] == 0  # the id the encoder pads with
         assert v.id_to_token[v.unk_id] == UNK
         assert v.id_to_token[v.ent_id] == ENT
         assert v.id_to_token[v.sep_id] == SEP

@@ -4,12 +4,26 @@ import numpy as np
 import pytest
 
 from promptner import tensor as T
+from promptner.data import vocab_corpus
 from promptner.decoder import EntityMention
+from promptner.encoder import EncoderConfig
 from promptner.errors import ConfigError, ContractError
+from promptner.evaluation import EvalReport
 from promptner.matcher import enumerate_spans
+from promptner.model import Model, ModelConfig
+from promptner.prompt import build_prompt
+from promptner.tokenizer import build_vocab
 from promptner.trainer import (OptimState, TrainConfig, TrainingExample, adamw_step,
-                               build_labels, drop_types, lr_at,
-                               sample_negative_types, shuffle_and_drop)
+                               batch_loss, build_labels, drop_types, evaluate_dataset,
+                               fit, lr_at, sample_negative_types, shuffle_and_drop)
+
+
+def tiny_model(data, k=12):
+    """A small untrained model over the words and types of ``data``."""
+    types = sorted({t for ex in data for t in ex.positive_types})
+    vocab = build_vocab(vocab_corpus(data, types), max_size=300)
+    config = ModelConfig(encoder=EncoderConfig(depth=1, width=16, heads=2), k=k)
+    return Model.fresh(config, vocab, seed=0)
 
 
 def example(words=("alain", "farley", "works", "at", "mcgill"),
@@ -35,24 +49,29 @@ class TestBuildLabels:
     def test_ones_exactly_on_gold(self):
         ex = example()
         spans = enumerate_spans(5, 12)
-        grid = build_labels(ex, ["person", "organization"], spans)
-        assert grid.targets.sum() == 2
+        targets = build_labels(ex, ["person", "organization"], spans)
+        assert targets.shape == (len(spans), 2) and targets.dtype == np.float32
+        assert targets.sum() == 2
         idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
-        assert grid.targets[idx[(0, 1)], 0] == 1.0
-        assert grid.targets[idx[(4, 4)], 1] == 1.0
+        assert targets[idx[(0, 1)], 0] == 1.0
+        assert targets[idx[(4, 4)], 1] == 1.0
 
     def test_column_order_follows_prompt(self):
         ex = example()
         spans = enumerate_spans(5, 12)
-        grid = build_labels(ex, ["organization", "person"], spans)
+        targets = build_labels(ex, ["organization", "person"], spans)
         idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
-        assert grid.targets[idx[(0, 1)], 1] == 1.0
+        assert targets[idx[(0, 1)], 1] == 1.0
 
     def test_wide_gold_counted_not_raised(self):
-        ex = example(words=("a", "b", "c"), gold=((0, 2, "t"),))
-        grid = build_labels(ex, ["t"], enumerate_spans(3, 2))
-        assert grid.filtered_wide == 1
-        assert grid.targets.sum() == 0
+        # a gold span wider than K has no row, so it sets no 1; batch_loss
+        # counts it from the targets
+        ex = example(words=("a", "b", "c"), gold=((0, 2, "t"), (1, 1, "t")))
+        assert build_labels(ex, ["t"], enumerate_spans(3, 2)).sum() == 1
+        model = tiny_model([ex], k=2)
+        enc = build_prompt(["t"], ex.words, model.vocab)
+        _, wide = batch_loss(model, [ex], [enc], rng=np.random.default_rng(0))
+        assert wide == 1
 
     def test_missing_gold_type_rejected(self):
         with pytest.raises(ContractError):
@@ -272,24 +291,19 @@ class TestAdamW:
 class TestTrainConfig:
     @pytest.mark.parametrize("values", [{"batch_size": 0}, {"warmup_frac": 2.0},
                                         {"warmup_frac": -0.1}, {"reduction": "max"},
-                                        {"type_policy": "all"}])
+                                        {"type_policy": "all"}, {"steps": 0}, {"steps": -1},
+                                        {"seed": -1}])
     def test_out_of_range_config_rejected(self, values):
         with pytest.raises(ConfigError):
             TrainConfig(**values)
 
     def test_bounds_accepted(self):
-        TrainConfig(batch_size=1, warmup_frac=0.0)
+        TrainConfig(steps=1, batch_size=1, warmup_frac=0.0)
         TrainConfig(warmup_frac=1.0)
 
 
 class TestFit:
     def test_single_example_overfits(self):
-        from promptner.data import vocab_corpus
-        from promptner.encoder import EncoderConfig
-        from promptner.model import Model, ModelConfig
-        from promptner.tokenizer import build_vocab
-        from promptner.trainer import TrainConfig, fit
-
         ex = example()
         types = ex.positive_types
         vocab = build_vocab(vocab_corpus([ex], types), max_size=300)
@@ -302,11 +316,6 @@ class TestFit:
         assert trace[-1]["loss"] < 0.01
 
     def test_inventory_over_max_types_rejected(self):
-        from promptner.data import vocab_corpus
-        from promptner.model import Model, ModelConfig
-        from promptner.tokenizer import build_vocab
-        from promptner.trainer import TrainConfig, fit
-
         ex = example()  # two types: person, organization
         vocab = build_vocab(vocab_corpus([ex], ex.positive_types), max_size=300)
         model = Model.fresh(ModelConfig(max_types=1), vocab, seed=0)
@@ -318,12 +327,6 @@ class TestFit:
         # the batch runs as one graph, yet the error still names the dataset
         # index of the sentence the encoder cannot place: with max_positions
         # 64 the sentence gets 32 positions, and example 1 has 40 words
-        from promptner.data import vocab_corpus
-        from promptner.encoder import EncoderConfig
-        from promptner.model import Model, ModelConfig
-        from promptner.tokenizer import build_vocab
-        from promptner.trainer import TrainConfig, fit
-
         long = example(words=["works"] * 38 + ["alain", "farley"], gold=((38, 39, "person"),))
         data = [example(), long, example()]
         vocab = build_vocab(vocab_corpus(data, ["person", "organization"]), max_size=300)
@@ -333,3 +336,33 @@ class TestFit:
         with pytest.raises(ContractError,
                            match="training failed on example 1: sentence length 40 exceeds 32"):
             fit(data, model, tcfg)
+
+    def test_dev_f1_every_eval_every_steps(self):
+        ex = example()
+        model = tiny_model([ex])
+        logged = []
+        trace = fit([ex], model, TrainConfig(steps=4, batch_size=1, eval_every=2, log_every=1),
+                    dev=[ex], dev_types=ex.positive_types, log=logged.append)
+        assert ["dev_f1" in rec for rec in trace] == [False, True, False, True]
+        assert logged == trace
+        assert trace[-1]["dev_f1"] == evaluate_dataset(model, [ex], ex.positive_types).f1
+
+    def test_wide_gold_warning_counts_every_step(self):
+        # a 3-word gold span with K = 2 is in the prompt of each of the 3 steps
+        ex = example(words=("a", "b", "c"), gold=((0, 2, "t"), (1, 1, "u")))
+        model = tiny_model([ex], k=2)
+        logged = []
+        fit([ex], model, TrainConfig(steps=3, batch_size=1, drop_prob=0.0, log_every=0),
+            log=logged.append)
+        assert logged == [{"warning": "gold spans wider than K filtered from supervision",
+                           "count": 3}]
+
+
+class TestEvaluateDataset:
+    def test_example_without_gold_or_types_predicts_nothing(self):
+        # it has no type to score against, so the model is not asked
+        ex, empty = example(), example(gold=())
+        model = tiny_model([ex])
+        assert evaluate_dataset(model, [empty]).to_dict() == EvalReport().to_dict()
+        assert (evaluate_dataset(model, [empty, ex]).to_dict()
+                == evaluate_dataset(model, [ex]).to_dict())
