@@ -47,7 +47,7 @@ def _train_setup(args):
     Flags, named after their fields, override the file.
     """
     path = args.config
-    source = f"config: {path}"
+    source = f"config: {path}" if path else "command line"
     values = _load_config_file(path)
     for key in ("seed", "steps", "k", "max_types", "neg_ratio", "drop_prob"):
         if getattr(args, key) is not None:
@@ -146,6 +146,8 @@ def cmd_decode_scores(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0 or args.seeds < 1:
+        raise ConfigError(f"need --seed >= 0 and --seeds >= 1, got {args.seed} and {args.seeds}")
     failed = False
     for offset in range(args.seeds):
         for dtype, tol in ((np.float32, args.tol_f32), (np.float64, args.tol_f64)):
@@ -158,11 +160,13 @@ def cmd_gradcheck(args):
             status = "ok" if worst < tol else "FAIL"
             print(f"seed={args.seed + offset} dtype={np.dtype(dtype).name} "
                   f"worst={worst:.3e} tol={tol:g} {status}")
-            failed = failed or worst >= tol
+            failed = failed or status == "FAIL"
     return 1 if failed else 0
 
 
 def cmd_synth_data(args):
+    if args.seed < 0:
+        raise ConfigError(f"need --seed >= 0, got {args.seed}")
     spec = data_mod.SynthSpec(max_span_width=args.k if args.k is not None else 12)
     train, dev = data_mod.synth_dataset(spec, train_size=args.train_size,
                                         dev_size=args.dev_size, seed=args.seed)

@@ -173,6 +173,8 @@ def synth_dataset(spec=None, train_size=50, dev_size=20, seed=0):
     Remaining slots draw random types. Returns (train, dev) example lists.
     """
     spec = spec or SynthSpec()
+    if min(train_size, dev_size) < 0:
+        raise ConfigError(f"need train_size and dev_size >= 0, got {train_size} and {dev_size}")
     if len(spec.types) < 2:
         raise ConfigError("need at least 2 entity types")
     if not spec.templates:
@@ -188,10 +190,10 @@ def synth_dataset(spec=None, train_size=50, dev_size=20, seed=0):
 
     rng = np.random.default_rng(seed)
 
-    def make_split(size, offset):
+    def make_split(size):
         examples = []
         for i in range(size):
-            featured = spec.types[(offset + i) % len(spec.types)]
+            featured = spec.types[i % len(spec.types)]
             template = spec.templates[rng.integers(len(spec.templates))]
             n_slots = sum(1 for t in template if t == "{ent}")
             others = [spec.types[j] for j in rng.integers(len(spec.types), size=n_slots - 1)]
@@ -199,7 +201,7 @@ def synth_dataset(spec=None, train_size=50, dev_size=20, seed=0):
                                            spec.lexicons, rng))
         return examples
 
-    return make_split(train_size, 0), make_split(dev_size, 0)
+    return make_split(train_size), make_split(dev_size)
 
 
 def vocab_corpus(examples, entity_types=()):

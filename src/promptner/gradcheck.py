@@ -45,8 +45,9 @@ def grad_check(f, params, eps=1e-5, samples_per_param=None, rng=None, kink_guard
     ``10 * eps`` of zero: the subgradient there is ambiguous, so the caller
     should resample the evaluation point rather than fail.
     """
-    if eps <= 0:
-        raise ContractError("eps must be positive")
+    if eps <= 0 or (samples_per_param is not None and samples_per_param < 1):
+        raise ContractError(f"need eps > 0 and samples per tensor >= 1 (or None: all), got "
+                            f"{eps} and {samples_per_param}")
     rng = rng or np.random.default_rng(0)
 
     loss = f(params)

@@ -5,8 +5,8 @@ operand records its result on an implicit tape (the result keeps its operands
 and a backward closure); one on gradient-free operands records nothing, so
 each intermediate is freed as soon as its last consumer has run.
 :func:`backward` on a scalar result walks :func:`graph_nodes` in reverse
-topological order and accumulates ``d loss / d tensor`` into every
-``requires_grad`` tensor's ``grad`` slot.
+topological order; each backward rule hands every operand its gradient, and
+``Tensor._accumulate`` keeps it only in a ``requires_grad`` tensor's ``grad``.
 
 Only the operations the model needs are implemented, and nothing
 broadcasts, so every backward rule stays small and auditable. A
@@ -80,6 +80,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        if not self.requires_grad:  # the one place a gradient is dropped
+            return
         if self.grad is None:
             # a copy: one upstream array may be handed to several parents
             self.grad = np.array(g, dtype=self.data.dtype)
@@ -102,10 +104,8 @@ def add(a, b):
         raise DimensionError(f"add needs equal shapes, got {a.shape} and {b.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _result(a.data + b.data, (a, b), "add", bw)
 
@@ -180,11 +180,9 @@ def linear(x, w, b=None):
         y += b.data
 
     def bw(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-        if b is not None and b.requires_grad:
+        x._accumulate(g @ w.data.T)
+        w._accumulate(x.data.T @ g)
+        if b is not None:
             b._accumulate(g.sum(axis=0))
 
     return _result(y, (x, w) if b is None else (x, w, b), "linear", bw)
@@ -232,15 +230,12 @@ def span_endpoints(h, spans, w1, b1):
 
     def bw(g):
         g = g * (z > 0)
-        if b1.requires_grad:
-            b1._accumulate(g.sum(axis=0))
+        b1._accumulate(g.sum(axis=0))
         gk = np.zeros((2, h.shape[0], g.shape[1]), dtype=g.dtype)  # by start, by end
         np.add.at(gk[0], spans[:, 0], g)
         np.add.at(gk[1], spans[:, 1], g)
-        if h.requires_grad:
-            h._accumulate((gk @ w.transpose(0, 2, 1)).sum(axis=0))
-        if w1.requires_grad:
-            w1._accumulate((h.data.T @ gk).reshape(w1.shape))
+        h._accumulate((gk @ w.transpose(0, 2, 1)).sum(axis=0))
+        w1._accumulate((h.data.T @ gk).reshape(w1.shape))
 
     bw.pre_relu = z  # for gradcheck's kink guard
     return _result(np.maximum(z, 0), (h, w1, b1), "span_endpoints", bw)
@@ -263,14 +258,10 @@ def span_scores(r, w2, b2, q):
     def bw(g):
         ga = r.data.T @ g  # d (w2 q^T), D x M
         gc = g.sum(axis=0)  # d (q b2), one number per type
-        if r.requires_grad:
-            r._accumulate(g @ a.T)
-        if w2.requires_grad:
-            w2._accumulate(ga @ q.data)
-        if b2.requires_grad:
-            b2._accumulate(gc @ q.data)
-        if q.requires_grad:
-            q._accumulate(ga.T @ w2.data + np.outer(gc, b2.data))
+        r._accumulate(g @ a.T)
+        w2._accumulate(ga @ q.data)
+        b2._accumulate(gc @ q.data)
+        q._accumulate(ga.T @ w2.data + np.outer(gc, b2.data))
 
     return _result(y, (r, w2, b2, q), "span_scores", bw)
 
@@ -292,15 +283,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xhat *= inv
 
     def bw(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gg = g * gamma.data
-            m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
-            m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
-            x._accumulate((gg - m1 - xhat * m2) * inv)
+        gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        beta._accumulate(g.reshape(-1, d).sum(axis=0))
+        gg = g * gamma.data
+        m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
+        x._accumulate((gg - m1 - xhat * m2) * inv)
 
     y = xhat * gamma.data
     y += beta.data
@@ -380,17 +368,14 @@ def attention(q, k, v, heads, mask=None):
         # d z = p * (v g^T - g.o), g.o one number per query. Each L x Lq term
         # takes e and the Lq x d_h g / r, so the block is only read.
         gt = split(g).swapaxes(2, 3) / r
-        if v.requires_grad:
-            v._accumulate(merge(e @ gt.swapaxes(2, 3)))
+        v._accumulate(merge(e @ gt.swapaxes(2, 3)))
         gz = vh @ gt  # keys x queries, as e
         gz -= (gt * ot).sum(axis=2, keepdims=True)
         gz *= e
-        if q.requires_grad:
-            gq = kh.swapaxes(2, 3) @ gz
-            gq *= s
-            q._accumulate(merge(gq.swapaxes(2, 3)))
-        if k.requires_grad:
-            k._accumulate(merge(gz @ qh))
+        gq = kh.swapaxes(2, 3) @ gz
+        gq *= s
+        q._accumulate(merge(gq.swapaxes(2, 3)))
+        k._accumulate(merge(gz @ qh))
 
     return _result(merge(ot.swapaxes(2, 3)), (q, k, v), "attention", bw)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError, DataError
 
@@ -32,32 +32,22 @@ def normalize(text):
 
 @dataclass
 class Vocab:
-    token_to_id: dict = field(default_factory=dict)
-    id_to_token: list = field(default_factory=list)
+    id_to_token: list  # the units in id order; the rest is built from it once
 
-    @property
-    def unk_id(self):
-        return self.token_to_id[UNK]
-
-    @property
-    def ent_id(self):
-        return self.token_to_id[ENT]
-
-    @property
-    def sep_id(self):
-        return self.token_to_id[SEP]
+    def __post_init__(self):
+        """DataError unless the units are distinct and include the specials."""
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        if len(self.token_to_id) != len(self) or not set(SPECIALS) <= self.token_to_id.keys():
+            raise DataError(f"vocab tokens must be distinct and include {', '.join(SPECIALS)}")
+        self.unk_id, self.ent_id, self.sep_id = (self.token_to_id[s] for s in (UNK, ENT, SEP))
+        self.longest = max((len(t) for t in self.id_to_token if t not in SPECIALS), default=1)
+        self.segments = {}  # raw word -> subword ids, see subword_ids
 
     def __len__(self):
         return len(self.id_to_token)
 
     def __contains__(self, token):
         return token in self.token_to_id
-
-    def max_unit_len(self):
-        if not hasattr(self, "_longest"):
-            self._longest = max((len(t) for t in self.id_to_token if t not in SPECIALS),
-                                default=1)
-        return self._longest
 
     def to_dict(self):
         return {"tokens": list(self.id_to_token)}
@@ -69,10 +59,7 @@ class Vocab:
         tokens = d["tokens"]
         if not (isinstance(tokens, list) and set(map(type, tokens)) <= {str}):
             raise DataError("vocab tokens must be a list of strings")
-        token_to_id = {t: i for i, t in enumerate(tokens)}
-        if len(token_to_id) != len(tokens) or not all(s in token_to_id for s in SPECIALS):
-            raise DataError(f"vocab tokens must be distinct and include {', '.join(SPECIALS)}")
-        return cls(token_to_id, tokens)
+        return cls(tokens)
 
 
 @dataclass
@@ -81,7 +68,7 @@ class WordSegmentation:
     subword_ids: list
 
 
-def build_vocab(corpus, max_size=2000, min_freq=1):
+def build_vocab(corpus, max_size=2000):
     """Build a subword vocabulary from tokenized sentences.
 
     ``corpus`` is an iterable of word lists. Units are ranked by frequency
@@ -115,11 +102,10 @@ def build_vocab(corpus, max_size=2000, min_freq=1):
     budget -= len(singles)
 
     taken = set(tokens)
-    ranked = sorted((u for u, c in counts.items() if c >= min_freq and u not in taken),
-                    key=lambda u: (-counts[u], u))
+    ranked = sorted((u for u in counts if u not in taken), key=lambda u: (-counts[u], u))
     tokens.extend(ranked[:budget])
 
-    return Vocab({t: i for i, t in enumerate(tokens)}, tokens)
+    return Vocab(tokens)
 
 
 def segment(word, vocab):
@@ -135,7 +121,7 @@ def segment(word, vocab):
 def subword_ids(word, vocab):
     """The subword ids of :func:`segment` as a tuple. Each raw word is
     segmented once per vocab, in a cache emptied when it reaches 2**16 words."""
-    cache = vocab.__dict__.setdefault("_segments", {})
+    cache = vocab.segments
     if word in cache:
         return cache[word]
     w = normalize(word)
@@ -143,10 +129,9 @@ def subword_ids(word, vocab):
         raise ContractError("cannot segment an empty word")
     ids = []
     pos = 0
-    longest = vocab.max_unit_len()
     while pos < len(w):
         match = None
-        for end in range(min(len(w), pos + longest), pos, -1):
+        for end in range(min(len(w), pos + vocab.longest), pos, -1):
             unit = w[pos:end]
             if unit in vocab.token_to_id and unit not in SPECIALS:
                 match = unit

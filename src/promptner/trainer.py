@@ -125,15 +125,15 @@ def lr_at(step, total_steps, base, warmup_frac=0.1):
     return base * 0.5 * (1.0 + math.cos(math.pi * (step - warmup) / span))
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
+
+
 @dataclass
 class OptimState:
     group_lrs: dict                  # param-name prefix -> base learning rate
     total_steps: int
     weight_decay: float = 0.0
     warmup_frac: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -162,17 +162,17 @@ def adamw_step(params, state):
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        u = np.multiply(g, 1 - state.beta1)
-        m *= state.beta1
+        u = np.multiply(g, 1 - BETA1)
+        m *= BETA1
         m += u
-        np.multiply(g, 1 - state.beta2, out=u)
+        np.multiply(g, 1 - BETA2, out=u)
         u *= g
-        v *= state.beta2
+        v *= BETA2
         v += u
-        np.divide(v, 1 - state.beta2 ** t, out=u)  # vhat
+        np.divide(v, 1 - BETA2 ** t, out=u)  # vhat
         np.sqrt(u, out=u)
-        u += state.eps
-        step = np.divide(m, 1 - state.beta1 ** t)  # mhat
+        u += EPS
+        step = np.divide(m, 1 - BETA1 ** t)  # mhat
         lr = lr_at(sched_step, state.total_steps, state.base_lr_for(name), state.warmup_frac)
         step *= lr
         step /= u
@@ -213,6 +213,12 @@ class TrainConfig:
             raise ConfigError(f"need batch_size >= 1, steps >= 1, seed >= 0 and warmup_frac in "
                               f"[0, 1], got {self.batch_size}, {self.steps}, {self.seed} and "
                               f"{self.warmup_frac}")
+        rates = (self.lr_encoder, self.lr_head, self.weight_decay, self.log_every, self.eval_every)
+        if not (all(x >= 0 for x in rates)
+                and 0 <= self.neg_ratio < 1 and 0 <= self.drop_prob < 1):
+            raise ConfigError(f"need lr_encoder, lr_head, weight_decay, log_every and eval_every "
+                              f">= 0 and neg_ratio and drop_prob in [0, 1), got {rates}, "
+                              f"{self.neg_ratio} and {self.drop_prob}")
 
 
 def batch_loss(model, examples, prompts, rng, reduction="sum"):

@@ -30,10 +30,8 @@ def mul(a, b):
         raise ValueError(f"mul of shapes {a.shape} and {b.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
+        a._accumulate(g * b.data)
+        b._accumulate(g * a.data)
 
     return T._result(a.data * b.data, (a, b), "mul", bw)
 

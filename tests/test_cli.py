@@ -150,6 +150,13 @@ class TestTrainConfig:
         ('{"steps": -1}', "steps >= 1"),
         ('{"steps": 0}', "steps >= 1"),
         ('{"seed": -1}', "seed >= 0"),
+        ('{"neg_ratio": 1.5}', "in [0, 1), got (0.0003, 0.0003, 0.01, 50, 0), 1.5 and 0.2"),
+        ('{"drop_prob": -0.1}', "in [0, 1), got (0.0003, 0.0003, 0.01, 50, 0), 0.5 and -0.1"),
+        ('{"log_every": -1}', "got (0.0003, 0.0003, 0.01, -1, 0)"),
+        ('{"eval_every": -2}', "got (0.0003, 0.0003, 0.01, 50, -2)"),
+        ('{"lr_head": -1}', "got (0.0003, -1, 0.01, 50, 0)"),
+        ('{"lr_encoder": -0.5}', "got (-0.5, 0.0003, 0.01, 50, 0)"),
+        ('{"weight_decay": -1}', "got (0.0003, 0.0003, -1, 50, 0)"),
     ])
     def test_range_errors_name_the_file(self, workspace, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -159,6 +166,15 @@ class TestTrainConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {cfg}: ") and message in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_range_error_without_file_names_the_command_line(self, workspace, tmp_path,
+                                                             capsys):
+        rc = main(["train", "--data", str(workspace["train"]), "--steps", "0",
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: command line: need batch_size >= 1, steps >= 1")
         assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -286,6 +302,39 @@ class TestGradcheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
+
+    def test_printed_fail_exits_1(self, capsys):
+        # a NaN tolerance fails every comparison: it printed FAIL and exited 0
+        rc = main(["gradcheck", "--samples", "1", "--tol-f32", "nan"])
+        assert "tol=nan FAIL" in capsys.readouterr().out and rc == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--samples", "0"], "samples per tensor >= 1 (or None: all), got 1e-05 and 0"),
+        (["--samples", "-2"], "samples per tensor >= 1 (or None: all), got 1e-05 and -2"),
+        (["--seeds", "0"], "need --seed >= 0 and --seeds >= 1, got 0 and 0"),
+        (["--seed", "-1"], "need --seed >= 0 and --seeds >= 1, got -1 and 1"),
+    ])
+    def test_checking_nothing_or_a_bad_seed_refused(self, capsys, argv, message):
+        # these printed "ok" having checked nothing, or ended in a traceback
+        rc = main(["gradcheck"] + argv)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
+
+class TestSynthDataFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "need --seed >= 0, got -1"),
+        (["--train-size", "-3"], "train_size and dev_size >= 0, got -3 and 20"),
+        (["--dev-size", "-1"], "train_size and dev_size >= 0, got 50 and -1"),
+    ])
+    def test_bad_flags_refused(self, tmp_path, capsys, argv, message):
+        train, dev = tmp_path / "t.jsonl", tmp_path / "d.jsonl"
+        rc = main(["synth-data", "--train-out", str(train), "--dev-out", str(dev)] + argv)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+        assert not train.exists() and not dev.exists()
 
 
 class TestErrors:

@@ -47,6 +47,11 @@ class TestSynthDataset:
         with pytest.raises(ConfigError):
             synth_dataset(spec, train_size=5)
 
+    @pytest.mark.parametrize("sizes", [(-3, 20), (50, -1)])
+    def test_negative_size_rejected(self, sizes):
+        with pytest.raises(ConfigError, match="train_size and dev_size >= 0"):
+            synth_dataset(train_size=sizes[0], dev_size=sizes[1])
+
     def test_single_type_rejected(self):
         spec = SynthSpec(types=["person"])
         with pytest.raises(ConfigError):

@@ -75,6 +75,13 @@ class TestGradCheck:
         with pytest.raises(ContractError):
             grad_check(lambda p: sum_all(p["w"]), {"w": tensor([1.0])}, eps=0.0)
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_no_sampled_coordinate_rejected(self, samples):
+        # checking no coordinate would report an error of 0, a pass
+        with pytest.raises(ContractError, match="samples per tensor >= 1"):
+            grad_check(lambda p: sum_all(p["w"]), {"w": tensor([1.0])},
+                       samples_per_param=samples)
+
     def test_sampled_coordinates_subset(self):
         params = {"w": tensor(np.random.default_rng(0).normal(size=(10, 10)))}
         errs = grad_check(lambda p: sum_all(mul(p["w"], p["w"])), params,

@@ -508,6 +508,44 @@ class TestBackward:
         assert np.allclose(w.grad, [[5.0]])
 
 
+_SPANS = np.array([[0, 0], [0, 1], [1, 3], [2, 2]])
+_MASK = np.array([[True, True, False], [True, True, True]])
+# each op as (function of its operands, operand shapes)
+_OPS = {
+    "add": (T.add, [(3, 4), (3, 4)]),
+    "linear": (T.linear, [(3, 4), (4, 2), (2,)]),
+    "linear_without_bias": (T.linear, [(3, 4), (4, 2)]),
+    "span_endpoints": (lambda h, w1, b1: T.span_endpoints(h, _SPANS, w1, b1),
+                       [(4, 3), (6, 5), (5,)]),
+    "span_scores": (T.span_scores, [(5, 3), (3, 4), (4,), (2, 4)]),
+    "layer_norm": (T.layer_norm, [(3, 4), (4,), (4,)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 2, _MASK), [(4, 4), (6, 4), (6, 4)]),
+}
+
+
+class TestGradientFreeOperand:
+    """Backward rules hand every operand its gradient; ``_accumulate`` alone
+    drops the gradient of an operand that does not require one."""
+
+    @staticmethod
+    def _grads(op, free):
+        f, shapes = _OPS[op]
+        rng = np.random.default_rng(0)
+        xs = [t(rng.normal(size=s), rg=i != free) for i, s in enumerate(shapes)]
+        y = f(*xs)
+        T.backward(sum_all(mul(y, rng.normal(size=y.shape))))
+        return [x.grad for x in xs]
+
+    @pytest.mark.parametrize("op, free", [(op, i) for op, (_, shapes) in _OPS.items()
+                                          for i in range(len(shapes))])
+    def test_other_grads_bit_equal(self, op, free):
+        full = self._grads(op, None)
+        grads = self._grads(op, free)
+        assert grads[free] is None
+        assert all(np.array_equal(g, h) for i, (g, h) in enumerate(zip(grads, full))
+                   if i != free)
+
+
 class TestDropout:
     def test_rng_needed_unless_p_is_zero(self):
         x = t(np.ones((2, 2)))

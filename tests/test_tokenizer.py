@@ -59,13 +59,6 @@ class TestBuildVocab:
         with pytest.raises(ConfigError):
             build_vocab([["a"]], max_size=4)
 
-    def test_min_freq_filters_rare_units(self):
-        # "vwxyz" is 5 chars, so the whole word is not one of its own n-grams
-        v = build_vocab([["abcd"], ["abcd"], ["vwxyz"]], max_size=2000, min_freq=2)
-        assert "abcd" in v
-        assert "vwxyz" not in v         # frequency 1
-        assert "v" in v                 # singles are exempt
-
 
 class TestSegment:
     def test_whole_word_match(self):
@@ -130,7 +123,7 @@ class TestSegment:
         v = small_vocab()
         for i in range(2**16 + 5):
             segment(f"w{i}", v)
-        assert len(v._segments) <= 2**16
+        assert len(v.segments) <= 2**16
 
 
 class TestVocabRoundtrip:

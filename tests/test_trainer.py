@@ -13,8 +13,8 @@ from promptner.matcher import enumerate_spans
 from promptner.model import Model, ModelConfig
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
-from promptner.trainer import (OptimState, TrainConfig, TrainingExample, adamw_step,
-                               batch_loss, build_labels, drop_types, evaluate_dataset,
+from promptner.trainer import (BETA1, BETA2, EPS, OptimState, TrainConfig, TrainingExample,
+                               adamw_step, batch_loss, build_labels, drop_types, evaluate_dataset,
                                fit, lr_at, sample_negative_types, shuffle_and_drop)
 
 
@@ -266,13 +266,13 @@ class TestAdamW:
             adamw_step(params, state)
             for n, p in params.items():
                 g = p.grad
-                m[n] = state.beta1 * m[n] + (1 - state.beta1) * g
-                v[n] = state.beta2 * v[n] + (1 - state.beta2) * g * g
-                mhat = m[n] / (1 - state.beta1 ** t)
-                vhat = v[n] / (1 - state.beta2 ** t)
+                m[n] = BETA1 * m[n] + (1 - BETA1) * g
+                v[n] = BETA2 * v[n] + (1 - BETA2) * g * g
+                mhat = m[n] / (1 - BETA1 ** t)
+                vhat = v[n] / (1 - BETA2 ** t)
                 lr = lr_at(min(t, 10), 10, state.base_lr_for(n), state.warmup_frac)
                 ref[n] *= 1.0 - lr * state.weight_decay
-                ref[n] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+                ref[n] -= lr * mhat / (np.sqrt(vhat) + EPS)
                 assert np.array_equal(p.data, ref[n]), (t, n)
                 assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
 
@@ -292,7 +292,12 @@ class TestTrainConfig:
     @pytest.mark.parametrize("values", [{"batch_size": 0}, {"warmup_frac": 2.0},
                                         {"warmup_frac": -0.1}, {"reduction": "max"},
                                         {"type_policy": "all"}, {"steps": 0}, {"steps": -1},
-                                        {"seed": -1}])
+                                        {"seed": -1}, {"neg_ratio": 1.0}, {"neg_ratio": 1.5},
+                                        {"neg_ratio": -0.1}, {"drop_prob": 1.0},
+                                        {"drop_prob": -0.1}, {"lr_encoder": -0.5},
+                                        {"lr_head": -1.0}, {"weight_decay": -1.0},
+                                        {"log_every": -1}, {"eval_every": -2},
+                                        {"lr_head": float("nan")}])
     def test_out_of_range_config_rejected(self, values):
         with pytest.raises(ConfigError):
             TrainConfig(**values)
@@ -300,6 +305,8 @@ class TestTrainConfig:
     def test_bounds_accepted(self):
         TrainConfig(steps=1, batch_size=1, warmup_frac=0.0)
         TrainConfig(warmup_frac=1.0)
+        TrainConfig(neg_ratio=0.0, drop_prob=0.0, lr_encoder=0.0, lr_head=0.0,
+                    weight_decay=0.0, log_every=0, eval_every=0)
 
 
 class TestFit:
