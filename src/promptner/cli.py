@@ -21,7 +21,7 @@ from .errors import ConfigError, PromptnerError
 from .evaluation import score as eval_score
 from .gradcheck import model_gradcheck
 from .model import Model, ModelConfig, pop_fields, typed
-from .tokenizer import build_vocab
+from .tokenizer import SPECIALS, build_vocab
 from .trainer import TrainConfig, evaluate_dataset, fit
 
 
@@ -56,6 +56,9 @@ def _train_setup(args):
     init_scale = typed(source, "init_scale", values.pop("init_scale", 0.02), "float")
     if init_scale < 0:
         raise ConfigError(f"{source}: init_scale must be >= 0, got {init_scale}")
+    if vocab_size < len(SPECIALS) + 1:
+        raise ConfigError(f"{source}: vocab_size must fit the {len(SPECIALS)} specials plus a "
+                          f"unit, got {vocab_size}")
     enc = pop_fields(EncoderConfig, values, source, dropout="encoder_dropout")
     model = pop_fields(ModelConfig, values, source, encoder=None)
     train = pop_fields(TrainConfig, values, source)

@@ -7,6 +7,10 @@ each intermediate is freed as soon as its last consumer has run.
 :func:`backward` on a scalar result walks :func:`graph_nodes` in reverse
 topological order; each backward rule hands every operand its gradient, and
 ``Tensor._accumulate`` keeps it only in a ``requires_grad`` tensor's ``grad``.
+Gradients are handed over, not copied: each rule hands each operand an array
+no one else holds (only :func:`add` copies, for its second operand), which
+becomes its ``grad`` or is added into it in place. Gathers sum their gradient
+rows by ``_scatter_rows``, with no scatter-add.
 
 Only the operations the model needs are implemented, and nothing
 broadcasts, so every backward rule stays small and auditable. A
@@ -17,12 +21,13 @@ ReLU from each span's two endpoint rows, and :func:`bce_with_logits` weighs
 each pair; :func:`span_scores` scores the span head's hidden rows against
 the types with the head's second layer moved to the type side. Inputs are
 never mutated; :func:`attention`, :func:`gelu` and :func:`layer_norm` work in
-place on their own temporaries, and :func:`attention` exponentiates its
-scores unshifted (shifting only when that overflows or underflows) and
-normalises its softmax at the output, not over its score block. Leaf
-gradients accumulate additively (running backward twice without zeroing
-doubles them); interior gradients are released as soon as their node's
-backward has run.
+place on their own temporaries, forward and backward (a recorded float32
+:func:`gelu` keeps its forward's exp(-x^2 / 2) for the backward), and
+:func:`attention` exponentiates its scores unshifted (shifting only when that
+overflows or underflows) and normalises its softmax at the output, not over
+its score block. Leaf gradients accumulate additively (running backward twice
+without zeroing doubles them); interior gradients are released as soon as
+their node's backward has run.
 """
 
 from __future__ import annotations
@@ -80,11 +85,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        """Add ``g`` to the gradient, taking ``g`` itself as the first one: a
+        backward rule hands each operand an array that no one else holds."""
         if not self.requires_grad:  # the one place a gradient is dropped
             return
         if self.grad is None:
-            # a copy: one upstream array may be handed to several parents
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
@@ -105,7 +111,7 @@ def add(a, b):
 
     def bw(g):
         a._accumulate(g)
-        b._accumulate(g)
+        b._accumulate(g.copy())  # the one rule that hands one array to two operands
 
     return _result(a.data + b.data, (a, b), "add", bw)
 
@@ -115,9 +121,10 @@ def relu(a):
                    lambda g: a._accumulate(g * (a.data > 0)))
 
 
-def _normal_cdf_f32(x):
+def _normal_cdf_f32(x, keep_exp=False):
     """Phi(x) for float32 x, in place on its temporaries: y = erfc(|x| /
-    sqrt 2), then Phi = y/2 below 0 (no cancellation) and y/2 + (1 - y) from 0."""
+    sqrt 2), then Phi = y/2 below 0 (no cancellation) and y/2 + (1 - y) from 0.
+    Returns (Phi, exp(-x^2 / 2) when ``keep_exp``, else None)."""
     u = np.abs(x)
     t = u * _AS_P
     t += 1.0
@@ -128,24 +135,31 @@ def _normal_cdf_f32(x):
         y *= t
     np.square(u, out=u)
     u *= -0.5
-    y *= np.exp(u, out=u)
-    np.subtract(1.0, y, out=u)
+    e = np.exp(u, out=u)
+    y *= e
+    u = np.subtract(1.0, y, out=None if keep_exp else u)
     u *= x >= 0
     y *= 0.5
     y += u
-    return y
+    return y, e if keep_exp else None
 
 
 def gelu(a):
     """Erf-based (not tanh) GELU, x Phi(x), in the input dtype: scipy's erf
     for float64, the Abramowitz & Stegun erf (|error| < 1.5e-7) for float32."""
     x = a.data
-    cdf = (_normal_cdf_f32(x) if x.dtype == np.float32
-           else (0.5 * (1.0 + erf(x / _SQRT2))).astype(a.dtype, copy=False))
+    if x.dtype == np.float32:  # a recorded node keeps the forward's exp(-x^2 / 2)
+        cdf, e = _normal_cdf_f32(x, keep_exp=a.requires_grad)
+    else:
+        cdf, e = (0.5 * (1.0 + erf(x / _SQRT2))).astype(a.dtype, copy=False), None
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
+        # g (cdf + x pdf) in place on one fresh array: e is kept for a second backward
+        d = np.multiply(np.exp(-0.5 * x * x) if e is None else e, _INV_SQRT_2PI)
+        d *= x
+        d += cdf
+        d *= g
+        a._accumulate(d)
 
     return _result(x * cdf, (a,), "gelu", bw)
 
@@ -196,19 +210,34 @@ def _check_rows(idx, a):
         raise ContractError(f"row index out of range for shape {a.shape}")
 
 
+def _scatter_rows(idx, g, rows):
+    """The rows x F sum that scatters row p of g to each row ``idx[p]`` names
+    (idx of shape (len(g), c)): np.add.at into zeros, to the bit, as each row
+    adds its rows of g in order of p, from +0.0. Without repeated rows that is
+    one indexed add; otherwise the product of g with the one-hot CSR matrix
+    whose row i lists the p of i (Gustavson's row-by-row product)."""
+    counts = np.bincount(idx.reshape(-1), minlength=rows)
+    if counts.max(initial=0) <= 1:
+        out = np.zeros((rows, g.shape[1]), dtype=g.dtype)
+        for col in idx.T:
+            out[col] += g  # not a plain assignment: -0.0 + 0.0 is +0.0
+        return out
+    from scipy.sparse import csr_array  # only a backward needs it, inference never does
+
+    order = np.argsort(idx, axis=None, kind="stable") // idx.shape[1]  # the p, by row
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return csr_array((np.ones(idx.size, dtype=g.dtype), order, indptr), shape=(rows, len(g))) @ g
+
+
 def gather_rows(a, idx):
-    """Select rows of a 2-D tensor by a 1-D index; backward scatter-adds."""
+    """Select rows of a 2-D tensor by a 1-D index; the backward sums each
+    row's upstream rows by ``_scatter_rows``."""
     idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise DimensionError("gather_rows requires a 2-D tensor and a 1-D index")
     _check_rows(idx, a)
-
-    def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)  # in place, no table-sized temporary
-
-    return _result(a.data[idx], (a,), "gather_rows", bw)
+    return _result(a.data[idx], (a,), "gather_rows",
+                   lambda g: a._accumulate(_scatter_rows(idx[:, None], g, a.shape[0])))
 
 
 def span_endpoints(h, spans, w1, b1):
@@ -231,9 +260,8 @@ def span_endpoints(h, spans, w1, b1):
     def bw(g):
         g = g * (z > 0)
         b1._accumulate(g.sum(axis=0))
-        gk = np.zeros((2, h.shape[0], g.shape[1]), dtype=g.dtype)  # by start, by end
-        np.add.at(gk[0], spans[:, 0], g)
-        np.add.at(gk[1], spans[:, 1], g)
+        n = h.shape[0]  # by start, by end: rows of the start half, then of the end half
+        gk = _scatter_rows(spans + (0, n), g, 2 * n).reshape(2, n, -1)
         h._accumulate((gk @ w.transpose(0, 2, 1)).sum(axis=0))
         w1._accumulate((h.data.T @ gk).reshape(w1.shape))
 
@@ -283,12 +311,17 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xhat *= inv
 
     def bw(g):
-        gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        # (gg - m1 - xhat m2) inv for gg = g gamma, in place on gg and one scratch t
+        t = g * xhat
+        gamma._accumulate(t.reshape(-1, d).sum(axis=0))
         beta._accumulate(g.reshape(-1, d).sum(axis=0))
         gg = g * gamma.data
         m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
-        m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
-        x._accumulate((gg - m1 - xhat * m2) * inv)
+        m2 = np.add.reduce(np.multiply(gg, xhat, out=t), axis=-1, keepdims=True) / d
+        gg -= m1
+        gg -= np.multiply(xhat, m2, out=t)
+        gg *= inv
+        x._accumulate(gg)
 
     y = xhat * gamma.data
     y += beta.data

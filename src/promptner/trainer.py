@@ -152,9 +152,14 @@ def adamw_step(params, state):
     for name, p in params.items():
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient")
+    base = {name: state.base_lr_for(name) for name in params}  # refused before any update
     state.step += 1
     t = state.step
     sched_step = min(t, state.total_steps)
+    # once per step: each group's scheduled rate and the two bias corrections
+    lrs = {b: lr_at(sched_step, state.total_steps, b, state.warmup_frac)
+           for b in set(base.values())}
+    correct1, correct2 = 1 - BETA1 ** t, 1 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if name not in state.m:
@@ -169,11 +174,11 @@ def adamw_step(params, state):
         u *= g
         v *= BETA2
         v += u
-        np.divide(v, 1 - BETA2 ** t, out=u)  # vhat
+        np.divide(v, correct2, out=u)  # vhat
         np.sqrt(u, out=u)
         u += EPS
-        step = np.divide(m, 1 - BETA1 ** t)  # mhat
-        lr = lr_at(sched_step, state.total_steps, state.base_lr_for(name), state.warmup_frac)
+        step = np.divide(m, correct1)  # mhat
+        lr = lrs[base[name]]
         step *= lr
         step /= u
         if state.weight_decay:

@@ -147,6 +147,7 @@ class TestTrainConfig:
         ('{"ffn_mult": -1}', "ffn_mult -1"),
         ('{"max_positions": -2}', "max_positions -2"),
         ('{"init_scale": -1}', "init_scale must be >= 0, got -1"),
+        ('{"vocab_size": 4}', "vocab_size must fit the 4 specials plus a unit, got 4"),
         ('{"steps": -1}', "steps >= 1"),
         ('{"steps": 0}', "steps >= 1"),
         ('{"seed": -1}', "seed >= 0"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,63 @@ class TestGatherRows:
             T.gather_rows(a, np.array([0, 4]))
         with pytest.raises(DimensionError):  # a span array goes to span_endpoints
             T.gather_rows(a, np.zeros((1, 2), dtype=np.int64))
+
+
+class TestScatterRows:
+    """``_scatter_rows`` is np.add.at into zeros to the bit, signed zeros
+    included, on each of its two paths (one indexed add, the CSR product)."""
+    IDX = {"repeated": [0, 2, 2, 3, 0], "distinct": [3, 0, 2, 5], "empty": [],
+           "unsorted": [4, 1, 4, 0, 1, 1, 3]}
+
+    @staticmethod
+    def _upstream(n, dtype):
+        g = np.random.default_rng(n).normal(size=(n, 3)).astype(dtype)
+        g[::2, 0] = -0.0  # alone in a row of the result, or summed with others
+        g[:, 2] = -0.0
+        return g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(IDX))
+    def test_bit_equal_to_add_at_into_zeros(self, dtype, name):
+        idx = np.array(self.IDX[name], dtype=np.int64)
+        g = self._upstream(len(idx), dtype)
+        ref = np.zeros((6, 3), dtype=dtype)
+        np.add.at(ref, idx, g)
+        out = T._scatter_rows(idx[:, None], g, 6)
+        assert out.dtype == dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_rows_per_upstream_row(self, dtype):
+        # span_endpoints' layout: each span adds its row to its start and to its end
+        spans = np.concatenate([enumerate_spans(4, 2), enumerate_spans(3, 3) + 6])
+        g = self._upstream(len(spans), dtype)
+        ref = np.zeros((2, 9, 3), dtype=dtype)
+        np.add.at(ref[0], spans[:, 0], g)
+        np.add.at(ref[1], spans[:, 1], g)
+        out = T._scatter_rows(spans + (0, 9), g, 18)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("idx", [[3, 0, 2], [4, 1, 4, 0, 1, 1, 3]])
+    def test_gather_rows_gradient(self, idx):
+        w = np.random.default_rng(8).normal(size=(len(idx), 3))
+        check(lambda p: sum_all(mul(T.gather_rows(p["p0"], idx), w)), [(5, 3)])
+
+    def test_span_endpoints_gradient_under_the_kink_guard(self):
+        # the guard reads the fused ReLU's pre-activations and finds no kink here
+        spans = np.concatenate([enumerate_spans(4, 2), enumerate_spans(3, 3) + 6])
+        rng = np.random.default_rng(3)
+        params = {"h": t(rng.normal(size=(9, 3))), "w1": t(rng.normal(size=(6, 5))),
+                  "b1": t(np.full(5, -0.5))}
+        w = rng.normal(size=(len(spans), 5))
+
+        def f(p):
+            return sum_all(mul(T.span_endpoints(p["h"], spans, p["w1"], p["b1"]), w))
+
+        pre = T.span_endpoints(params["h"], spans, params["w1"], params["b1"])._backward.pre_relu
+        assert (pre < 0).any() and (pre > 0).any()
+        errs = grad_check(f, params, eps=1e-6)
+        assert max(errs.values()) < 1e-6, errs
 
 
 class TestSpanEndpoints:
@@ -228,6 +287,19 @@ class TestElementwise:
         ref = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+    def test_gelu_float32_backward_is_the_recompute_formula_to_the_bit(self):
+        # the kept exp(-x^2 / 2) of the forward is the one the formula recomputes
+        rng = np.random.default_rng(6)
+        extreme = [0.0, -0.0, 1e-30, -1e-20, 1e-3, 5.0, -5.0, 12.0, -13.0, 40.0, -40.0,
+                   1e4, -1e4, 1e18, -1e18]
+        x = np.concatenate([rng.normal(scale=3, size=500), extreme]).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        a = T.Tensor(x, requires_grad=True)
+        T.gelu(a)._backward(g)
+        cdf, _ = T._normal_cdf_f32(x)
+        ref = g * (cdf + x * (T._INV_SQRT_2PI * np.exp(-0.5 * x * x)))
+        assert a.grad.dtype == np.float32 and a.grad.tobytes() == ref.tobytes()
 
     @np.errstate(invalid="ignore")
     def test_gelu_float64_is_the_scipy_erf_formula(self):
@@ -499,6 +571,66 @@ class TestBackward:
         pos = {id(n): i for i, n in enumerate(nodes)}
         assert len(pos) == len(nodes) == 6 and nodes[-1] is loss
         assert all(pos[id(p)] < pos[id(n)] for n in nodes for p in n._parents)
+
+    @staticmethod
+    def _residual_params(dtype):
+        rng = np.random.default_rng(5)
+        shapes = {"x": (4, 6), "w1": (6, 6), "w2": (6, 6), "w3": (6, 6), "gain": (6,), "b": (6,)}
+        return {name: T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
+                for name, s in shapes.items()}
+
+    @staticmethod
+    def _residual_loss(p):
+        """A graph that fans out: add's two operands, h read by three linears,
+        and a layer_norm, a gelu and b on several paths."""
+        a = T.layer_norm(p["x"], p["gain"], p["b"])
+        h = T.add(p["x"], T.gelu(T.linear(a, p["w1"], p["b"])))
+        y = T.add(T.add(T.linear(h, p["w1"]), T.linear(h, p["w2"])), T.linear(h, p["w3"], p["b"]))
+        return sum_all(mul(y, y))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_two_tensors_share_a_grad_array(self, dtype):
+        # after each rule has run (the backward releases that node's own grad
+        # next), every live grad, leaf or interior, is an array of its own
+        params = self._residual_params(dtype)
+        loss = self._residual_loss(params)
+        nodes = T.graph_nodes(loss)
+        ran = []
+
+        def checked(node, rule):
+            def bw(g):
+                rule(g)
+                live = [n.grad for n in nodes if n is not node and n.grad is not None]
+                assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(live, 2))
+                ran.append(node.op)
+            return bw
+
+        for node in nodes:
+            if node._backward is not None:
+                node._backward = checked(node, node._backward)
+        T.backward(loss)
+        assert ran.count("add") == 3 and ran.count("linear") == 4
+        grads = [p.grad for p in params.values()]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(grads, 2))
+
+    def test_residual_graph_gradient(self):
+        errs = grad_check(self._residual_loss, self._residual_params(np.float64), eps=1e-6)
+        assert max(errs.values()) < 1e-6, errs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_second_backward_doubles_through_gelu_and_layer_norm(self, dtype):
+        # the backward reads what the forward kept (gelu's exp, layer_norm's
+        # xhat and inv) and writes none of it; each leaf is read once, so the
+        # second pass adds the first pass's grads exactly
+        rng = np.random.default_rng(7)
+        x, w, b, gain, beta = (T.Tensor(rng.normal(size=s), requires_grad=True, dtype=dtype)
+                               for s in [(5, 8), (8, 16), (16,), (8,), (8,)])
+        c = rng.normal(size=(5, 16))
+        loss = sum_all(mul(T.gelu(T.linear(T.layer_norm(x, gain, beta), w, b)), c))
+        T.backward(loss)
+        first = [p.grad.copy() for p in (x, w, b, gain, beta)]
+        T.backward(loss)
+        assert all(np.array_equal(p.grad, 2 * g) for p, g in zip((x, w, b, gain, beta), first))
 
     def test_shared_input_accumulates(self):
         w = t([[2.0]])

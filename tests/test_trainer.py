@@ -247,6 +247,16 @@ class TestAdamW:
         with pytest.raises(ContractError):
             state.base_lr_for("head.w")
 
+    def test_unmatched_parameter_refused_before_any_update(self):
+        params = {"encoder.w": T.Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64),
+                  "head.w": T.Tensor(np.array([1.0]), requires_grad=True, dtype=np.float64)}
+        for p in params.values():
+            p.grad = np.ones(1)
+        state = OptimState(group_lrs={"encoder.": 0.1}, total_steps=10, warmup_frac=0.0)
+        with pytest.raises(ContractError, match="'head.w' matches no learning-rate group"):
+            adamw_step(params, state)
+        assert state.step == 0 and not state.m and params["encoder.w"].data[0] == 1.0
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_update_is_the_textbook_form_to_the_bit(self, dtype):
         # 12 steps, two groups, weight decay: params and moments equal those
