@@ -212,26 +212,23 @@ def _check_rows(idx, a):
 
 def _scatter_rows(idx, g, rows):
     """The rows x F sum that scatters row p of g to each row ``idx[p]`` names
-    (idx of shape (len(g), c)): np.add.at into zeros, to the bit, as each row
-    adds its rows of g in order of p, from +0.0. Without repeated rows that is
-    one indexed add; otherwise the product of g with the one-hot CSR matrix
-    whose row i lists the p of i (Gustavson's row-by-row product)."""
-    counts = np.bincount(idx.reshape(-1), minlength=rows)
-    if counts.max(initial=0) <= 1:
-        out = np.zeros((rows, g.shape[1]), dtype=g.dtype)
-        for col in idx.T:
-            out[col] += g  # not a plain assignment: -0.0 + 0.0 is +0.0
-        return out
+    (idx of shape (len(g), c)): the product of g with the one-hot CSR matrix
+    whose row i lists the p of i (Gustavson's row-by-row product). It is
+    np.add.at into zeros, to the bit: each row adds its rows of g in order
+    of p, from +0.0 (so a -0.0 alone in a row comes out +0.0, as there)."""
     from scipy.sparse import csr_array  # only a backward needs it, inference never does
 
     order = np.argsort(idx, axis=None, kind="stable") // idx.shape[1]  # the p, by row
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx.reshape(-1), minlength=rows))))
     return csr_array((np.ones(idx.size, dtype=g.dtype), order, indptr), shape=(rows, len(g))) @ g
 
 
 def gather_rows(a, idx):
     """Select rows of a 2-D tensor by a 1-D index; the backward sums each
-    row's upstream rows by ``_scatter_rows``."""
+    row's upstream rows by ``_scatter_rows`` and adds that sum to ``a``'s
+    gradient. It equals np.add.at to the bit only while ``a`` holds no
+    gradient yet; into an existing gradient G a row read twice gets
+    G + (g1 + g2), where np.add.at gives (G + g1) + g2."""
     idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise DimensionError("gather_rows requires a 2-D tensor and a 1-D index")

@@ -85,7 +85,7 @@ class TestGatherRows:
 
 class TestScatterRows:
     """``_scatter_rows`` is np.add.at into zeros to the bit, signed zeros
-    included, on each of its two paths (one indexed add, the CSR product)."""
+    included, on repeated, distinct, empty and unsorted indices."""
     IDX = {"repeated": [0, 2, 2, 3, 0], "distinct": [3, 0, 2, 5], "empty": [],
            "unsorted": [4, 1, 4, 0, 1, 1, 3]}
 
@@ -117,6 +117,26 @@ class TestScatterRows:
         np.add.at(ref[1], spans[:, 1], g)
         out = T._scatter_rows(spans + (0, 9), g, 18)
         assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_gathers_from_one_interior_tensor(self, dtype):
+        # the second gather's rows join the first's as one sum per row,
+        # G + (g1 + g2) where np.add.at gives (G + g1) + g2: equal to a few ulps
+        i1, i2 = np.array([4, 1, 4, 0, 1, 1]), np.array([1, 1, 3, 4, 4])
+        rng = np.random.default_rng(6)
+        g1, g2 = (rng.normal(size=(len(i), 3)).astype(dtype) for i in (i1, i2))
+        p = T.Tensor(rng.normal(size=(5, 3)), True, dtype)
+        h = mul(p, 1.0)  # interior: its grad is the two gathers' sum, passed to p as is
+        y1, y2 = T.gather_rows(h, i1), T.gather_rows(h, i2)
+        T.backward(T.add(sum_all(mul(y1, g1)), sum_all(mul(y2, g2))))
+        sums = [np.zeros((5, 3), dtype=dtype) for _ in range(2)]
+        np.add.at(sums[0], i1, g1)
+        np.add.at(sums[1], i2, g2)
+        assert p.grad.tobytes() == (sums[0] + sums[1]).tobytes()
+        ref = np.zeros((5, 3), dtype=dtype)
+        np.add.at(ref, i1, g1)
+        np.add.at(ref, i2, g2)
+        assert np.allclose(p.grad, ref, rtol=0, atol=8 * np.finfo(dtype).eps)
 
     @pytest.mark.parametrize("idx", [[3, 0, 2], [4, 1, 4, 0, 1, 1, 3]])
     def test_gather_rows_gradient(self, idx):

@@ -319,6 +319,43 @@ class TestTrainConfig:
                     weight_decay=0.0, log_every=0, eval_every=0)
 
 
+class TestTrainingGradient:
+    def test_equals_the_add_at_scatter_to_the_bit(self, monkeypatch):
+        # gather_rows adds a row read twice into an existing grad as G + (g1 + g2),
+        # where np.add.at gives (G + g1) + g2; in a training step the gathers that
+        # read a row twice meet no grad yet, and the [ENT] gather, which meets one,
+        # reads distinct rows, so the two agree to the bit
+        data = [example(), example(("bob", "lives", "in", "paris"),
+                                   ((0, 0, "person"), (3, 3, "location"))),
+                example(("mcgill", "hired", "alain", "farley", "in", "montreal", "today"),
+                        ((0, 0, "organization"), (2, 3, "person"), (5, 5, "location")))]
+        vocab = build_vocab(vocab_corpus(data, ["location", "organization", "person"]), 300)
+        model = Model.fresh(ModelConfig(encoder=EncoderConfig(width=16, heads=2), k=12), vocab, 0)
+        assert model.config.encoder.depth > 1  # the read rows gathered after a first layer
+        prompts = [build_prompt(ex.positive_types, ex.words, vocab) for ex in data]
+
+        def grads():
+            for p in model.params.values():
+                p.zero_grad()
+            T.backward(batch_loss(model, data, prompts, np.random.default_rng(4))[0])
+            return {k: p.grad.tobytes() for k, p in model.params.items()}
+
+        ours = grads()
+
+        def add_at_gather(a, idx):
+            idx = np.asarray(idx, dtype=np.int64)
+
+            def bw(g):
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                np.add.at(a.grad, idx, g)
+
+            return T._result(a.data[idx], (a,), "gather_rows", bw)
+
+        monkeypatch.setattr(T, "gather_rows", add_at_gather)
+        assert grads() == ours
+
+
 class TestFit:
     def test_single_example_overfits(self):
         ex = example()
