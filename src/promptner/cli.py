@@ -109,9 +109,10 @@ def _write_mentions(args, mention_lists, words_lists=None):
 
 
 def cmd_predict(args):
-    model, _ = ckpt.load_checkpoint(args.checkpoint)
     dcfg = _decode_config(args)
     if args.text is not None:
+        if args.data:
+            raise PromptnerError("app: predict takes --text or --data, not both")
         if not args.types:
             raise PromptnerError("app: --text requires --types")
         sentences = [args.text.split()]
@@ -127,6 +128,7 @@ def cmd_predict(args):
     if not types:
         raise PromptnerError("app: no entity types to predict")
 
+    model, _ = ckpt.load_checkpoint(args.checkpoint)
     _write_mentions(args, [model.predict(words, types, dcfg) for words in sentences], sentences)
     return 0
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError
+from .tensor import sigmoid
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,29 @@ class DecodeStats:
     pops: int = 0
 
 
+@lru_cache(maxsize=2**10)
+def _logit_cut(t, dtype):
+    """An immutable numpy scalar c of ``dtype`` with sigmoid(c) <= t: as
+    ``sigmoid`` is monotone (an exhaustive pass over every finite float32
+    found no step down), no logit at or below c is a candidate. Float32's
+    sigmoid is 1 from ~16.6, below log(t / (1 - t)) for t within 2^-24 of 1:
+    there c steps down until its sigmoid is <= t."""
+    cut = np.asarray(math.log(t / (1.0 - t)) - 1e-3, dtype=dtype)
+    while float(sigmoid(cut)) > t:
+        cut = cut - 1
+    return dtype.type(cut)
+
+
+@lru_cache(maxsize=2**10)
+def _type_ranks(types):
+    """Each name's rank among the sorted names of the tuple ``types``, the
+    tie-break on type, as a read-only int64 array."""
+    name_rank = {name: r for r, name in enumerate(sorted(set(types)))}
+    ranks = np.array([name_rank[name] for name in types], dtype=np.int64)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def decode(table, config=None, stats=None):
     """Greedy flat/nested selection; returns accepted EntityMentions.
 
@@ -79,21 +103,13 @@ def decode(table, config=None, stats=None):
         idx = np.flatnonzero(scores > t)
         p = scores.ravel()[idx]
     else:
-        # the sigmoid rounded in the logits' dtype is monotone: no logit at or
-        # below a cut c with sigmoid(c) <= t is a candidate (float32's is 1 from
-        # ~16.6, below log(t / (1 - t)) for t within 2^-24 of 1: c steps down)
         scores = table.logits
-        cut = np.asarray(math.log(t / (1.0 - t)) - 1e-3, dtype=scores.dtype)
-        while float(expit(cut)) > t:
-            cut = cut - 1
-        idx = np.flatnonzero(scores > cut)
-        p = expit(scores.ravel()[idx]).astype(np.float64)
+        idx = np.flatnonzero(scores > _logit_cut(t, scores.dtype))
+        p = sigmoid(scores.ravel()[idx]).astype(np.float64)
         idx, p = idx[p > t], p[p > t]
     rows, cols = np.divmod(idx, scores.shape[1])
     starts, ends = table.spans[rows, 0], table.spans[rows, 1]
-    name_rank = {name: r for r, name in enumerate(sorted(set(table.types)))}
-    type_rank = np.array([name_rank[name] for name in table.types], dtype=np.int64)
-    order = np.lexsort((type_rank[cols], ends, starts, -p))
+    order = np.lexsort((_type_ranks(tuple(table.types))[cols], ends, starts, -p))
     candidates = len(order)
     if not config.allow_multilabel:  # each span's first pair only
         order = order[np.sort(np.unique(rows[order], return_index=True)[1])]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .errors import ContractError
@@ -37,7 +36,7 @@ class ScoreTable:
 
     @cached_property
     def probs(self):
-        return expit(self.logits)
+        return T.sigmoid(self.logits)
 
 
 @lru_cache(maxsize=2**10)

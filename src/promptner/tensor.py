@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ContractError, DimensionError
 
@@ -121,6 +120,18 @@ def relu(a):
                    lambda g: a._accumulate(g * (a.data > 0)))
 
 
+def sigmoid(x):
+    """The package's one sigmoid, on arrays, in x's dtype: 1 / (1 + e) with
+    e = exp(-x) taken in float64 and rounded once to x's dtype. Like scipy's
+    expit it gives exactly 0 and 1 where e overflows or vanishes, without a
+    warning. It is monotone over every finite float32 (checked exhaustively;
+    the all-float32 form is not), which ``decoder.decode``'s logit cut needs."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore"):
+        e = np.exp(-x.astype(np.float64)).astype(x.dtype, copy=False)
+    return 1 / (1 + e)
+
+
 def _normal_cdf_f32(x, keep_exp=False):
     """Phi(x) for float32 x, in place on its temporaries: y = erfc(|x| /
     sqrt 2), then Phi = y/2 below 0 (no cancellation) and y/2 + (1 - y) from 0.
@@ -151,6 +162,8 @@ def gelu(a):
     if x.dtype == np.float32:  # a recorded node keeps the forward's exp(-x^2 / 2)
         cdf, e = _normal_cdf_f32(x, keep_exp=a.requires_grad)
     else:
+        from scipy.special import erf  # float64 only: a float32 model never loads it
+
         cdf, e = (0.5 * (1.0 + erf(x / _SQRT2))).astype(a.dtype, copy=False), None
 
     def bw(g):
@@ -427,7 +440,7 @@ def bce_with_logits(logits, targets, weights=None):
     x = logits.data
     elem = w * (np.maximum(x, 0) - x * y + np.log1p(np.exp(-np.abs(x))))
     return _result(np.asarray(elem.sum(), dtype=logits.dtype), (logits,), "bce_with_logits",
-                   lambda g: logits._accumulate(w * (expit(x) - y).astype(x.dtype, copy=False) * g))
+                   lambda g: logits._accumulate(w * (sigmoid(x) - y) * g))
 
 
 # -- backward pass ----------------------------------------------------------

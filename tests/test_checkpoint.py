@@ -3,7 +3,6 @@ import struct
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from promptner.checkpoint import (load_checkpoint, load_mentions,
                                   load_score_tables, save_checkpoint,
@@ -13,6 +12,7 @@ from promptner.decoder import EntityMention, decode
 from promptner.errors import DataError
 from promptner.matcher import ScoreTable, enumerate_spans, make_score_table
 from promptner.model import Model, ModelConfig
+from promptner.tensor import sigmoid
 from promptner.tokenizer import build_vocab
 
 
@@ -221,7 +221,7 @@ class TestScoreTables:
         (table,) = self._tables()
         logits = table.logits.astype(dtype)
         lazy = make_score_table(table.spans, table.types, logits, num_words=4, k=3)
-        eager = ScoreTable(table.spans, table.types, expit(logits), logits, num_words=4, k=3)
+        eager = ScoreTable(table.spans, table.types, sigmoid(logits), logits, num_words=4, k=3)
         save_score_tables([lazy], tmp_path / "lazy.jsonl")
         save_score_tables([eager], tmp_path / "eager.jsonl")
         assert (tmp_path / "lazy.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()

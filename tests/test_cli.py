@@ -208,6 +208,8 @@ class TestPredict:
     @pytest.mark.parametrize("argv, message", [
         ([], "predict needs --data or --text"),
         (["--text", "hello world", "--types", ","], "no entity types to predict"),
+        (["--text", "hello world", "--types", "person", "--data", "dev.jsonl"],
+         "predict takes --text or --data, not both"),
     ])
     def test_nothing_to_predict_fails(self, workspace, capsys, argv, message):
         rc = main(["predict", "--checkpoint", str(workspace["ckpt"])] + argv)

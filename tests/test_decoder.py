@@ -10,11 +10,13 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit, logit
+from scipy.special import logit
 
-from promptner.decoder import DecodeConfig, DecodeStats, EntityMention, decode
+from promptner.decoder import (DecodeConfig, DecodeStats, EntityMention, _logit_cut, _type_ranks,
+                               decode)
 from promptner.errors import ContractError
 from promptner.matcher import ScoreTable, enumerate_spans, make_score_table
+from promptner.tensor import sigmoid
 
 # (n_max, k_max, m_max) for random_table: short sentences, and wide ones up
 # to the paper's span cap K = 12, where spans reach window edges
@@ -330,7 +332,15 @@ class TestLogitsPath:
         table = random_table(np.random.default_rng(32), *WIDE)
         assert decode(table, DecodeConfig(threshold=0.2))
         assert "probs" not in vars(table)
-        assert np.array_equal(table.probs, expit(table.logits))
+        assert np.array_equal(table.probs, sigmoid(table.logits))
+
+    def test_per_call_constants_are_shared_and_read_only(self):
+        ranks = _type_ranks(("b", "a", "b"))
+        assert ranks.tolist() == [1, 0, 1] and not ranks.flags.writeable
+        assert _type_ranks(("b", "a", "b")) is ranks
+        cut = _logit_cut(0.5, np.dtype(np.float32))
+        assert cut.dtype == np.float32 and sigmoid(cut) <= 0.5
+        assert _logit_cut(0.5, np.dtype(np.float32)) is cut
 
 
 def test_nested_decode_scaling():

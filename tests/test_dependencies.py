@@ -1,6 +1,7 @@
 """The package's only dependencies are numpy and scipy: every module of
-``src/promptner`` imports nothing else outside the standard library, and
-inference loads no more of scipy than it uses."""
+``src/promptner`` imports nothing else outside the standard library.
+Inference imports numpy only; scipy.special serves the float64 GELU and
+scipy.sparse the training backward, each imported by its first use."""
 
 import ast
 import os
@@ -29,23 +30,31 @@ def test_imports_only_stdlib_numpy_and_scipy():
 
 
 def test_inference_loads_no_sparse_code():
-    # scipy.sparse serves the training backward only; predicting in a fresh
-    # process must not import it, while one backward through a gather does
+    # inference runs on numpy alone: importing the CLI and predicting with a
+    # float32 model in a fresh process imports no scipy module at all; then a
+    # float64 GELU loads scipy.special, and one backward through a gather
+    # scipy.sparse
     script = """
 import sys
 import numpy as np
+import promptner.cli
 from promptner import EncoderConfig, Model, ModelConfig, build_vocab, tensor as T
+def loaded():
+    print(",".join(m for m in ("scipy", "scipy.special", "scipy.sparse") if m in sys.modules) or "-")
 words = ["Ada", "met", "Alan", "in", "Ada", "town"]
 config = ModelConfig(encoder=EncoderConfig(depth=1, width=8, heads=2, max_positions=32))
 model = Model.fresh(config, build_vocab([words]))
+assert model.params["encoder.tok_emb"].dtype == np.float32
 model.predict(words, ["person", "place"])
-print("scipy.sparse" in sys.modules)
+loaded()
+T.gelu(T.Tensor(np.ones(3), dtype=np.float64))
+loaded()
 table = model.params["encoder.tok_emb"]
 T.backward(T.bce_with_logits(T.gather_rows(table, [1, 1]), np.ones((2, 8))))
-print("scipy.sparse" in sys.modules)
+loaded()
 """
     src = str(Path(promptner.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          check=True).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["-", "scipy,scipy.special", "scipy,scipy.special,scipy.sparse"]

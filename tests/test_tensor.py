@@ -1,9 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from conftest import mul, sum_all
 from promptner import tensor as T
@@ -716,6 +717,51 @@ class TestDropout:
         out = T.dropout(x, 0.3, np.random.default_rng(3))
         T.backward(sum_all(out))
         assert np.array_equal(x.grad, out.data)  # mask * 1, inputs all ones
+
+
+def float32_around(center, ulps=2**16):
+    """The 2 ulps + 1 consecutive finite float32s centred on float32(center),
+    in increasing order: bit patterns taken as sign-magnitude ordinals."""
+    u = int(np.float32(center).view(np.uint32))
+    ordinals = np.arange(-ulps, ulps + 1) + (u if u < 2**31 else 2**31 - u)
+    return np.where(ordinals >= 0, ordinals, 2**31 - ordinals).astype(np.uint32).view(np.float32)
+
+
+class TestSigmoid:
+    # 0; -0.3656, where numpy's float32 exp makes the all-float32 form step
+    # down; +-16.6, where float32's sigmoid reaches 1 and where e = exp(-x)
+    # reaches 2^24, past which 1 + e rounds to e; +-88, where e nears overflow
+    CENTERS = (0.0, -0.3656, 16.6, -16.6, 88.0, -88.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_within_four_ulps_of_scipy_expit(self, dtype):
+        # each rounds three times (exp, 1 + e, the division), so each is within
+        # two ulps of the exact sigmoid, and scipy's exp is not numpy's
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.linspace(-120, 60, 400_001), rng.normal(scale=20, size=100_000),
+                            [0.0, -0.0, np.inf, -np.inf]]).astype(dtype)
+        out = T.sigmoid(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_max_ulp(out, expit(x), maxulp=4)
+
+    def test_monotone_near_the_turning_points(self):
+        for center in self.CENTERS:
+            x = float32_around(center)
+            assert np.all(np.diff(x) > 0)
+            assert np.all(np.diff(T.sigmoid(x)) >= 0), center
+
+    def test_saturates_exactly_and_silently(self):
+        x = np.array([-100.0, 100.0, -3e38, 3e38, -np.inf, np.inf], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.sigmoid(x)
+            out64 = T.sigmoid(np.array([-1e308, 1e308, -3e38, 3e38]))
+        assert out.dtype == np.float32 and out.tolist() == [0.0, 1.0] * 3
+        assert out64.dtype == np.float64 and out64.tolist() == [0.0, 1.0] * 2
+
+    def test_scalars_keep_their_dtype(self):
+        assert T.sigmoid(np.float32(0.0)).dtype == np.float32
+        assert float(T.sigmoid(np.asarray(0.0, dtype=np.float32))) == 0.5
 
 
 class TestBceWithLogits:
