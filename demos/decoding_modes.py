@@ -11,8 +11,7 @@ Run:  python3 demos/decoding_modes.py
 import numpy as np
 from scipy.special import logit
 
-from promptner import DecodeConfig, decode, enumerate_spans
-from promptner.matcher import make_score_table
+from promptner import DecodeConfig, ScoreTable, decode, enumerate_spans
 
 
 def table(num_words, k, entries, types):
@@ -22,7 +21,7 @@ def table(num_words, k, entries, types):
     logits = np.full((len(spans), len(types)), -9.0)
     for start, end, typ, prob in entries:
         logits[idx[(start, end)], col[typ]] = logit(prob)
-    return make_score_table(spans, types, logits, num_words=num_words, k=k)
+    return ScoreTable(num_words, k, types, logits=logits)
 
 
 def show(label, mentions):

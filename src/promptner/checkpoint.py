@@ -9,7 +9,9 @@ a header without a dtype is float32, so float32 files keep the bytes they
 had before the dtype was recorded. Round-trips are bit-exact.
 
 Score tables are exported one JSON record per sentence so the decoder can
-run standalone.
+run standalone: num_words, k, types, spans (the K-capped enumeration, checked
+on load) and probs (row-major, |spans| x |types|). Other keys are ignored, so
+files that also carry a logits column still load.
 """
 
 from __future__ import annotations
@@ -127,11 +129,8 @@ def save_score_tables(tables, path):
 
 
 def _score_record(t):
-    rec = {"num_words": t.num_words, "k": t.k, "types": list(t.types),
-           "spans": t.spans.tolist(), "probs": np.ravel(t.probs).tolist()}
-    if t.logits is not None:
-        rec["logits"] = np.ravel(t.logits).tolist()
-    return rec
+    return {"num_words": t.num_words, "k": t.k, "types": t.types,
+            "spans": t.spans.tolist(), "probs": np.ravel(t.probs).tolist()}
 
 
 def load_score_tables(path):
@@ -165,13 +164,7 @@ def _score_table(rec):
     # a float32 sigmoid saturates to exactly 0 or 1
     if probs.size and not ((probs >= 0) & (probs <= 1)).all():
         raise DataError("probabilities must lie in [0, 1]")
-    probs = probs.reshape(len(spans), len(types))
-    logits = rec.get("logits")
-    if logits is not None:
-        logits = np.array([_finite(x, "logit") for x in logits],
-                          dtype=np.float64).reshape(len(spans), len(types))
-    return ScoreTable(spans=spans, types=types, probs=probs, logits=logits,
-                      num_words=num_words, k=k)
+    return ScoreTable(num_words, k, types, probs=probs.reshape(len(spans), len(types)))
 
 
 def mention_records(mention_lists, words_lists=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .decoder import EntityMention
 from .errors import ConfigError, DataError
 from .trainer import TrainingExample
 
-DEFAULT_LEXICONS = {
+LEXICONS = {
     "person": ["alain farley", "marie curie", "john smith", "ada lovelace",
                "grace hopper", "alan turing", "rosa parks", "amelia earhart"],
     "organization": ["mcgill university", "acme corp", "red cross", "united nations",
@@ -45,7 +45,7 @@ DEFAULT_LEXICONS = {
 }
 
 # "{ent}" marks an entity slot; the first slot carries the featured type.
-DEFAULT_TEMPLATES = [
+TEMPLATES = [
     ["{ent}", "works", "at", "{ent}"],
     ["{ent}", "visited", "{ent}", "on", "{ent}"],
     ["{ent}", "won", "{ent}"],
@@ -57,14 +57,13 @@ DEFAULT_TEMPLATES = [
     ["the", "committee", "gave", "{ent}", "to", "{ent}"],
     ["{ent}", "was", "diagnosed", "with", "{ent}"],
 ]
+TYPES = tuple(sorted(LEXICONS))
 
 
 @dataclass
 class SynthSpec:
-    types: list = field(default_factory=lambda: sorted(DEFAULT_LEXICONS))
-    lexicons: dict = field(default_factory=lambda: dict(DEFAULT_LEXICONS))
-    templates: list = field(default_factory=lambda: [list(t) for t in DEFAULT_TEMPLATES])
     max_span_width: int = 12
+    types = TYPES  # not a field: every corpus draws from the module's lexicons
 
 
 def read_jsonl(path, parse):
@@ -148,7 +147,7 @@ def save_dataset(examples, path):
                        for ex in examples))
 
 
-def _fill_template(template, slot_types, lexicons, rng):
+def _fill_template(template, slot_types, rng):
     words = []
     gold = []
     slot_i = 0
@@ -156,7 +155,7 @@ def _fill_template(template, slot_types, lexicons, rng):
         if token == "{ent}":
             etype = slot_types[slot_i]
             slot_i += 1
-            surface = lexicons[etype][rng.integers(len(lexicons[etype]))]
+            surface = LEXICONS[etype][rng.integers(len(LEXICONS[etype]))]
             parts = surface.split()
             gold.append(EntityMention(len(words), len(words) + len(parts) - 1, etype))
             words.extend(parts)
@@ -175,16 +174,8 @@ def synth_dataset(spec=None, train_size=50, dev_size=20, seed=0):
     spec = spec or SynthSpec()
     if min(train_size, dev_size) < 0:
         raise ConfigError(f"need train_size and dev_size >= 0, got {train_size} and {dev_size}")
-    if len(spec.types) < 2:
-        raise ConfigError("need at least 2 entity types")
-    if not spec.templates:
-        raise ConfigError("need at least 1 template")
-    for etype in spec.types:
-        surfaces = spec.lexicons.get(etype)
-        if not surfaces:
-            raise ConfigError(f"no lexicon entries for type {etype!r}")
-        widest = max(len(s.split()) for s in surfaces)
-        if widest > spec.max_span_width:
+    for etype in TYPES:
+        if max(len(s.split()) for s in LEXICONS[etype]) > spec.max_span_width:
             raise ConfigError(f"lexicon for {etype!r} has spans wider than "
                               f"max_span_width={spec.max_span_width}")
 
@@ -193,12 +184,11 @@ def synth_dataset(spec=None, train_size=50, dev_size=20, seed=0):
     def make_split(size):
         examples = []
         for i in range(size):
-            featured = spec.types[i % len(spec.types)]
-            template = spec.templates[rng.integers(len(spec.templates))]
+            featured = TYPES[i % len(TYPES)]
+            template = TEMPLATES[rng.integers(len(TEMPLATES))]
             n_slots = sum(1 for t in template if t == "{ent}")
-            others = [spec.types[j] for j in rng.integers(len(spec.types), size=n_slots - 1)]
-            examples.append(_fill_template(template, [featured] + others,
-                                           spec.lexicons, rng))
+            others = [TYPES[j] for j in rng.integers(len(TYPES), size=n_slots - 1)]
+            examples.append(_fill_template(template, [featured] + others, rng))
         return examples
 
     return make_split(train_size), make_split(dev_size)

@@ -1,8 +1,8 @@
 """Greedy span selection over a score table.
 
 Candidates with probability strictly above the threshold are sorted once
-and visited best-first (ties: start, end, then type name); while a table's
-probs are unread, only the few logits above a cut take the sigmoid. Flat mode
+and visited best-first (ties: start, end, then type name); of a table of
+logits, only the few logits above a cut take the sigmoid. Flat mode
 accepts a span only if it is token-disjoint from everything accepted so far;
 nested mode additionally allows proper containment (at least one differing
 endpoint) but never partial overlap, and never two types on the identical
@@ -90,15 +90,16 @@ def _type_ranks(types):
 def decode(table, config=None, stats=None):
     """Greedy flat/nested selection; returns accepted EntityMentions.
 
-    ``table`` needs .spans (the (S, 2) array of ``enumerate_spans``), .types and
-    .probs (S x |types|), or .logits while a ScoreTable's probs are unread. Output
-    order is acceptance order (best score first). ``stats``, when given, gets the
-    number of pairs above the threshold (``candidates``) and adds the number of
-    pairs visited to ``pops`` (one per span without multi-label, so pops <= candidates).
+    ``table`` is a ScoreTable: a table of logits (a model's) is decoded from
+    them, taking the sigmoid of the logits above a cut only; a table of probs
+    (read from a file) from its probs. Output order is acceptance order (best
+    score first). ``stats``, when given, gets the number of pairs above the
+    threshold (``candidates``) and adds the number of pairs visited to ``pops``
+    (one per span without multi-label, so pops <= candidates).
     """
     config = config or DecodeConfig()
     t = config.threshold
-    if "probs" in vars(table):  # given or read: float64, so t is compared at full precision
+    if table.logits is None:  # float64, so t is compared at full precision
         scores = np.asarray(table.probs, dtype=np.float64)
         idx = np.flatnonzero(scores > t)
         p = scores.ravel()[idx]

@@ -114,7 +114,7 @@ def grad_check_resampling(make_point, f, eps=1e-5, samples_per_param=8,
     raise RuntimeError(f"no kink-free evaluation point found in {max_resamples} draws")
 
 
-def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, eps=1e-5):
+def model_gradcheck(seed=0, dtype=np.float32, samples_per_param=6):
     """Gradient-check the training loss (``trainer.batch_loss``) end to end.
 
     Builds a tiny fixed prompt and checks the gradient of the loss that a
@@ -122,19 +122,15 @@ def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, 
     nothing), for every parameter tensor against central differences.
     Returns a name -> max relative error dict.
     """
-    import dataclasses
-
     from . import model as model_mod
     from . import prompt as prompt_mod
     from . import trainer as trainer_mod
     from .data import vocab_corpus
     from .decoder import EntityMention
+    from .encoder import EncoderConfig
     from .tokenizer import build_vocab
 
-    config = config or model_mod.ModelConfig()
-    config = dataclasses.replace(
-        config, head_dropout=0.0,
-        encoder=dataclasses.replace(config.encoder, dropout=0.0))
+    config = model_mod.ModelConfig(encoder=EncoderConfig(dropout=0.0), head_dropout=0.0)
 
     example = trainer_mod.TrainingExample(
         words=["alain", "farley", "works", "at", "mcgill"],
@@ -156,6 +152,6 @@ def model_gradcheck(config=None, seed=0, dtype=np.float32, samples_per_param=6, 
                                      dtype=dtype, init_scale=scale)
 
     rng = np.random.default_rng(seed)
-    errs, _ = grad_check_resampling(make_point, f, eps=eps,
-                                    samples_per_param=samples_per_param, rng=rng)
+    errs, _ = grad_check_resampling(make_point, f, samples_per_param=samples_per_param,
+                                    rng=rng)
     return errs

@@ -24,15 +24,23 @@ from .errors import ContractError
 
 
 class ScoreTable:
-    """Matching scores for one sentence, |spans| x |types|. Probs that are not
-    given are the sigmoid of the logits, computed on first read; until then
-    "probs" is not in the table's ``vars``."""
+    """Matching scores of every span of ``enumerate_spans(num_words, k)``, the
+    table's ``spans``, against every type: exactly one |spans| x |types| array,
+    a model's ``logits`` or ``probs`` read from a file. A logits table's probs
+    are their sigmoid, computed on first read."""
 
-    def __init__(self, spans, types, probs=None, logits=None, num_words=0, k=0):
-        self.spans, self.types, self.logits = spans, types, logits  # spans: enumerate_spans'
-        self.num_words, self.k = num_words, k
-        if probs is not None:
-            self.probs = probs
+    def __init__(self, num_words, k, types, logits=None, probs=None):
+        if (logits is None) == (probs is None):
+            raise ContractError("a score table holds exactly one of logits and probs")
+        self.num_words, self.k, self.types = num_words, k, list(types)
+        self.spans = enumerate_spans(num_words, k)
+        scores = np.asarray(probs if logits is None else logits)
+        if scores.shape != (len(self.spans), len(self.types)):
+            raise ContractError(f"scores of shape {scores.shape} for {len(self.spans)} "
+                                f"spans x {len(self.types)} types")
+        self.logits = None if logits is None else scores
+        if logits is None:
+            self.probs = scores
 
     @cached_property
     def probs(self):
@@ -90,8 +98,3 @@ def match_scores(span_hidden, q, params):
     embeddings q, as one ``span_scores`` op."""
     return T.span_scores(span_hidden, params["head.span.w2"], params["head.span.b2"], q)
 
-
-def make_score_table(spans, types, logits, num_words, k):
-    """Wrap raw logits into a ScoreTable; its probs are their sigmoid."""
-    return ScoreTable(spans=spans, types=list(types), logits=np.asarray(logits),
-                      num_words=num_words, k=k)

@@ -133,11 +133,9 @@ class Model:
             enc = prompt_mod.build_prompt(group, words, self.vocab,
                                           max_types=self.config.max_types,
                                           max_positions=self.config.encoder.max_positions)
-            spans, logits = forward(enc, self._frozen, self.config, mode="eval")
-            logits_cols.append(logits.data)
-        all_logits = np.concatenate(logits_cols, axis=1)
-        return matcher.make_score_table(spans, types, all_logits,
-                                        num_words=len(words), k=self.config.k)
+            logits_cols.append(forward(enc, self._frozen, self.config, mode="eval")[1].data)
+        return matcher.ScoreTable(len(words), self.config.k, types,
+                                  logits=np.concatenate(logits_cols, axis=1))
 
     def predict(self, words, entity_types, decode_config=None):
         from .decoder import decode

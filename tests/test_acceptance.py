@@ -19,7 +19,7 @@ from promptner.decoder import DecodeConfig, DecodeStats, decode
 from promptner.encoder import EncoderConfig
 from promptner.evaluation import score as eval_score
 from promptner.gradcheck import model_gradcheck
-from promptner.matcher import enumerate_spans, make_score_table, span_count
+from promptner.matcher import ScoreTable, enumerate_spans, span_count
 from promptner.model import Model, ModelConfig
 from promptner.checkpoint import load_checkpoint, save_checkpoint
 from promptner.tokenizer import build_vocab
@@ -299,7 +299,7 @@ def test_criterion_10_decode_scaling():
         k = 12
         spans = enumerate_spans(n, k)
         logits = rng.normal(2.0, 0.5, size=(len(spans), 1))  # nearly all > 0.5
-        table = make_score_table(spans, ["t"], logits, num_words=n, k=k)
+        table = ScoreTable(n, k, ["t"], logits=logits)
         stats = DecodeStats()
         t0 = time.perf_counter()
         decode(table, DecodeConfig(mode="flat"), stats)

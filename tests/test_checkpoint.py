@@ -8,9 +8,9 @@ from promptner.checkpoint import (load_checkpoint, load_mentions,
                                   load_score_tables, save_checkpoint,
                                   save_mentions, save_score_tables)
 from promptner.data import synth_dataset, vocab_corpus
-from promptner.decoder import EntityMention, decode
+from promptner.decoder import DecodeConfig, EntityMention, decode
 from promptner.errors import DataError
-from promptner.matcher import ScoreTable, enumerate_spans, make_score_table
+from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.model import Model, ModelConfig
 from promptner.tensor import sigmoid
 from promptner.tokenizer import build_vocab
@@ -202,9 +202,8 @@ class TestCheckpoint:
 class TestScoreTables:
     def _tables(self):
         rng = np.random.default_rng(0)
-        spans = enumerate_spans(4, 3)
-        logits = rng.normal(size=(len(spans), 2))
-        return [make_score_table(spans, ["a", "b"], logits, num_words=4, k=3)]
+        logits = rng.normal(size=(len(enumerate_spans(4, 3)), 2))
+        return [ScoreTable(4, 3, ["a", "b"], logits=logits)]
 
     def test_roundtrip(self, tmp_path):
         tables = self._tables()
@@ -214,14 +213,14 @@ class TestScoreTables:
         assert len(loaded) == 1
         assert loaded[0].types == ["a", "b"]
         assert np.allclose(loaded[0].probs, tables[0].probs)
-        assert np.allclose(loaded[0].logits, tables[0].logits)
+        assert loaded[0].logits is None  # a file holds probs only
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_lazy_probs_write_the_bytes_of_computed_ones(self, dtype, tmp_path):
         (table,) = self._tables()
         logits = table.logits.astype(dtype)
-        lazy = make_score_table(table.spans, table.types, logits, num_words=4, k=3)
-        eager = ScoreTable(table.spans, table.types, sigmoid(logits), logits, num_words=4, k=3)
+        lazy = ScoreTable(4, 3, table.types, logits=logits)
+        eager = ScoreTable(4, 3, table.types, probs=sigmoid(logits))
         save_score_tables([lazy], tmp_path / "lazy.jsonl")
         save_score_tables([eager], tmp_path / "eager.jsonl")
         assert (tmp_path / "lazy.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
@@ -231,13 +230,32 @@ class TestScoreTables:
         # such a table must load and decode as the table itself does
         spans = enumerate_spans(5, 3)
         logits = np.where(np.arange(len(spans) * 2).reshape(-1, 2) % 3 == 0, 100.0, -100.0)
-        table = make_score_table(spans, ["a", "b"], logits.astype(np.float32), num_words=5, k=3)
+        table = ScoreTable(5, 3, ["a", "b"], logits=logits.astype(np.float32))
         assert table.probs.min() == 0.0 and table.probs.max() == 1.0
         path = tmp_path / "scores.jsonl"
         save_score_tables([table], path)
         (loaded,) = load_score_tables(path)
         assert decode(table)
         assert decode(loaded) == decode(table)
+
+    def test_file_with_a_logits_column_decodes_from_its_probs(self, tmp_path):
+        # a record as files carried it before the logits column was dropped:
+        # the column is ignored, and the probs decode as they did then
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"num_words": 3, "k": 2, "types": ["person", "org"], '
+            '"spans": [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2]], '
+            '"probs": [0.9525741338729858, 0.11920291930437088, 0.8175744414329529, '
+            '0.622459352016449, 0.01798621006309986, 0.04742587357759476, 0.562176525592804, '
+            '0.2689414322376251, 0.3775406777858734, 0.8807970285415649], '
+            '"logits": [3.0, -2.0, 1.5, 0.5, -4.0, -3.0, 0.25, -1.0, -0.5, 2.0]}\n')
+        (table,) = load_score_tables(path)
+        assert table.logits is None and table.probs.shape == (5, 2)
+        flat = [EntityMention(0, 0, "person", 0.9525741338729858),
+                EntityMention(2, 2, "org", 0.8807970285415649)]
+        assert decode(table, DecodeConfig("flat")) == flat
+        assert decode(table, DecodeConfig("nested")) == flat + [
+            EntityMention(0, 1, "person", 0.8175744414329529)]
 
     def test_wrong_enumeration_rejected(self, tmp_path):
         path = tmp_path / "scores.jsonl"
@@ -274,12 +292,6 @@ class TestScoreTables:
          "JSON integers"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": ["0.5"]}',
          "could not convert probability"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
-         '"logits": [NaN]}', "could not convert logit"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
-         '"logits": [true]}', "could not convert logit"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5], '
-         '"logits": [-Infinity]}', "could not convert logit"),
         ('{"num_words": 1, "k": 1, "types": [1, "a"], "spans": [[0, 0]], "probs": [0.5, 0.5]}',
          "entity type 1 is not a non-empty string"),
         ('{"num_words": 1, "k": 1, "types": "ab", "spans": [[0, 0]], "probs": [0.5, 0.5]}',

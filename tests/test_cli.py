@@ -13,7 +13,7 @@ import pytest
 from promptner.checkpoint import load_checkpoint, save_score_tables
 from promptner.cli import _train_setup, build_parser, main
 from promptner.data import load_dataset
-from promptner.matcher import enumerate_spans, make_score_table
+from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.trainer import evaluate_dataset
 from test_checkpoint import rewrite_header
 
@@ -275,7 +275,7 @@ def scores_file(tmp_path):
     logits = np.full((len(spans), 1), -4.0)
     logits[0, 0] = 4.0
     path = tmp_path / "scores.jsonl"
-    save_score_tables([make_score_table(spans, ["person"], logits, num_words=3, k=2)], path)
+    save_score_tables([ScoreTable(3, 2, ["person"], logits=logits)], path)
     return path
 
 

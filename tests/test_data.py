@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from promptner.data import (DEFAULT_LEXICONS, SynthSpec, load_dataset,
+from promptner.data import (LEXICONS, SynthSpec, load_dataset,
                             save_dataset, synth_dataset, vocab_corpus)
 from promptner.errors import ConfigError, DataError
 
@@ -33,7 +33,7 @@ class TestSynthDataset:
         for ex in train:
             for m in ex.gold:
                 surface = " ".join(ex.words[m.start:m.end + 1])
-                assert surface in DEFAULT_LEXICONS[m.type]
+                assert surface in LEXICONS[m.type]
 
     def test_spans_within_width_cap(self):
         spec = SynthSpec()
@@ -52,10 +52,6 @@ class TestSynthDataset:
         with pytest.raises(ConfigError, match="train_size and dev_size >= 0"):
             synth_dataset(train_size=sizes[0], dev_size=sizes[1])
 
-    def test_single_type_rejected(self):
-        spec = SynthSpec(types=["person"])
-        with pytest.raises(ConfigError):
-            synth_dataset(spec, train_size=5)
 
 
 class TestDatasetIO:

@@ -15,7 +15,7 @@ from scipy.special import logit
 from promptner.decoder import (DecodeConfig, DecodeStats, EntityMention, _logit_cut, _type_ranks,
                                decode)
 from promptner.errors import ContractError
-from promptner.matcher import ScoreTable, enumerate_spans, make_score_table
+from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.tensor import sigmoid
 
 # (n_max, k_max, m_max) for random_table: short sentences, and wide ones up
@@ -41,7 +41,7 @@ def random_table(rng, n_max=8, k_max=4, m_max=3, ties=False):
     else:
         logits = rng.normal(0.0, 2.0, size=(len(spans), m))
         types = [f"type{i}" for i in range(m)]
-    return make_score_table(spans, types, logits, num_words=n, k=k)
+    return ScoreTable(n, k, types, logits=logits)
 
 
 def _disjoint(a, b):
@@ -166,7 +166,7 @@ class TestHandCases:
         logits = np.full((len(spans), len(types)), -9.0)
         for start, end, typ, prob in entries:
             logits[idx[(start, end)], col[typ]] = logit(prob)
-        return make_score_table(spans, types, logits, num_words=num_words, k=k)
+        return ScoreTable(num_words, k, types, logits=logits)
 
     def test_flat_drops_overlap_keeps_disjoint(self):
         table = self._table(6, 3, [(0, 2, "a", 0.9), (1, 3, "b", 0.8),
@@ -186,15 +186,12 @@ class TestHandCases:
 
 class TestEdgeCases:
     def test_threshold_is_strict(self):
-        spans = enumerate_spans(1, 1)
-        table = make_score_table(spans, ["t"], np.array([[0.0]]), num_words=1, k=1)
+        table = ScoreTable(1, 1, ["t"], logits=np.array([[0.0]]))
         assert table.probs[0, 0] == 0.5
         assert decode(table, DecodeConfig(threshold=0.5)) == []
 
     def test_empty_when_all_below(self):
-        spans = enumerate_spans(3, 2)
-        table = make_score_table(spans, ["t"], np.full((len(spans), 1), -5.0),
-                                 num_words=3, k=2)
+        table = ScoreTable(3, 2, ["t"], logits=np.full((5, 1), -5.0))
         assert decode(table) == []
 
     def test_nested_allows_containment_not_overlap(self):
@@ -205,24 +202,21 @@ class TestEdgeCases:
         logits[idx[(1, 2)], 0] = 3.0   # nested inside -> kept in nested mode
         logits[idx[(2, 3)], 0] = 2.0   # partially overlaps (1,2)'s container? no:
         # (2,3) is inside (0,3) but overlaps (1,2) partially -> rejected
-        table = make_score_table(spans, ["t"], logits, num_words=4, k=4)
+        table = ScoreTable(4, 4, ["t"], logits=logits)
         flat = decode(table, DecodeConfig(mode="flat"))
         nested = decode(table, DecodeConfig(mode="nested"))
         assert [(m.start, m.end) for m in flat] == [(0, 3)]
         assert [(m.start, m.end) for m in nested] == [(0, 3), (1, 2)]
 
     def test_tie_break_is_positional_then_type(self):
-        spans = enumerate_spans(3, 1)
         logits = np.zeros((3, 2)) + 2.0  # all identical probabilities
-        table = make_score_table(spans, ["b", "a"], logits, num_words=3, k=1)
+        table = ScoreTable(3, 1, ["b", "a"], logits=logits)
         out = decode(table, DecodeConfig(mode="flat"))
         assert [(m.start, m.end, m.type) for m in out] == [
             (0, 0, "a"), (1, 1, "a"), (2, 2, "a")]
 
     def test_multilabel_keeps_identical_span_twice(self):
-        spans = enumerate_spans(1, 1)
-        table = make_score_table(spans, ["a", "b"], np.array([[3.0, 2.0]]),
-                                 num_words=1, k=1)
+        table = ScoreTable(1, 1, ["a", "b"], logits=np.array([[3.0, 2.0]]))
         both = decode(table, DecodeConfig(allow_multilabel=True))
         assert [(m.type) for m in both] == ["a", "b"]
         one = decode(table, DecodeConfig())
@@ -237,23 +231,11 @@ class TestEdgeCases:
     def test_float32_probs_compared_at_full_precision(self):
         # float32(0.3) exceeds the float64 threshold 0.3 but equals
         # float32(0.3): the comparison must not happen in float32
-        spans = enumerate_spans(2, 1)
-        table = make_score_table(spans, ["t"], np.zeros((2, 1)), num_words=2, k=1)
-        table.probs = np.array([[0.3], [0.2]], dtype=np.float32)
+        table = ScoreTable(2, 1, ["t"], probs=np.array([[0.3], [0.2]], dtype=np.float32))
         config = DecodeConfig(threshold=0.3)
         out = decode(table, config)
         assert out == oracle_decode(table, config)
         assert [(m.start, m.end) for m in out] == [(0, 0)]
-
-    @pytest.mark.parametrize("mode", ["flat", "nested"])
-    def test_bare_table_matches_full_table(self, mode):
-        # k and num_words left at their default 0 must not change the output
-        rng = np.random.default_rng(13)
-        config = DecodeConfig(mode=mode, threshold=0.3)
-        for _ in range(50):
-            table = random_table(rng, *WIDE)
-            bare = ScoreTable(table.spans, table.types, table.probs)
-            assert decode(bare, config) == decode(table, config)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ContractError):
@@ -265,8 +247,8 @@ class TestEdgeCases:
 
 
 def probs_only(table):
-    """``table`` with its probs given, so decode reads them, not its logits."""
-    return ScoreTable(table.spans, table.types, table.probs, num_words=table.num_words, k=table.k)
+    """A table of ``table``'s probs, so decode reads them, not its logits."""
+    return ScoreTable(table.num_words, table.k, table.types, probs=table.probs)
 
 
 def decode_both(table, config):
@@ -279,16 +261,14 @@ def decode_both(table, config):
 
 
 class TestLogitsPath:
-    """A table of ``make_score_table`` is decoded from its logits: the sigmoid
-    is taken on the logits above a cut only. Its candidates, order and scores
-    must be those of the same table decoded from its (given) probs."""
+    """A table of logits is decoded from them: the sigmoid is taken on the
+    logits above a cut only. Its candidates, order and scores must be those
+    of a table of its probs."""
 
     @staticmethod
     def one_word_spans(logits):
         # one type over one-word spans: flat decoding accepts every candidate
-        spans = enumerate_spans(len(logits), 1)
-        return make_score_table(spans, ["t"], np.asarray(logits)[:, None],
-                                num_words=len(logits), k=1)
+        return ScoreTable(len(logits), 1, ["t"], logits=np.asarray(logits)[:, None])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("p0", [1e-3, 0.3, 0.5, 0.7, 0.999, 1 - 2.0 ** -23])
@@ -351,7 +331,7 @@ def test_nested_decode_scaling():
         n = target // 10  # k=12 capped spans: roughly 12N - 66 candidates
         spans = enumerate_spans(n, 12)
         logits = rng.normal(2.0, 0.5, size=(len(spans), 1))  # nearly all > 0.5
-        table = make_score_table(spans, ["t"], logits, num_words=n, k=12)
+        table = ScoreTable(n, 12, ["t"], logits=logits)
         stats = DecodeStats()
         t0 = time.perf_counter()
         decode(table, DecodeConfig(mode="nested"), stats)

@@ -3,7 +3,8 @@
 Each case writes a file with a public writer, reads it back with the reader
 of that format and returns both sides for comparison. Score tables include
 saturated float32 probabilities (exactly 0 and 1), which the reader must
-accept because the model produces them.
+accept because the model produces them, and a table read back decodes to the
+mentions of the table written.
 """
 
 import contextlib
@@ -17,8 +18,9 @@ from promptner.checkpoint import (load_mentions, load_score_tables, save_mention
                                   save_score_tables)
 from promptner.cli import main
 from promptner.data import load_dataset, read_jsonl, save_dataset, synth_dataset
-from promptner.decoder import EntityMention
-from promptner.matcher import enumerate_spans, make_score_table
+from promptner.decoder import DecodeConfig, EntityMention, decode
+from promptner.matcher import ScoreTable, enumerate_spans, span_count
+from promptner.tensor import sigmoid
 
 WORDS = [["alain", "farley", "works", "at", "mcgill"], ["paris"], ["a", "b", "c"]]
 MENTIONS = [[EntityMention(0, 1, "person", score=0.75), EntityMention(4, 4, "org", score=0.5)],
@@ -53,11 +55,25 @@ def score_tables_case(tmp_path):
         logits = rng.normal(scale=8.0, size=(len(spans), len(types))).astype(np.float32)
         logits[0] = 100.0
         logits[-1] = -100.0
-        tables.append(make_score_table(spans, types, logits, num_words=num_words, k=k))
+        tables.append(ScoreTable(num_words, k, types, logits=logits))
+        tables.append(ScoreTable(num_words, k, types, probs=tables[-1].probs))
     assert all(t.probs.min() == 0.0 and t.probs.max() == 1.0 for t in tables)
+    # a seeded sweep of 1-8 words, k 1-4 and 1-3 types: logits and probs
+    # tables of float32 and float64, with pairs saturated at +-100
+    for i in range(40):
+        num_words, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        types = ["a", "b", "c"][:int(rng.integers(1, 4))]
+        dtype = (np.float32, np.float64)[i % 2]
+        logits = rng.normal(scale=8.0, size=(span_count(num_words, k), len(types)))
+        saturated = rng.random(logits.shape) < 0.2
+        logits[saturated] = rng.choice([-100.0, 100.0], size=np.count_nonzero(saturated))
+        logits = logits.astype(dtype)
+        scores = {"logits": logits} if i % 4 < 2 else {"probs": sigmoid(logits)}
+        tables.append(ScoreTable(num_words, k, types, **scores))
 
     def fields(t):
-        return (t.spans.tolist(), t.types, t.probs.tolist(), t.logits.tolist(), t.num_words, t.k)
+        return (t.spans.tolist(), t.types, t.probs.tolist(), t.num_words, t.k,
+                decode(t, DecodeConfig("flat", 0.3)), decode(t, DecodeConfig("nested", 0.3)))
 
     save_score_tables(tables, tmp_path / "scores.jsonl")
     loaded = load_score_tables(tmp_path / "scores.jsonl")

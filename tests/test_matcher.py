@@ -7,7 +7,7 @@ from promptner import tensor as T
 from promptner.errors import ContractError, DimensionError
 from promptner.encoder import init_from_shapes
 from promptner.matcher import (ScoreTable, enumerate_spans, entity_embed, head_param_shapes,
-                               make_score_table, match_scores, span_count, span_embed)
+                               match_scores, span_count, span_embed)
 
 
 def tensor(arr):
@@ -154,9 +154,8 @@ class TestHeads:
 
 class TestScoreTable:
     def test_probs_are_sigmoid_of_logits(self):
-        spans = enumerate_spans(2, 2)
         logits = np.array([[0.0], [2.0], [-2.0]])
-        table = make_score_table(spans, ["person"], logits, num_words=2, k=2)
+        table = ScoreTable(2, 2, ["person"], logits=logits)
         assert np.allclose(table.probs, expit(logits))
         assert table.probs[0, 0] == 0.5
 
@@ -174,24 +173,33 @@ class TestScoreTable:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_lazy_probs_are_bit_equal_to_the_sigmoid(self, dtype):
         logits = np.random.default_rng(4).normal(0.0, 8.0, size=(9, 3)).astype(dtype)
-        table = make_score_table(enumerate_spans(4, 3), ["a", "b", "c"], logits,
-                                 num_words=4, k=3)
+        table = ScoreTable(4, 3, ["a", "b", "c"], logits=logits)
         assert "probs" not in vars(table)
         probs = table.probs
-        assert probs.dtype == dtype and np.array_equal(probs, expit(logits))
+        assert probs.dtype == dtype and np.array_equal(probs, T.sigmoid(logits))
         assert table.probs is probs  # computed once
 
     def test_given_probs_are_kept(self):
-        spans = enumerate_spans(2, 1)
         given = np.array([[0.25], [0.75]])
-        table = ScoreTable(spans, ["a"], given, logits=np.zeros((2, 1)))
-        assert table.probs is given
-        lazy = make_score_table(spans, ["a"], np.zeros((2, 1)), num_words=2, k=1)
-        lazy.probs = given
-        assert lazy.probs is given
+        table = ScoreTable(2, 1, ["a"], probs=given)
+        assert table.probs is given and table.logits is None
+        with pytest.raises(ContractError, match="exactly one of logits and probs"):
+            ScoreTable(2, 1, ["a"], logits=np.zeros((2, 1)), probs=given)
 
     def test_shape_matches_spans_times_types(self):
-        spans = enumerate_spans(3, 2)
-        logits = np.zeros((len(spans), 2))
-        table = make_score_table(spans, ["a", "b"], logits, num_words=3, k=2)
+        table = ScoreTable(3, 2, ["a", "b"], logits=np.zeros((5, 2)))
         assert table.probs.shape == (5, 2)
+        assert table.spans is enumerate_spans(3, 2)
+
+    @pytest.mark.parametrize("num_words, k, types, arrays, message", [
+        (2, 1, ["a"], {}, "exactly one of logits and probs"),
+        (2, 1, ["a"], {"logits": np.zeros((3, 1))}, r"shape \(3, 1\) for 2 spans x 1 types"),
+        (2, 1, ["a"], {"probs": np.zeros((2, 2))}, r"shape \(2, 2\) for 2 spans x 1 types"),
+        (3, 2, ["a", "b"], {"logits": np.zeros(10)}, r"shape \(10,\) for 5 spans x 2 types"),
+        (3, 2, ["a", "b"], {"probs": [[0.5, 0.5]] * 4}, "for 5 spans x 2 types"),
+        (0, 1, ["a"], {"probs": np.zeros((0, 1))}, "num_words and k must be >= 1"),
+        (2, 0, ["a"], {"logits": np.zeros((0, 1))}, "num_words and k must be >= 1"),
+    ])
+    def test_refusals(self, num_words, k, types, arrays, message):
+        with pytest.raises(ContractError, match=message):
+            ScoreTable(num_words, k, types, **arrays)
