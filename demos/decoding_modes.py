@@ -9,7 +9,6 @@ Run:  python3 demos/decoding_modes.py
 """
 
 import numpy as np
-from scipy.special import logit
 
 from promptner import DecodeConfig, ScoreTable, decode, enumerate_spans
 
@@ -20,7 +19,7 @@ def table(num_words, k, entries, types):
     col = {t: j for j, t in enumerate(types)}
     logits = np.full((len(spans), len(types)), -9.0)
     for start, end, typ, prob in entries:
-        logits[idx[(start, end)], col[typ]] = logit(prob)
+        logits[idx[(start, end)], col[typ]] = np.log(prob) - np.log1p(-prob)  # logit
     return ScoreTable(num_words, k, types, logits=logits)
 
 

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-_SQRT2 = np.sqrt(2.0)  # a float64 scalar: the float64 GELU's erf argument
+_SQRT2 = np.sqrt(2.0)  # the float64 GELU's Phi(x) = (1 + erf(x / sqrt 2)) / 2
+_ERF = np.frompyfunc(math.erf, 1, 1)  # math.erf on every element of an array
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)  # a Python float keeps x's dtype
 # Abramowitz & Stegun 7.1.26: erfc(u) ~ t (a1 + t (a2 + ... + t a5)) exp(-u^2)
 # for u >= 0, with t = 1 / (1 + p u); |error| < 1.5e-7. p / sqrt 2 takes |x|.
@@ -156,15 +157,13 @@ def _normal_cdf_f32(x, keep_exp=False):
 
 
 def gelu(a):
-    """Erf-based (not tanh) GELU, x Phi(x), in the input dtype: scipy's erf
-    for float64, the Abramowitz & Stegun erf (|error| < 1.5e-7) for float32."""
+    """Erf-based (not tanh) GELU, x Phi(x), in the input dtype: math.erf for
+    float64 (gradcheck's reference), the A&S erf (|error| < 1.5e-7) for float32."""
     x = a.data
     if x.dtype == np.float32:  # a recorded node keeps the forward's exp(-x^2 / 2)
         cdf, e = _normal_cdf_f32(x, keep_exp=a.requires_grad)
-    else:
-        from scipy.special import erf  # float64 only: a float32 model never loads it
-
-        cdf, e = (0.5 * (1.0 + erf(x / _SQRT2))).astype(a.dtype, copy=False), None
+    else:  # frompyfunc gives objects, and a Python float for a 0-d x
+        cdf, e = 0.5 * (1.0 + np.asarray(_ERF(x / _SQRT2), dtype=np.float64)), None
 
     def bw(g):
         # g (cdf + x pdf) in place on one fresh array: e is kept for a second backward
@@ -225,15 +224,30 @@ def _check_rows(idx, a):
 
 def _scatter_rows(idx, g, rows):
     """The rows x F sum that scatters row p of g to each row ``idx[p]`` names
-    (idx of shape (len(g), c)): the product of g with the one-hot CSR matrix
-    whose row i lists the p of i (Gustavson's row-by-row product). It is
-    np.add.at into zeros, to the bit: each row adds its rows of g in order
-    of p, from +0.0 (so a -0.0 alone in a row comes out +0.0, as there)."""
-    from scipy.sparse import csr_array  # only a backward needs it, inference never does
-
-    order = np.argsort(idx, axis=None, kind="stable") // idx.shape[1]  # the p, by row
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(idx.reshape(-1), minlength=rows))))
-    return csr_array((np.ones(idx.size, dtype=g.dtype), order, indptr), shape=(rows, len(g))) @ g
+    (idx of shape (len(g), c)). It is np.add.at into zeros, to the bit: each
+    row adds its rows of g in order of p, from +0.0 (so a -0.0 alone in a row
+    comes out +0.0, as there). Rank-major: with the rows sorted by how often
+    they are read, most first, pass r adds each row's r-th read at once, one
+    contiguous slice of the reads into the prefix of rows read more than r
+    times, so the loop runs as many passes as the most-read row has reads."""
+    flat = idx.reshape(-1)
+    counts = np.bincount(flat, minlength=rows)
+    read = np.flatnonzero(counts)
+    read = read[np.argsort(-counts[read])]  # the rows read, most first (any order of ties)
+    counts = counts[read]
+    slot = np.empty(rows, dtype=np.int64)
+    slot[read] = np.arange(len(read))
+    occ = np.argsort(slot[flat], kind="stable")  # the reads by row, each row's in order of p
+    rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    reads = g[occ[np.argsort(rank, kind="stable")] // idx.shape[1]]  # by (rank, row)
+    sums = np.zeros((len(read), g.shape[1]), dtype=g.dtype)
+    start = 0
+    for live in np.bincount(rank).tolist():  # the reads of rank r: the rows read more than r times
+        sums[:live] += reads[start:start + live]
+        start += live
+    out = np.zeros((rows, g.shape[1]), dtype=g.dtype)
+    out[read] = sums
+    return out
 
 
 def gather_rows(a, idx):

@@ -159,7 +159,6 @@ class TestInvariants:
 class TestHandCases:
     @staticmethod
     def _table(num_words, k, entries, types):
-        from scipy.special import logit
         spans = enumerate_spans(num_words, k)
         idx = {tuple(s): i for i, s in enumerate(spans.tolist())}
         col = {t: j for j, t in enumerate(types)}

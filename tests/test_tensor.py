@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -86,9 +87,15 @@ class TestGatherRows:
 
 class TestScatterRows:
     """``_scatter_rows`` is np.add.at into zeros to the bit, signed zeros
-    included, on repeated, distinct, empty and unsorted indices."""
+    included, on repeated, distinct, empty and unsorted indices, on one row
+    read 50 times among rows read once (as the ``[ENT]`` id is in
+    ``tok_emb``), on read counts that shrink the live prefix of rows three
+    times, and on a seeded sweep."""
     IDX = {"repeated": [0, 2, 2, 3, 0], "distinct": [3, 0, 2, 5], "empty": [],
-           "unsorted": [4, 1, 4, 0, 1, 1, 3]}
+           "unsorted": [4, 1, 4, 0, 1, 1, 3],
+           "skewed": [7 if p % 3 else 8 + p // 3 for p in range(75)],
+           # reads per row 6, 3, 2, 2, 2, 1: the live prefix goes 6, 5, 2, 1
+           "shrinking": [2, 0, 4, 2, 5, 1, 0, 2, 4, 3, 2, 0, 2, 3, 5, 2]}
 
     @staticmethod
     def _upstream(n, dtype):
@@ -101,12 +108,35 @@ class TestScatterRows:
     @pytest.mark.parametrize("name", list(IDX))
     def test_bit_equal_to_add_at_into_zeros(self, dtype, name):
         idx = np.array(self.IDX[name], dtype=np.int64)
+        rows = max([5, *self.IDX[name]]) + 1
         g = self._upstream(len(idx), dtype)
-        ref = np.zeros((6, 3), dtype=dtype)
+        ref = np.zeros((rows, 3), dtype=dtype)
         np.add.at(ref, idx, g)
-        out = T._scatter_rows(idx[:, None], g, 6)
+        out = T._scatter_rows(idx[:, None], g, rows)
         assert out.dtype == dtype and out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_random_sweep_bit_equal_to_add_at_into_zeros(self, dtype, cols):
+        # 4 x 150 cases: some with a hot row, some with each column in its own
+        # row range as span_endpoints has them; sums of 1e30 and 1.0 and of
+        # -0.0 entries depend on the order of the adds
+        rng = np.random.default_rng(cols)
+        for case in range(150):
+            n, rows = int(rng.integers(0, 80)), int(rng.integers(1, 30))
+            idx = rng.integers(0, rows, size=(n, cols))
+            if case % 3 == 0:
+                idx[rng.random(n) < 0.5, 0] = int(rng.integers(rows))
+            if case % 2:
+                idx += np.arange(cols) * rows
+            g = rng.normal(size=(n, 4)) * rng.choice([1.0, 1e30, 1e-30], size=(n, 4))
+            g[rng.random((n, 4)) < 0.2] = -0.0
+            g = g.astype(dtype)
+            ref = np.zeros((cols * rows, 4), dtype=dtype)
+            np.add.at(ref, idx.reshape(-1), np.repeat(g, cols, axis=0))
+            out = T._scatter_rows(idx, g, cols * rows)
+            assert out.tobytes() == ref.tobytes(), (case, idx.tolist())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_two_rows_per_upstream_row(self, dtype):
@@ -323,10 +353,17 @@ class TestElementwise:
         assert a.grad.dtype == np.float32 and a.grad.tobytes() == ref.tobytes()
 
     @np.errstate(invalid="ignore")
-    def test_gelu_float64_is_the_scipy_erf_formula(self):
+    def test_gelu_float64_is_the_math_erf_formula(self):
         x = np.concatenate([self.GRID, np.random.default_rng(1).normal(scale=3, size=500)])
-        assert np.array_equal(T.gelu(t(x)).data, x * (0.5 * (1.0 + erf(x / np.sqrt(2.0)))),
-                              equal_nan=True)
+        erf_math = np.array([math.erf(v) for v in x / np.sqrt(2.0)])
+        assert np.array_equal(T.gelu(t(x)).data, x * (0.5 * (1.0 + erf_math)), equal_nan=True)
+        assert T.gelu(t(0.7)).data.dtype == np.float64  # frompyfunc gives a float for 0-d x
+
+    def test_gelu_float64_erf_within_2_ulp_of_scipy(self):
+        # scipy's erf as an independent reference for the erf the float64 GELU takes
+        z = np.concatenate([self.GRID[:-1], np.random.default_rng(2).normal(scale=3, size=20000)])
+        z = z / np.sqrt(2.0)
+        np.testing.assert_array_max_ulp(np.asarray(T._ERF(z), dtype=np.float64), erf(z), maxulp=2)
 
 
 class TestLayerNorm:
