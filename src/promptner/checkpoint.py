@@ -6,7 +6,8 @@ lineage, parameter dtype, names and shapes in payload order), then the raw
 payload of little-endian row-major tensors of that dtype in the
 header-declared order. A model with float64 parameters is written as "<f8";
 a header without a dtype is float32, so float32 files keep the bytes they
-had before the dtype was recorded. Round-trips are bit-exact.
+had before the dtype was recorded. Round-trips are bit-exact; a model with
+a non-finite parameter is refused on save, as its file would be on load.
 
 Score tables are exported one JSON record per sentence so the decoder can
 run standalone: num_words, k, types, spans (the K-capped enumeration, checked
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import _finite, _mentions, _type_name, read_jsonl, write_jsonl
-from .errors import DataError
+from .errors import ContractError, DataError
 from .matcher import ScoreTable, enumerate_spans, span_count
 from .model import Model, ModelConfig, param_shapes
 from .tokenizer import Vocab
@@ -37,6 +38,9 @@ DTYPES = {"<f4": np.float32, "<f8": np.float64}  # header dtype -> parameter dty
 
 def save_checkpoint(path, model, seeds=()):
     names = sorted(model.params)
+    for n in names:  # load_checkpoint refuses such a file: do not write it
+        if not np.isfinite(model.params[n].data).all():
+            raise ContractError(f"{path}: non-finite value in {n!r}, checkpoint not written")
     dtype = "<f8" if any(model.params[n].dtype == np.float64 for n in names) else "<f4"
     header = {
         "format_version": FORMAT_VERSION,

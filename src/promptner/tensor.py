@@ -10,7 +10,7 @@ topological order; each backward rule hands every operand its gradient, and
 Gradients are handed over, not copied: each rule hands each operand an array
 no one else holds (only :func:`add` copies, for its second operand), which
 becomes its ``grad`` or is added into it in place. Gathers sum their gradient
-rows by ``_scatter_rows``, with no scatter-add.
+rows by ``_scatter_rows``, one flat np.add.at into zeros.
 
 Only the operations the model needs are implemented, and nothing
 broadcasts, so every backward rule stays small and auditable. A
@@ -224,36 +224,20 @@ def _check_rows(idx, a):
 
 def _scatter_rows(idx, g, rows):
     """The rows x F sum that scatters row p of g to each row ``idx[p]`` names
-    (idx of shape (len(g), c)). It is np.add.at into zeros, to the bit: each
-    row adds its rows of g in order of p, from +0.0 (so a -0.0 alone in a row
-    comes out +0.0, as there). Rank-major: with the rows sorted by how often
-    they are read, most first, pass r adds each row's r-th read at once, one
-    contiguous slice of the reads into the prefix of rows read more than r
-    times, so the loop runs as many passes as the most-read row has reads."""
-    flat = idx.reshape(-1)
-    counts = np.bincount(flat, minlength=rows)
-    read = np.flatnonzero(counts)
-    read = read[np.argsort(-counts[read])]  # the rows read, most first (any order of ties)
-    counts = counts[read]
-    slot = np.empty(rows, dtype=np.int64)
-    slot[read] = np.arange(len(read))
-    occ = np.argsort(slot[flat], kind="stable")  # the reads by row, each row's in order of p
-    rank = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    reads = g[occ[np.argsort(rank, kind="stable")] // idx.shape[1]]  # by (rank, row)
-    sums = np.zeros((len(read), g.shape[1]), dtype=g.dtype)
-    start = 0
-    for live in np.bincount(rank).tolist():  # the reads of rank r: the rows read more than r times
-        sums[:live] += reads[start:start + live]
-        start += live
-    out = np.zeros((rows, g.shape[1]), dtype=g.dtype)
-    out[read] = sums
-    return out
+    (idx of shape (len(g), c)): one np.add.at into flat zeros, each element
+    adding its reads in order of p from +0.0 (so a -0.0 alone in a row comes
+    out +0.0), the bits of np.add.at of the rows into (rows, F) zeros."""
+    f = g.shape[1]
+    out = np.zeros(rows * f, dtype=g.dtype)
+    np.add.at(out, (idx.reshape(-1, 1) * f + np.arange(f)).ravel(),
+              np.repeat(g, idx.shape[1], axis=0).ravel())
+    return out.reshape(rows, f)
 
 
 def gather_rows(a, idx):
     """Select rows of a 2-D tensor by a 1-D index; the backward sums each
-    row's upstream rows by ``_scatter_rows`` and adds that sum to ``a``'s
-    gradient. It equals np.add.at to the bit only while ``a`` holds no
+    row's upstream rows into zeros by ``_scatter_rows`` and adds that sum to
+    ``a``'s gradient. It equals np.add.at to the bit only while ``a`` holds no
     gradient yet; into an existing gradient G a row read twice gets
     G + (g1 + g2), where np.add.at gives (G + g1) + g2."""
     idx = np.asarray(idx, dtype=np.int64)

@@ -46,9 +46,6 @@ class Vocab:
     def __len__(self):
         return len(self.id_to_token)
 
-    def __contains__(self, token):
-        return token in self.token_to_id
-
     def to_dict(self):
         return {"tokens": list(self.id_to_token)}
 

@@ -252,11 +252,13 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
 
     Deterministic given ``tcfg.seed``. Returns a per-step record list:
     each entry has the step index, mean example loss, and learning rate;
-    periodic dev F1 entries are appended when ``dev`` and ``eval_every``
-    are set. ``log`` (if given) receives each record.
+    periodic dev F1 entries are appended every ``eval_every`` steps, which
+    needs ``dev`` (ContractError). ``log`` (if given) receives each record.
     """
     if not dataset:
         raise ContractError("dataset must be non-empty")
+    if tcfg.eval_every and dev is None:
+        raise ContractError(f"eval_every={tcfg.eval_every} needs a dev set to evaluate on")
     rng = np.random.default_rng(tcfg.seed)
     inventory = sorted({t for ex in dataset for t in ex.positive_types})
     if tcfg.type_policy == "inventory" and len(inventory) > model.config.max_types:
@@ -312,7 +314,7 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
         record = {"step": step, "loss": mean_loss,
                   "lr": lr_at(min(step, tcfg.steps), tcfg.steps, tcfg.lr_encoder,
                               tcfg.warmup_frac)}
-        if dev is not None and tcfg.eval_every and step % tcfg.eval_every == 0:
+        if tcfg.eval_every and step % tcfg.eval_every == 0:
             record["dev_f1"] = evaluate_dataset(model, dev, dev_types).f1
         if log is not None and tcfg.log_every and (step % tcfg.log_every == 0
                                                   or step == tcfg.steps):

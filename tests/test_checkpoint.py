@@ -9,7 +9,7 @@ from promptner.checkpoint import (load_checkpoint, load_mentions,
                                   save_mentions, save_score_tables)
 from promptner.data import synth_dataset, vocab_corpus
 from promptner.decoder import DecodeConfig, EntityMention, decode
-from promptner.errors import DataError
+from promptner.errors import ContractError, DataError
 from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.model import Model, ModelConfig
 from promptner.tensor import sigmoid
@@ -182,13 +182,30 @@ class TestCheckpoint:
         assert (config.k, config.max_types) == (3, 5)
 
     def test_nan_weight_rejected(self, tmp_path):
+        # a NaN written into the payload of the first parameter, past the saver's check
         model, _ = tiny_model()
         first = sorted(model.params)[0]
-        model.params[first].data.reshape(-1)[0] = np.nan
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
+        blob = bytearray(path.read_bytes())
+        start = 8 + struct.unpack("<I", blob[4:8])[0]
+        blob[start:start + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match=f"non-finite value in {first!r}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_not_saved(self, tmp_path, dtype, bad):
+        # the first non-finite parameter in payload order is named, and no file is left
+        model, _ = tiny_model(dtype=dtype)
+        names = sorted(model.params)
+        model.params[names[3]].data.reshape(-1)[-1] = bad
+        model.params[names[5]].data.reshape(-1)[0] = np.nan
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractError, match=f"non-finite value in {names[3]!r}"):
+            save_checkpoint(path, model)
+        assert not path.exists()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model, _ = tiny_model()

@@ -81,6 +81,30 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_every_without_dev_refused(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": 3, "eval_every": 1, "log_every": 1, "batch_size": 4}')
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(workspace["train"]), "--config", str(cfg),
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == "error: eval_every=1 needs a dev set to evaluate on\n"
+
+    def test_non_finite_model_leaves_no_checkpoint(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        # a diverged run, simulated: training leaves a NaN in one parameter
+        def diverge(dataset, model, tcfg, **kwargs):
+            model.params["encoder.final_ln.b"].data[0] = np.nan
+            return []
+
+        monkeypatch.setattr("promptner.cli.fit", diverge)
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(workspace["train"]), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (f"error: {out}: non-finite value in "
+                                           f"'encoder.final_ln.b', checkpoint not written\n")
+
 
 class TestTrainConfig:
     def test_file_sets_fields_and_flags_override(self, tmp_path):

@@ -88,18 +88,22 @@ class TestGatherRows:
 class TestScatterRows:
     """``_scatter_rows`` is np.add.at into zeros to the bit, signed zeros
     included, on repeated, distinct, empty and unsorted indices, on one row
-    read 50 times among rows read once (as the ``[ENT]`` id is in
-    ``tok_emb``), on read counts that shrink the live prefix of rows three
-    times, and on a seeded sweep."""
+    read 50 times among rows read once, on interleaved uneven read counts, on
+    one row read 62 times in a 2,000 x 64 table (as the ``[ENT]`` id is in
+    ``tok_emb``), and on a seeded sweep."""
     IDX = {"repeated": [0, 2, 2, 3, 0], "distinct": [3, 0, 2, 5], "empty": [],
            "unsorted": [4, 1, 4, 0, 1, 1, 3],
            "skewed": [7 if p % 3 else 8 + p // 3 for p in range(75)],
-           # reads per row 6, 3, 2, 2, 2, 1: the live prefix goes 6, 5, 2, 1
-           "shrinking": [2, 0, 4, 2, 5, 1, 0, 2, 4, 3, 2, 0, 2, 3, 5, 2]}
+           # reads per row 6, 3, 2, 2, 2, 1, interleaved
+           "shrinking": [2, 0, 4, 2, 5, 1, 0, 2, 4, 3, 2, 0, 2, 3, 5, 2],
+           # 256 reads into 2,000 rows x 64 columns: row 1234 read 62 times,
+           # 194 other rows once each
+           "hot": [1234 if p % 4 == 0 and p < 248 else p * 31 % 2000 for p in range(256)]}
+    COLS = {"hot": 64}  # columns of g, 3 otherwise
 
     @staticmethod
-    def _upstream(n, dtype):
-        g = np.random.default_rng(n).normal(size=(n, 3)).astype(dtype)
+    def _upstream(n, dtype, cols=3):
+        g = np.random.default_rng(n).normal(size=(n, cols)).astype(dtype)
         g[::2, 0] = -0.0  # alone in a row of the result, or summed with others
         g[:, 2] = -0.0
         return g
@@ -109,8 +113,8 @@ class TestScatterRows:
     def test_bit_equal_to_add_at_into_zeros(self, dtype, name):
         idx = np.array(self.IDX[name], dtype=np.int64)
         rows = max([5, *self.IDX[name]]) + 1
-        g = self._upstream(len(idx), dtype)
-        ref = np.zeros((rows, 3), dtype=dtype)
+        g = self._upstream(len(idx), dtype, self.COLS.get(name, 3))
+        ref = np.zeros((rows, g.shape[1]), dtype=dtype)
         np.add.at(ref, idx, g)
         out = T._scatter_rows(idx[:, None], g, rows)
         assert out.dtype == dtype and out.shape == ref.shape

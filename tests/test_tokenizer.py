@@ -31,7 +31,7 @@ class TestBuildVocab:
     def test_single_chars_always_admitted(self):
         v = build_vocab([["abc"]], max_size=200)
         for ch in "abc":
-            assert ch in v
+            assert ch in v.token_to_id
 
     def test_frequency_then_lexicographic_ranking(self):
         # "aa" occurs twice (in "aax" twice), "ab" once; ties break by string

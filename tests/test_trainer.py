@@ -401,6 +401,14 @@ class TestFit:
         assert logged == trace
         assert trace[-1]["dev_f1"] == evaluate_dataset(model, [ex], ex.positive_types).f1
 
+    def test_eval_every_without_dev_refused(self):
+        ex = example()
+        model = tiny_model([ex])
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        with pytest.raises(ContractError, match="eval_every=2 needs a dev set"):
+            fit([ex], model, TrainConfig(steps=4, batch_size=1, eval_every=2, log_every=1))
+        assert all(np.array_equal(p.data, before[n]) for n, p in model.params.items())
+
     def test_wide_gold_warning_counts_every_step(self):
         # a 3-word gold span with K = 2 is in the prompt of each of the 3 steps
         ex = example(words=("a", "b", "c"), gold=((0, 2, "t"), (1, 1, "u")))
