@@ -8,11 +8,14 @@ header-declared order. A model with float64 parameters is written as "<f8";
 a header without a dtype is float32, so float32 files keep the bytes they
 had before the dtype was recorded. Round-trips are bit-exact; a model with
 a non-finite parameter is refused on save, as its file would be on load.
+On load the header's parameter list must equal, as a whole and with JSON
+types (64.0 is not 64), the one the config's shape table gives (sorted names
+and their shapes, as saved), and the payload hold exactly that table's bytes.
 
 Score tables are exported one JSON record per sentence so the decoder can
-run standalone: num_words, k, types, spans (the K-capped enumeration, checked
-on load) and probs (row-major, |spans| x |types|). Other keys are ignored, so
-files that also carry a logits column still load.
+run standalone: num_words, k, types, spans (the K-capped enumeration,
+checked on load with JSON types: 0.0 is not 0) and probs (row-major, |spans|
+x |types|). Other keys are ignored, so files with a logits column still load.
 """
 
 from __future__ import annotations
@@ -78,54 +81,36 @@ def load_checkpoint(path):
         dtype = header.get("dtype", "<f4")
         if not (isinstance(dtype, str) and dtype in DTYPES):
             raise DataError(f"{path}: unsupported parameter dtype {dtype!r}")
-        itemsize = np.dtype(dtype).itemsize
         try:
             config = ModelConfig.from_dict(header["config"])
             vocab = Vocab.from_dict(header["vocab"])
-            entries = [(e["name"], e["shape"]) for e in header["params"]]
-            shapes = dict(entries)
+            listed = list(header["params"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed header: {exc!r}") from exc
-        for name, shape in entries:
-            if not (isinstance(shape, list)
-                    and all(type(d) is int and d >= 0 for d in shape)):
-                raise DataError(f"{path}: shape of {name!r} is not a list of "
-                                f"non-negative ints: {shape!r}")
-        declared = itemsize * sum(math.prod(shape) for _, shape in entries)
+        if config.encoder.depth > len(listed):  # refused before building a table that long
+            raise DataError(f"{path}: parameters disagree with the header's config: "
+                            f"encoder depth {config.encoder.depth} for {len(listed)} parameters")
+        table = param_shapes(config, len(vocab))
+        names = sorted(table)
+        derived = [{"name": n, "shape": list(table[n])} for n in names]  # as saved
+        # exact: == alone would take a JSON 64.0 or true for 64 or 1
+        if listed != derived or any(type(d) is not int for e in listed for d in e["shape"]):
+            got = [json.dumps(e, sort_keys=True) for e in listed] + ["missing"]
+            want = [json.dumps(e) for e in derived] + ["no entry"]  # no JSON text is either
+            i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise DataError(f"{path}: params[{i}] is {got[i]}, the config gives {want[i]}")
+        sizes = [np.dtype(dtype).itemsize * math.prod(table[n]) for n in names]
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if declared > left:
-            raise DataError(f"{path}: truncated payload: the header declares "
-                            f"{declared} bytes, {left} are left")
-        wrong = _param_mismatch(shapes, len(entries), config, len(vocab))
-        if wrong:
-            raise DataError(f"{path}: parameters disagree with the header's config: {wrong}")
+        if left != sum(sizes):
+            raise DataError(f"{path}: payload truncated or overlong: {left} bytes, "
+                            f"the config's parameters take {sum(sizes)}")
         params = {}
-        for name, shape in entries:
-            buf = fh.read(itemsize * math.prod(shape))
-            arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        for name, size in zip(names, sizes):
+            arr = np.frombuffer(fh.read(size), dtype=dtype).reshape(table[name]).copy()
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: non-finite value in {name!r}")
             params[name] = T.Tensor(arr, requires_grad=True, dtype=DTYPES[dtype])
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after the payload")
     return Model(config, vocab, params), header.get("seeds", [])
-
-
-def _param_mismatch(shapes, listed, config, vocab_size):
-    """How a header's name -> shape dict (of ``listed`` entries) differs from
-    the parameters of ``config``, or None."""
-    if len(shapes) != listed:
-        return "a parameter is listed twice"
-    if config.encoder.depth > listed:  # refused before building a table that long
-        return f"encoder depth {config.encoder.depth} for {listed} parameters"
-    expected = param_shapes(config, vocab_size)
-    for name, shape in expected.items():
-        if name not in shapes:
-            return f"{name!r} is missing"
-        if shapes[name] != list(shape):
-            return f"{name!r} has shape {shapes[name]}, the config gives {list(shape)}"
-    extra = [name for name in shapes if name not in expected]
-    return f"{extra[0]!r} is not in the config" if extra else None
 
 
 def save_score_tables(tables, path):
@@ -145,10 +130,6 @@ def _score_table(rec):
     """One parsed record as a ScoreTable; the caller adds the file position."""
     if not isinstance(rec, dict):
         raise DataError("a score-table record must be a JSON object")
-    spans = np.array(rec["spans"])
-    if (spans.ndim != 2 or spans.shape[1] != 2 or spans.dtype.kind != "i"
-            or any(type(i) is not int for pair in rec["spans"] for i in pair)):
-        raise DataError("spans must be a list of [start, end] integer pairs")
     types = rec["types"]
     if not isinstance(types, list):
         raise DataError(f"types must be a list of entity types, got {types!r}")
@@ -157,9 +138,11 @@ def _score_table(rec):
     num_words, k = rec["num_words"], rec["k"]
     if not (type(num_words) is int and type(k) is int):
         raise DataError(f"num_words and k must be JSON integers, got {num_words!r}, {k!r}")
-    # the count check first, so a huge num_words is refused before enumerating
-    if (len(spans) != span_count(num_words, k)
-            or not np.array_equal(spans, enumerate_spans(num_words, k))):
+    spans = rec["spans"]
+    # the count check first, so a huge num_words is refused before enumerating;
+    # exact: == alone would take a JSON 0.0 or true for 0 or 1
+    if (len(spans) != span_count(num_words, k) or spans != enumerate_spans(num_words, k).tolist()
+            or any(type(i) is not int for pair in spans for i in pair)):
         raise DataError("span list is not the K-capped enumeration")
     probs = np.array([_finite(p, "probability") for p in rec["probs"]], dtype=np.float64)
     if probs.size != len(spans) * len(types):

@@ -306,8 +306,10 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
             prompts.append(enc)
         loss, wide = batch_loss(model, batch, prompts, rng, reduction=tcfg.reduction)
         wide_filtered_total += wide
-        T.backward(loss)
         mean_loss = loss.item() / len(batch)
+        if not math.isfinite(mean_loss):  # before its gradients reach the parameters
+            raise ContractError(f"training stopped at step {step}: non-finite loss {mean_loss}")
+        T.backward(loss)
         del loss  # free this step's graph before the next step builds its own
 
         adamw_step(model.params, state)

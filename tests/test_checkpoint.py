@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -126,17 +127,21 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         rewrite_header(path, lambda header: header["params"][0].update(shape=shape))
-        with pytest.raises(DataError, match="non-negative ints"):
+        listed = json.dumps({"name": "encoder.final_ln.b", "shape": shape})
+        with pytest.raises(DataError, match=re.escape(
+                f'params[0] is {listed}, the config gives '
+                '{"name": "encoder.final_ln.b", "shape": [64]}')):
             load_checkpoint(path)
 
-    def test_huge_shape_rejected(self, tmp_path):
-        # 4 * 2**62 bytes overflows any read size; the declared payload is
-        # compared with the bytes left in the file before anything is read
+    def test_huge_shape_rejected(self, tmp_path, monkeypatch):
+        # 4 * 2**62 bytes overflows any read size; the header's shapes are
+        # compared with the config's before any payload byte is read
         model, _ = tiny_model()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         rewrite_header(path, lambda header: header["params"][0].update(shape=[2**62]))
-        with pytest.raises(DataError, match="truncated payload"):
+        monkeypatch.setattr(np, "frombuffer", lambda *a, **kw: pytest.fail("payload read"))
+        with pytest.raises(DataError, match=r'params\[0\] is .*"shape": \[4611686018427387904\]'):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
@@ -152,16 +157,33 @@ class TestCheckpoint:
         (lambda h: h["vocab"]["tokens"].append("[SEP]"), "distinct"),
         (lambda h: h["vocab"]["tokens"].append(7), "strings"),
         (lambda h: h["params"].remove({"name": "head.span.w1", "shape": [128, 64]}),
-         "'head.span.w1' is missing"),
-        (lambda h: h["config"]["encoder"].update(depth=3), "'encoder.layer2.ln1.g' is missing"),
+         r'params\[40\] is \{"name": "head.span.w2", .*, '
+         r'the config gives \{"name": "head.span.w1", "shape": \[128, 64\]\}'),
+        (lambda h: h["config"]["encoder"].update(depth=3),
+         r'params\[32\] is \{"name": "encoder.pos_emb", .*, '
+         r'the config gives \{"name": "encoder.layer2.bo", "shape": \[64\]\}'),
         (lambda h: h["config"]["encoder"].update(depth=10**9), "encoder depth"),
-        (lambda h: h["params"][-1].update(shape=[64, 1]), r"has shape \[64, 1\]"),
+        (lambda h: h["params"][-1].update(shape=[64, 1]),
+         r'params\[41\] is \{"name": "head.span.w2", "shape": \[64, 1\]\}, '
+         r'the config gives \{"name": "head.span.w2", "shape": \[64, 64\]\}'),
         (lambda h: h["params"].append({"name": "head.extra", "shape": [0]}),
-         "'head.extra' is not in the config"),
-        (lambda h: h["params"].append({"name": "head.span.w1", "shape": [0]}), "listed twice"),
+         r'params\[42\] is \{"name": "head.extra", "shape": \[0\]\}, the config gives no entry'),
+        (lambda h: h["params"].append({"name": "head.span.w1", "shape": [0]}),
+         r'params\[42\] is \{"name": "head.span.w1", "shape": \[0\]\}, the config gives no entry'),
+        (lambda h: h["params"].pop(), r'params\[41\] is missing, the config gives '
+         r'\{"name": "head.span.w2"'),
+        # exact: the entries save_checkpoint writes, in its order, JSON types included
+        (lambda h: h["params"][-1].update(shape=[64.0, 64.0]),
+         r'params\[41\] is \{"name": "head.span.w2", "shape": \[64.0, 64.0\]\}'),
+        (lambda h: h["params"].insert(0, h["params"].pop(1)),
+         r'params\[0\] is \{"name": "encoder.final_ln.g", "shape": \[64\]\}, '
+         r'the config gives \{"name": "encoder.final_ln.b", "shape": \[64\]\}'),
+        (lambda h: h["params"][0].update(dtype="<f4"),
+         r'params\[0\] is \{"dtype": "<f4", "name": "encoder.final_ln.b", "shape": \[64\]\}'),
         (lambda h: h.update(dtype="<f2"), "unsupported parameter dtype '<f2'"),
         (lambda h: h.update(dtype=["<f4"]), "unsupported parameter dtype"),
-        (lambda h: h.update(dtype="<f8"), "truncated payload"),
+        (lambda h: h.update(dtype="<f8"),
+         "payload truncated or overlong: 690688 bytes, the config's parameters take 1381376"),
     ])
     def test_header_checked_against_its_config(self, tmp_path, edit, message):
         # config values typed as config files are, the vocab's specials, and
@@ -212,7 +234,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(DataError, match="trailing bytes"):
+        with pytest.raises(DataError, match="payload truncated or overlong: 690689 bytes, "
+                                            "the config's parameters take 690688"):
             load_checkpoint(path)
 
 
@@ -294,11 +317,13 @@ class TestScoreTables:
         ('{"num_words": 1, "k": 1, "spans": [[0, 0]], "probs": [0.5]}', "types"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "probs": [0.5]}', "spans"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, "x"]], "probs": [0.5]}',
-         "integer"),
+         "not the K-capped enumeration"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0.5]], "probs": [0.5]}',
-         "integer"),
+         "not the K-capped enumeration"),
         ('{"num_words": 2, "k": 2, "types": ["a"], "spans": [[0, 0], [0, true], [true, true]], '
-         '"probs": [0.5, 0.5, 0.5]}', "integer"),
+         '"probs": [0.5, 0.5, 0.5]}', "not the K-capped enumeration"),
+        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0.0, 0]], "probs": [0.5]}',
+         "not the K-capped enumeration"),
         ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0], [0]], "probs": [0.5]}',
          ""),
         ('{"num_words": 3.7, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',

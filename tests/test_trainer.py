@@ -409,6 +409,22 @@ class TestFit:
             fit([ex], model, TrainConfig(steps=4, batch_size=1, eval_every=2, log_every=1))
         assert all(np.array_equal(p.data, before[n]) for n, p in model.params.items())
 
+    @pytest.mark.parametrize("name", ["encoder.final_ln.b", "head.span.b1", "encoder.tok_emb"])
+    def test_non_finite_loss_stops_before_any_update(self, name):
+        # a NaN parameter makes step 1's loss NaN: nothing is logged, no
+        # gradient is computed and no parameter moves
+        ex = example()
+        model = tiny_model([ex])
+        model.params[name].data[...] = np.nan
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        logged = []
+        with pytest.raises(ContractError, match="step 1: non-finite loss nan"):
+            fit([ex], model, TrainConfig(steps=3, batch_size=1, log_every=1), log=logged.append)
+        assert logged == []
+        assert all(p.grad is None for p in model.params.values())
+        assert all(np.array_equal(p.data, before[n], equal_nan=True)
+                   for n, p in model.params.items())
+
     def test_wide_gold_warning_counts_every_step(self):
         # a 3-word gold span with K = 2 is in the prompt of each of the 3 steps
         ex = example(words=("a", "b", "c"), gold=((0, 2, "t"), (1, 1, "u")))
