@@ -133,6 +133,8 @@ def _example(rec):
     words = rec.get("tokenized_text")
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
         raise DataError("tokenized_text must be a list of strings")
+    if "" in words:
+        raise DataError(f"tokenized_text word {words.index('')} is empty")
     return TrainingExample(words=words, gold=gold)
 
 

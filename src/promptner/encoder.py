@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, SizingError
+from .errors import ConfigError, ContractError
 
 
 @dataclass
@@ -95,31 +95,13 @@ def _ffn(x, params, pre, dropout, rng):
     return T.dropout(out, dropout, rng)
 
 
-def positions(prompt, config):
-    """Position ids of one prompt's tokens (SizingError if it does not fit).
-
-    The sentence restarts at a fixed offset, so word positions do not shift
-    with the number of entity types in the prompt.
-    """
-    n = len(prompt.token_ids)
-    sent_start = prompt.word_positions[0]
-    offset = config.max_positions // 2
-    if sent_start > offset:
-        raise SizingError(f"type section length {sent_start} exceeds position offset {offset}")
-    if offset + (n - sent_start) > config.max_positions:
-        raise SizingError(f"sentence length {n - sent_start} exceeds "
-                          f"{config.max_positions - offset} positions")
-    pos = np.arange(n)
-    pos[sent_start:] = offset + np.arange(n - sent_start)
-    return pos
-
-
 def encode(prompts, params, config, mode="eval", rng=None):
-    """Run the encoder over a list of EncodedPrompts as one padded batch.
+    """Run the encoder over EncodedPrompts, at their position ids, as one padded batch.
 
     ``mode`` is "train" (dropout on, drawn from ``rng``) or "eval"
     (deterministic). The read rows are each prompt's ent_positions, then its
-    word_positions, padded with the prompt's first row to K rows.
+    word_positions, padded with the prompt's first row to K rows. A prompt
+    laid out for another ``max_positions`` is refused before any row is read.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -133,8 +115,11 @@ def encode(prompts, params, config, mode="eval", rng=None):
     real = np.zeros(ids.shape, dtype=bool)
     read = np.zeros((len(prompts), width), dtype=np.int64)  # padding: the prompt's row 0
     for b, prompt in enumerate(prompts):
+        if prompt.max_positions != config.max_positions:
+            raise ContractError(f"prompt {b} is laid out for {prompt.max_positions} positions, "
+                                f"the encoder has {config.max_positions}")
         n = len(prompt.token_ids)
-        pos[b, :n] = positions(prompt, config)
+        pos[b, :n] = prompt.positions
         ids[b, :n] = prompt.token_ids
         real[b, :n] = True
         rows = prompt.ent_positions + prompt.word_positions

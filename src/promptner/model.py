@@ -97,7 +97,7 @@ def forward_batch(prompts, params, config, mode="eval", rng=None):
     b's own pairs are the block of its spans' rows and its types' columns;
     the other blocks pair one prompt's spans with another's types."""
     out = encode(prompts, params, config.encoder, mode=mode, rng=rng)
-    spans = [matcher.enumerate_spans(len(p.words), config.k) for p in prompts]
+    spans = [matcher.enumerate_spans(len(p.word_positions), config.k) for p in prompts]
     dropout = config.head_dropout if mode == "train" else 0.0  # encode has checked mode
     q = matcher.entity_embed(out.p, params, dropout=dropout, rng=rng)
     rows = np.concatenate([sp + w for sp, w in zip(spans, out.word_start)])  # spans in out.h

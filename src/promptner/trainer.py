@@ -19,7 +19,6 @@ import numpy as np
 from . import prompt as prompt_mod
 from . import tensor as T
 from .decoder import decode
-from .encoder import positions
 from .errors import ConfigError, ContractError
 from .evaluation import score as eval_score
 from .model import forward_batch
@@ -103,10 +102,10 @@ def shuffle_and_drop(prompt_types, drop_prob, rng):
 
 def drop_types(prompt_types, drop_prob, rng):
     """Drop each type independently, in list order; the first type stays
-    when everything was dropped. ``drop_prob == 0`` draws nothing."""
+    when everything was dropped. ``drop_prob == 0`` or no type draws nothing."""
     if not 0.0 <= drop_prob < 1.0:
         raise ContractError(f"drop_prob {drop_prob} outside [0, 1)")
-    if drop_prob == 0.0:
+    if drop_prob == 0.0 or not prompt_types:
         return list(prompt_types)
     return [t for t in prompt_types if rng.random() >= drop_prob] or [prompt_types[0]]
 
@@ -261,6 +260,11 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
         raise ContractError(f"eval_every={tcfg.eval_every} needs a dev set to evaluate on")
     rng = np.random.default_rng(tcfg.seed)
     inventory = sorted({t for ex in dataset for t in ex.positive_types})
+    bare = next((i for i, ex in enumerate(dataset) if not ex.gold), None)
+    if bare is not None and (tcfg.type_policy == "sample" or not inventory):
+        raise ContractError(f"example {bare} has no gold mention, so no prompt can hold it under "
+                            f"type_policy '{tcfg.type_policy}'; 'inventory' prompts every example "
+                            f"with the dataset's types ({len(inventory)} here)")
     if tcfg.type_policy == "inventory" and len(inventory) > model.config.max_types:
         raise ContractError(f"type inventory has {len(inventory)} types but "
                             f"max_types={model.config.max_types}, and type_policy "
@@ -299,7 +303,6 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
                 enc = prompt_mod.build_prompt(
                     types, example.words, model.vocab, max_types=model.config.max_types,
                     max_positions=model.config.encoder.max_positions)
-                positions(enc, model.config.encoder)  # refused here, the example is named
             except Exception as exc:
                 raise ContractError(
                     f"training failed on example {batch_ids[bi]}: {exc}") from exc

@@ -105,6 +105,19 @@ class TestTrain:
         assert capsys.readouterr().err == (f"error: {out}: non-finite value in "
                                            f"'encoder.final_ln.b', checkpoint not written\n")
 
+    def test_sentence_without_gold_refused_under_sample(self, tmp_path, capsys):
+        # the default type_policy "sample" prompts a sentence with its own
+        # gold types, so the second sentence has none: refused before training
+        data, cfg, out = tmp_path / "train.jsonl", tmp_path / "cfg.json", tmp_path / "m.ckpt"
+        data.write_text('{"tokenized_text": ["alain", "farley", "works", "at", "mcgill"], '
+                        '"ner": [[0, 1, "person"], [4, 4, "organization"]]}\n'
+                        '{"tokenized_text": ["it", "rained", "today"], "ner": []}\n')
+        cfg.write_text('{"steps": 3, "batch_size": 2}')
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: example 1 has no gold mention")
+
 
 class TestTrainConfig:
     def test_file_sets_fields_and_flags_override(self, tmp_path):
@@ -400,6 +413,14 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{path}:2: invalid JSON: 'utf-8' codec" in err
+
+    def test_empty_word_fails_at_its_line(self, workspace, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"tokenized_text": ["it", "", "rained"], "ner": []}\n')
+        rc = main(["predict", "--checkpoint", str(workspace["ckpt"]), "--data", str(path),
+                   "--types", "person"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}:1: tokenized_text word 1 is empty\n"
 
     def test_bad_mention_file_fails_cleanly(self, workspace, tmp_path, capsys):
         path = tmp_path / "pred.jsonl"

@@ -108,6 +108,7 @@ class TestDatasetIO:
         ('{"tokenized_text": ["a", "b"], "ner": [5]}', "malformed ner entry"),
         ('{"tokenized_text": ["a", "b"], "ner": 7}', "ner must be a list"),
         ('{"tokenized_text": "ab", "ner": []}', "list of strings"),
+        ('{"tokenized_text": ["it", "", "rained"], "ner": []}', "tokenized_text word 1 is empty"),
         ('{"tokenized_text": ["a", "b"], "ner": [[0, 0, null]]}', "entity type None"),
         ('{"tokenized_text": ["a", "b"], "ner": [[0, 0, ["t"]]]}', "entity type"),
     ])

@@ -3,8 +3,8 @@ import pytest
 
 from promptner import tensor as T
 from promptner.encoder import (EncoderConfig, _attention, _ffn, encode, encoder_param_shapes,
-                               init_from_shapes, positions)
-from promptner.errors import ConfigError, ContractError, SizingError
+                               init_from_shapes)
+from promptner.errors import ConfigError, ContractError
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
 
@@ -20,6 +20,11 @@ def setup(depth=2, width=16, heads=2, max_positions=64, dtype=np.float64, init_s
     return config, vocab, params
 
 
+def build(entity_types, words, vocab):
+    """A prompt laid out for the 64-row position table of ``setup()``."""
+    return build_prompt(entity_types, words, vocab, max_positions=64)
+
+
 def full_depth(prompts, params, config):
     """Eval-mode reference without the last layer's row cut: every layer and
     the final norm run on every row, then each prompt's marker rows and word
@@ -29,7 +34,7 @@ def full_depth(prompts, params, config):
     real = np.zeros(ids.shape, dtype=bool)
     for b, prompt in enumerate(prompts):
         n = len(prompt.token_ids)
-        ids[b, :n], pos[b, :n], real[b, :n] = prompt.token_ids, positions(prompt, config), True
+        ids[b, :n], pos[b, :n], real[b, :n] = prompt.token_ids, prompt.positions, True
     x = T.add(T.gather_rows(params["encoder.tok_emb"], ids.ravel()),
               T.gather_rows(params["encoder.pos_emb"], pos.ravel()))
     for i in range(config.depth):
@@ -77,8 +82,7 @@ class TestInit:
 class TestEncode:
     def test_output_shapes(self):
         config, vocab, params = setup()
-        prompt = build_prompt(["person", "location"],
-                              ["alain", "works", "at", "mcgill"], vocab)
+        prompt = build(["person", "location"], ["alain", "works", "at", "mcgill"], vocab)
         out = encode([prompt], params, config)
         assert out.p.shape == (2, config.width)
         # the last layer's read rows: the 2 marker rows, then the 4 word rows
@@ -91,9 +95,9 @@ class TestEncode:
         # three prompts of different type and word counts, so both the
         # token rows and the read rows are padded
         config, vocab, params = setup(depth=depth, dtype=dtype, init_scale=0.3)
-        prompts = [build_prompt(["person", "location"], ["alain", "works", "at", "mcgill"], vocab),
-                   build_prompt(["person", "date", "event"], ["farley"], vocab),
-                   build_prompt(["organization"], ["mcgill", "works", "alain"], vocab)]
+        prompts = [build(["person", "location"], ["alain", "works", "at", "mcgill"], vocab),
+                   build(["person", "date", "event"], ["farley"], vocab),
+                   build(["organization"], ["mcgill", "works", "alain"], vocab)]
         out = encode(prompts, params, config)
         ents, words = full_depth(prompts, params, config)
         assert out.h.shape == (3 * 6, config.width) and out.word_start == [2, 9, 13]
@@ -103,27 +107,27 @@ class TestEncode:
 
     def test_eval_deterministic(self):
         config, vocab, params = setup()
-        prompt = build_prompt(["person"], ["alain", "works"], vocab)
+        prompt = build(["person"], ["alain", "works"], vocab)
         a = encode([prompt], params, config).h.data
         b = encode([prompt], params, config).h.data
         assert np.array_equal(a, b)
 
     def test_train_dropout_varies(self):
         config, vocab, params = setup()
-        prompt = build_prompt(["person"], ["alain", "works"], vocab)
+        prompt = build(["person"], ["alain", "works"], vocab)
         a = encode([prompt], params, config, mode="train", rng=np.random.default_rng(1)).h.data
         b = encode([prompt], params, config, mode="train", rng=np.random.default_rng(2)).h.data
         assert not np.array_equal(a, b)
 
     def test_train_needs_rng(self):
         config, vocab, params = setup()
-        prompt = build_prompt(["person"], ["alain"], vocab)
+        prompt = build(["person"], ["alain"], vocab)
         with pytest.raises(ContractError):
             encode([prompt], params, config, mode="train")
 
     def test_unknown_mode(self):
         config, vocab, params = setup()
-        prompt = build_prompt(["person"], ["alain"], vocab)
+        prompt = build(["person"], ["alain"], vocab)
         with pytest.raises(ContractError):
             encode([prompt], params, config, mode="test")
 
@@ -132,17 +136,17 @@ class TestEncode:
         # to the prompt must not shift which position embeddings words get
         config, vocab, params = setup()
         words = ["alain", "works", "at", "mcgill"]
-        small = build_prompt(["person"], words, vocab)
-        large = build_prompt(["person", "location", "date", "event"], words, vocab)
+        small = build(["person"], words, vocab)
+        large = build(["person", "location", "date", "event"], words, vocab)
         h_small = encode([small], params, config).h.data
         h_large = encode([large], params, config).h.data
-        # representations still differ (attention sees different prompts),
-        # but they must be close in the sense of using the same positions:
-        # verify via the embedding lookup itself
+        # the sentence starts at another token but at the same position ids,
+        # from the offset max_positions // 2
         assert small.word_positions[0] != large.word_positions[0]
-        # direct check: first sentence position maps to the same embedding row
         offset = config.max_positions // 2
-        assert offset + 0 < config.max_positions
+        for p in (small, large):
+            start = p.word_positions[0]
+            assert p.positions[start:] == list(range(offset, offset + len(p.token_ids) - start))
         assert not np.array_equal(h_small, h_large)  # context still matters
 
     def test_type_permutation_equivariance_with_zeroed_positions(self):
@@ -152,29 +156,28 @@ class TestEncode:
         config, vocab, params = setup()
         params["encoder.pos_emb"].data[:] = 0.0
         words = ["alain", "works"]
-        a = encode([build_prompt(["person", "location", "date"], words, vocab)],
+        a = encode([build(["person", "location", "date"], words, vocab)],
                    params, config).p.data
-        b = encode([build_prompt(["date", "person", "location"], words, vocab)],
+        b = encode([build(["date", "person", "location"], words, vocab)],
                    params, config).p.data
         assert np.allclose(b, a[[2, 0, 1]], atol=1e-10)
 
-    def test_sentence_overflow_rejected(self):
+    def test_prompt_for_another_table_refused_before_any_row_is_read(self, monkeypatch):
+        # ids laid out for 64 rows would sit wrong in a 32-row table: the
+        # sentence would start at 32, past its offset 16 there
         config, vocab, params = setup(max_positions=32)
-        words = ["works"] * 20  # offset 16, 20 words won't fit in 16 slots
-        prompt = build_prompt(["person"], words, vocab, max_positions=64)
-        with pytest.raises(SizingError):
-            encode([prompt], params, config)
+        prompt = build(["person"], ["alain", "works"], vocab)
 
-    def test_type_section_overflow_rejected(self):
-        config, vocab, params = setup(max_positions=32)
-        types = [f"t{i}" for i in range(12)]  # ~24 type tokens > offset 16
-        prompt = build_prompt(types, ["works"], vocab, max_positions=64)
-        with pytest.raises(SizingError):
+        def fail(*args):
+            raise AssertionError("a row was read")
+        monkeypatch.setattr(T, "gather_rows", fail)
+        with pytest.raises(ContractError, match="prompt 0 is laid out for 64 positions, "
+                                                "the encoder has 32"):
             encode([prompt], params, config)
 
     def test_token_id_bounds_checked(self):
         config, vocab, params = setup()
-        prompt = build_prompt(["person"], ["alain"], vocab)
+        prompt = build(["person"], ["alain"], vocab)
         prompt.token_ids[0] = 10_000
         with pytest.raises(ContractError):
             encode([prompt], params, config)

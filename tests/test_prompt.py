@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from promptner.errors import ContractError, SizingError
@@ -10,8 +11,9 @@ def make_vocab():
                         ["person", "organization", "location"]], max_size=300)
 
 
-def uncached_prompt(entity_types, words, vocab):
-    """The prompt layout built word by word from segment(), no cache."""
+def uncached_layout(entity_types, words, vocab):
+    """Token ids, marker and first-subword indices built word by word from
+    segment(), no cache."""
     token_ids, ent_positions, word_positions = [], [], []
     for etype in entity_types:
         ent_positions.append(len(token_ids))
@@ -22,8 +24,41 @@ def uncached_prompt(entity_types, words, vocab):
     for word in words:
         word_positions.append(len(token_ids))
         token_ids.extend(segment(word, vocab).subword_ids)
-    return EncodedPrompt(token_ids, ent_positions, word_positions, list(entity_types),
-                         list(words))
+    return token_ids, ent_positions, word_positions
+
+
+def uncached_prompt(entity_types, words, vocab, max_positions=512):
+    """The prompt of ``uncached_layout``, its position ids counted one by
+    one: the type section from 0, the sentence from max_positions // 2."""
+    token_ids, ent_positions, word_positions = uncached_layout(entity_types, words, vocab)
+    start = word_positions[0]
+    positions = [i if i < start else max_positions // 2 + i - start for i in range(len(token_ids))]
+    return EncodedPrompt(token_ids, positions, ent_positions, word_positions,
+                         list(entity_types), max_positions)
+
+
+def encoder_positions_before(token_ids, word_positions, max_positions):
+    """The layout the encoder computed before prompts carried their position
+    ids (SizingError if the prompt does not fit)."""
+    n = len(token_ids)
+    sent_start = word_positions[0]
+    offset = max_positions // 2
+    if sent_start > offset:
+        raise SizingError(f"type section length {sent_start} exceeds position offset {offset}")
+    if offset + (n - sent_start) > max_positions:
+        raise SizingError(f"sentence length {n - sent_start} exceeds "
+                          f"{max_positions - offset} positions")
+    pos = np.arange(n)
+    pos[sent_start:] = offset + np.arange(n - sent_start)
+    return pos
+
+
+def types_of_section(length):
+    """Distinct types whose section ([ENT] markers, subwords and [SEP]) has
+    ``length`` tokens: one-letter types take 2, the two-subword "ab" 3."""
+    odd = length % 2
+    letters = "cdefghijklmnopqrstuvwxyz"
+    return ["ab"] * (1 - odd) + list(letters[:(length - 4 + odd) // 2 + odd])
 
 
 class TestBuildPrompt:
@@ -79,6 +114,7 @@ class TestBuildPrompt:
             p = build_prompt(types, words, v)
             assert p == uncached_prompt(types, words, make_vocab())
             p.token_ids.append(0)
+            p.positions.append(0)
             p.ent_positions.append(0)
         assert build_prompt(*cases[0], v) == uncached_prompt(*cases[0], v)
 
@@ -104,11 +140,50 @@ class TestBuildPrompt:
         with pytest.raises(SizingError):
             build_prompt(["person"], ["works"] * 600, v, max_positions=512)
 
+    def test_sentence_overflow_rejected(self):
+        # the sentence starts at offset 16 of a 32-row table: 20 words
+        # do not fit in its 16 positions
+        with pytest.raises(SizingError, match="^sentence length 20 exceeds 16 positions$"):
+            build_prompt(["person"], ["works"] * 20, make_vocab(), max_positions=32)
+
+    def test_type_section_overflow_rejected(self):
+        # 12 markers, 24 type subwords and [SEP] overrun offset 16
+        types = [f"t{i}" for i in range(12)]
+        with pytest.raises(SizingError,
+                           match="^type section length 37 exceeds position offset 16$"):
+            build_prompt(types, ["works"], make_vocab(), max_positions=32)
+
+    @pytest.mark.parametrize("max_positions", [31, 32, 33, 64])
+    def test_layout_same_as_the_encoders_before(self, max_positions):
+        # type sections and sentences at their half's boundary and one past
+        # it lay out the ids, or are refused, as the encoder did
+        v = make_vocab()
+        offset = max_positions // 2
+        for section in (3, 4, offset - 1, offset, offset + 1):
+            for n in (1, max_positions - offset - 1, max_positions - offset,
+                      max_positions - offset + 1):
+                types, words = types_of_section(section), ["works"] * n
+                token_ids, _, word_positions = uncached_layout(types, words, v)
+                assert (word_positions[0], len(token_ids) - word_positions[0]) == (section, n)
+                try:
+                    want = encoder_positions_before(token_ids, word_positions,
+                                                    max_positions).tolist()
+                except SizingError as exc:
+                    with pytest.raises(SizingError, match=f"^{exc}$"):
+                        build_prompt(types, words, v, max_types=64,
+                                     max_positions=max_positions)
+                    continue
+                p = build_prompt(types, words, v, max_types=64, max_positions=max_positions)
+                assert p.positions == want and p.max_positions == max_positions
+
     def test_position_maps_must_match(self):
         # a checked condition, not an assert, so it also holds under python -O
-        with pytest.raises(ContractError):
-            EncodedPrompt(token_ids=[1, 2], ent_positions=[0], word_positions=[1],
-                          entity_types=["a", "b"], words=["w"])
+        with pytest.raises(ContractError, match="one marker per entity type"):
+            EncodedPrompt(token_ids=[1, 2], positions=[0, 1], ent_positions=[0],
+                          word_positions=[1], entity_types=["a", "b"], max_positions=4)
+        with pytest.raises(ContractError, match="one position id per token"):
+            EncodedPrompt(token_ids=[1, 2], positions=[0], ent_positions=[0],
+                          word_positions=[1], entity_types=["a"], max_positions=4)
 
 
 class TestChunkTypes:

@@ -166,6 +166,12 @@ class TestShuffleAndDrop:
         with pytest.raises(ContractError):
             drop_types(["a"], 1.0, rng)
 
+    def test_no_type_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert drop_types([], 0.2, rng) == [] and shuffle_and_drop([], 0.2, rng) == []
+        assert rng.bit_generator.state == state
+
 
 class TestLrSchedule:
     def test_endpoints_and_midpoint(self):
@@ -390,6 +396,32 @@ class TestFit:
         with pytest.raises(ContractError,
                            match="training failed on example 1: sentence length 40 exceeds 32"):
             fit(data, model, tcfg)
+
+    @pytest.mark.parametrize("policy, data, message", [
+        ("sample", [example(), example(words=("it", "rained", "today"), gold=())],
+         r"example 1 has no gold mention, so no prompt can hold it under type_policy 'sample'; "
+         r"'inventory' prompts every example with the dataset's types \(2 here\)"),
+        ("inventory", [example(words=("it", "rained"), gold=()), example(gold=())],
+         r"example 0 has no gold mention, so no prompt can hold it under type_policy "
+         r"'inventory'; 'inventory' prompts every example with the dataset's types \(0 here\)"),
+    ])
+    def test_example_no_prompt_can_hold_refused_before_any_update(self, policy, data, message):
+        # under "sample" an example's prompt holds its own gold types and a
+        # ratio of them as negatives, so one without gold has none
+        model = tiny_model(data + [example()])
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        logged = []
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            fit(data, model, TrainConfig(steps=3, batch_size=2, type_policy=policy, log_every=1),
+                log=logged.append)
+        assert logged == []
+        assert all(np.array_equal(p.data, before[n]) for n, p in model.params.items())
+
+    def test_example_without_gold_trains_under_inventory(self):
+        data = [example(), example(words=("it", "rained", "today"), gold=())]
+        trace = fit(data, tiny_model(data),
+                    TrainConfig(steps=2, batch_size=2, type_policy="inventory", log_every=0))
+        assert [rec["step"] for rec in trace] == [1, 2]
 
     def test_dev_f1_every_eval_every_steps(self):
         ex = example()
