@@ -3,7 +3,8 @@
 The decoder walks candidate (span, type) pairs in descending probability
 and keeps a candidate only if it is compatible with everything already
 kept: flat mode requires disjoint spans, nested mode also allows proper
-containment. The threshold is strict -- probability must exceed 0.5.
+containment. A kept span has one type. The threshold is strict --
+probability must exceed 0.5.
 
 Run:  python3 demos/decoding_modes.py
 """
@@ -51,11 +52,11 @@ def main():
     print("  a candidate at probability exactly 0.5 is rejected (must exceed)")
     show("flat  ", decode(t, DecodeConfig(threshold=0.5)))
 
-    print("\nmultilabel")
+    print("\none type per span")
     t = table(1, 1, [(0, 0, "a", 0.95), (0, 0, "b", 0.9)], ["a", "b"])
-    print("  the same span scored for two types keeps both only when allowed")
-    show("default   ", decode(t, DecodeConfig()))
-    show("multilabel", decode(t, DecodeConfig(allow_multilabel=True)))
+    print("  the same span scored for two types keeps only the better one")
+    show("flat  ", decode(t, DecodeConfig(mode="flat")))
+    show("nested", decode(t, DecodeConfig(mode="nested")))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from .decoder import DecodeConfig, decode
 from .encoder import EncoderConfig
-from .errors import ConfigError, PromptnerError
+from .errors import ConfigError, DataError, PromptnerError
 from .evaluation import score as eval_score
 from .gradcheck import model_gradcheck
 from .model import Model, ModelConfig, pop_fields, typed
@@ -129,7 +129,13 @@ def cmd_predict(args):
         raise PromptnerError("app: no entity types to predict")
 
     model, _ = ckpt.load_checkpoint(args.checkpoint)
-    _write_mentions(args, [model.predict(words, types, dcfg) for words in sentences], sentences)
+    mentions = []
+    for i, words in enumerate(sentences):
+        try:
+            mentions.append(model.predict(words, types, dcfg))
+        except PromptnerError as exc:  # --data names the example; --text has one
+            raise DataError(f"{args.data}: example {i}: {exc}") if args.data else exc
+    _write_mentions(args, mentions, sentences)
     return 0
 
 

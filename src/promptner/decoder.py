@@ -5,21 +5,18 @@ and visited best-first (ties: start, end, then type name); of a table of
 logits, only the few logits above a cut take the sigmoid. Flat mode
 accepts a span only if it is token-disjoint from everything accepted so far;
 nested mode additionally allows proper containment (at least one differing
-endpoint) but never partial overlap, and never two types on the identical
-span unless the multi-label escape hatch is enabled.
+endpoint) but never partial overlap. A kept span has one type.
 
-Without multi-label, only each span's first pair in that order, its best
-type (ties: the smaller name), is visited. This is exact: whether a span is
-accepted depends on the accepted spans only, never on its type, and those
-only grow, so once the first pair is accepted or rejected, every later pair
-of the span is rejected.
+Only each span's first pair in that order, its best type (ties: the smaller
+name), is visited. This is exact: whether a span is accepted depends on the
+accepted spans only, never on its type, and those only grow, so once the
+first pair is accepted or rejected, every later pair of the span is rejected.
 
 Acceptance checks read per-position arrays over the words a candidate
 covers: flat mode a covered-word mask, nested mode the farthest end of an
-accepted span per start and the farthest start per end. Flat multi-label
-finds an accepted identical span by its farthest end (accepted flat spans
-are disjoint). A candidate is at most K words wide, so each check costs
-O(K) and the pass is O(n K) after the O(n log n) sort of the n candidates.
+accepted span per start and the farthest start per end. A candidate is at
+most K words wide, so each check costs O(K) and the pass is O(n K) after the
+O(n log n) sort of the n candidates.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ class EntityMention:
 class DecodeConfig:
     mode: str = "flat"          # "flat" or "nested"
     threshold: float = 0.5      # strict: only probs > threshold are candidates
-    allow_multilabel: bool = False
 
     def __post_init__(self):
         if self.mode not in ("flat", "nested"):
@@ -95,7 +91,7 @@ def decode(table, config=None, stats=None):
     (read from a file) from its probs. Output order is acceptance order (best
     score first). ``stats``, when given, gets the number of pairs above the
     threshold (``candidates``) and adds the number of pairs visited to ``pops``
-    (one per span without multi-label, so pops <= candidates).
+    (one per span, so pops <= candidates).
     """
     config = config or DecodeConfig()
     t = config.threshold
@@ -112,14 +108,13 @@ def decode(table, config=None, stats=None):
     starts, ends = table.spans[rows, 0], table.spans[rows, 1]
     order = np.lexsort((_type_ranks(tuple(table.types))[cols], ends, starts, -p))
     candidates = len(order)
-    if not config.allow_multilabel:  # each span's first pair only
-        order = order[np.sort(np.unique(rows[order], return_index=True)[1])]
+    order = order[np.sort(np.unique(rows[order], return_index=True)[1])]  # each span's first pair
     if stats is not None:
         stats.candidates = candidates
         stats.pops += len(order)
 
     accepted = []
-    flat, multilabel = config.mode == "flat", config.allow_multilabel
+    flat = config.mode == "flat"
     # per-position state over half-open positions 0 .. max end + 1
     size = int(ends.max()) + 2 if len(ends) else 1
     covered = bytearray(size)   # 1 where an accepted span covers the word
@@ -129,19 +124,16 @@ def decode(table, config=None, stats=None):
                                       cols[order].tolist(), p[order].tolist()):
         x, y = start, end + 1  # half-open
         if flat:
-            # an accepted identical span is covered: only multi-label takes it
-            ok = 1 not in covered[x:y] or multilabel and far_end[x] == y
+            if 1 in covered[x:y]:
+                continue
+            covered[x:y] = b"\x01" * (y - x)
         else:
             # partial overlap: an accepted span starts strictly inside and
             # ends past y, or ends strictly inside and starts before x; a
-            # one-word span cannot be partially overlapped; an identical span
-            # comes back only under multi-label, which takes it
-            ok = (y == x + 1 or max(far_end[x + 1:y]) <= y
-                  and min(far_start[x + 1:y]) >= x)
-        if ok:
-            if flat:
-                covered[x:y] = b"\x01" * (y - x)
+            # one-word span cannot be partially overlapped
+            if x + 1 < y and (max(far_end[x + 1:y]) > y or min(far_start[x + 1:y]) < x):
+                continue
             far_end[x] = max(far_end[x], y)
             far_start[y] = min(far_start[y], x)
-            accepted.append(EntityMention(start, end, table.types[col], score=score))
+        accepted.append(EntityMention(start, end, table.types[col], score=score))
     return accepted

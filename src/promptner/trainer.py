@@ -33,9 +33,12 @@ class TrainingExample:
         n = len(self.words)
         seen = set()
         for m in self.gold:
+            if not all(isinstance(i, (int, np.integer)) and type(i) is not bool
+                       for i in (m.start, m.end)):
+                raise ContractError(f"gold span ({m.start!r},{m.end!r}) indices must be integers")
             if not (0 <= m.start <= m.end < n):
                 raise ContractError(f"gold span ({m.start},{m.end}) out of bounds for {n} words")
-            if not m.type:
+            if not (isinstance(m.type, str) and m.type):
                 raise ContractError("gold type must be a non-empty string")
             if m.key() in seen:
                 raise ContractError(f"duplicate gold triple {m.key()}")

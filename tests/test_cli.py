@@ -6,6 +6,7 @@ behave.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from promptner.data import load_dataset
 from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.trainer import evaluate_dataset
 from test_checkpoint import rewrite_header
+
+FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixture", "model.ckpt")
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +424,24 @@ class TestErrors:
                    "--types", "person"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {path}:1: tokenized_text word 1 is empty\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_oversize_sentence_in_data_names_its_example(self, tmp_path, capsys, to_file):
+        # the fixture model has 256 positions; each word "wN" is two tokens
+        path, out = tmp_path / "d.jsonl", tmp_path / "out.jsonl"
+        long = json.dumps({"tokenized_text": [f"w{i}" for i in range(300)]})
+        path.write_text('{"tokenized_text": ["alain", "farley"], "ner": [[0, 1, "person"]]}\n'
+                        "\n" + long + "\n")
+        rc = main(["predict", "--checkpoint", FIXTURE, "--data", str(path)]
+                  + (["--out", str(out)] if to_file else []))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {path}: example 1: "
+                                "sentence length 600 exceeds 256 positions\n")
+        words = " ".join(f"w{i}" for i in range(300))
+        assert main(["predict", "--checkpoint", FIXTURE, "--text", words,
+                     "--types", "person"]) == 2
+        assert capsys.readouterr().err == "error: sentence length 600 exceeds 256 positions\n"
 
     def test_bad_mention_file_fails_cleanly(self, workspace, tmp_path, capsys):
         path = tmp_path / "pred.jsonl"

@@ -54,7 +54,8 @@ def _proper_containment(a, b):
 
 
 def oracle_decode(table, config):
-    """Reference: full sort, then quadratic compatibility scan."""
+    """Reference: full sort, then quadratic compatibility scan. An identical
+    span is neither disjoint nor properly contained, so it is rejected."""
     cands = []
     for si, (start, end) in enumerate(table.spans.tolist()):
         for ti, etype in enumerate(table.types):
@@ -68,9 +69,7 @@ def oracle_decode(table, config):
         ok = True
         for m in accepted:
             other = (m.start, m.end)
-            if iv == other:
-                ok = config.allow_multilabel
-            elif config.mode == "flat":
+            if config.mode == "flat":
                 ok = _disjoint(iv, other)
             else:
                 ok = _disjoint(iv, other) or _proper_containment(iv, other)
@@ -91,18 +90,9 @@ class TestAgainstOracle:
             assert decode(table, config) == oracle_decode(table, config)
 
     @pytest.mark.parametrize("mode, size", SIZES)
-    def test_multilabel_tables(self, mode, size):
-        rng = np.random.default_rng(7)
-        config = DecodeConfig(mode=mode, allow_multilabel=True)
-        for _ in range(200):
-            table = random_table(rng, *size)
-            assert decode(table, config) == oracle_decode(table, config)
-
-    @pytest.mark.parametrize("multilabel", [False, True])
-    @pytest.mark.parametrize("mode, size", SIZES)
-    def test_tied_tables(self, mode, size, multilabel):
+    def test_tied_tables(self, mode, size):
         rng = np.random.default_rng(19)
-        config = DecodeConfig(mode=mode, allow_multilabel=multilabel)
+        config = DecodeConfig(mode=mode)
         for _ in range(200):
             table = random_table(rng, *size, ties=True)
             assert decode(table, config) == oracle_decode(table, config)
@@ -141,19 +131,17 @@ class TestInvariants:
             scores = [m.score for m in out]
             assert scores == sorted(scores, reverse=True)
 
-    @pytest.mark.parametrize("multilabel", [False, True])
-    def test_pops_bounded_by_candidates(self, multilabel):
-        # candidates counts every pair above the threshold; without
-        # multi-label one pair per span is visited
+    def test_pops_bounded_by_candidates(self):
+        # candidates counts every pair above the threshold; one pair per
+        # span with a candidate is visited
         rng = np.random.default_rng(11)
         for i in range(100):
             table = random_table(rng, ties=i % 2 == 1)
             stats = DecodeStats()
-            decode(table, DecodeConfig(allow_multilabel=multilabel), stats)
+            decode(table, DecodeConfig(), stats)
             above = np.asarray(table.probs) > 0.5
             assert stats.candidates == np.count_nonzero(above)
-            assert stats.pops == (stats.candidates if multilabel
-                                  else np.count_nonzero(above.any(axis=1)))
+            assert stats.pops == np.count_nonzero(above.any(axis=1))
 
 
 class TestHandCases:
@@ -214,12 +202,11 @@ class TestEdgeCases:
         assert [(m.start, m.end, m.type) for m in out] == [
             (0, 0, "a"), (1, 1, "a"), (2, 2, "a")]
 
-    def test_multilabel_keeps_identical_span_twice(self):
-        table = ScoreTable(1, 1, ["a", "b"], logits=np.array([[3.0, 2.0]]))
-        both = decode(table, DecodeConfig(allow_multilabel=True))
-        assert [(m.type) for m in both] == ["a", "b"]
-        one = decode(table, DecodeConfig())
-        assert [(m.type) for m in one] == ["a"]
+    @pytest.mark.parametrize("mode", ["flat", "nested"])
+    def test_span_above_threshold_for_two_types_keeps_the_better(self, mode):
+        table = ScoreTable(1, 1, ["b", "a"], logits=np.array([[2.0, 3.0]]))
+        out = decode(table, DecodeConfig(mode=mode))
+        assert [(m.start, m.end, m.type) for m in out] == [(0, 0, "a")]
 
     def test_mentions_carry_python_scalars(self):
         table = random_table(np.random.default_rng(5), n_max=6)
@@ -297,13 +284,12 @@ class TestLogitsPath:
         assert 0 < got[1] < len(logits) and 20 in [m.start for m in got[0]]  # logit 18
 
     @pytest.mark.parametrize("mode", ["flat", "nested"])
-    @pytest.mark.parametrize("multilabel", [False, True])
-    def test_random_tables_match_the_probs_path(self, mode, multilabel):
+    def test_random_tables_match_the_probs_path(self, mode):
         # criterion 3's tables, every other one with tied probabilities
         rng = np.random.default_rng(31)
         for i in range(250):
             table = random_table(rng, *WIDE, ties=i % 2 == 1)
-            config = DecodeConfig(mode, float(rng.choice([0.3, 0.5, 0.8])), multilabel)
+            config = DecodeConfig(mode, float(rng.choice([0.3, 0.5, 0.8])))
             got, ref = decode_both(table, config)
             assert got == ref
 

@@ -11,6 +11,7 @@ def test_decoding_modes_demo(capsys):
     out = capsys.readouterr().out
     assert "flat  : (0,2,a,p=0.90) (4,5,c,p=0.60)" in out
     assert "nested: (0,3,a,p=0.90) (1,2,b,p=0.80)" in out
+    assert "flat  : (0,0,a,p=0.95)\n  nested: (0,0,a,p=0.95)\n" in out
 
 
 def test_gradient_check_demo(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ class TestTrainingExample:
     def test_duplicate_gold_rejected(self):
         with pytest.raises(ContractError):
             example(gold=((0, 0, "t"), (0, 0, "t")))
+
+    @pytest.mark.parametrize("start, end, etype", [
+        (0.5, 1, "x"), (True, True, "y"), (0, np.bool_(True), "y"), ("0", 1, "x"),
+        (0, 0, 5), (0, 0, ""),
+    ])
+    def test_malformed_gold_rejected(self, start, end, etype):
+        message = ("gold type must be a non-empty string" if start == 0 and end == 0
+                   else f"gold span ({start!r},{end!r}) indices must be integers")
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            TrainingExample(["a", "b", "c"], [EntityMention(0, 0, "t"),
+                                              EntityMention(start, end, etype)])
+
+    def test_numpy_integer_indices_accepted(self):
+        ex = TrainingExample(["a", "b"], [EntityMention(np.int64(0), np.int32(1), "t")])
+        assert build_labels(ex, ["t"], enumerate_spans(2, 2)).sum() == 1
 
 
 class TestBuildLabels:
