@@ -122,6 +122,21 @@ class TestInvariants:
                     else:
                         assert _disjoint(a, b) or _proper_containment(a, b)
 
+    @pytest.mark.parametrize("mode, size", SIZES)
+    def test_kept_span_has_its_best_type(self, mode, size):
+        # each kept span carries its most probable type, ties to the smaller
+        # name, whatever the column order
+        rng = np.random.default_rng(23)
+        config = DecodeConfig(mode=mode, threshold=0.3)
+        for i in range(200):
+            table = random_table(rng, *size, ties=i % 2 == 1)
+            row = {tuple(s): si for si, s in enumerate(table.spans.tolist())}
+            probs = np.asarray(table.probs)
+            for m in decode(table, config):
+                neg_p, best = min((-float(q), t) for q, t in
+                                  zip(probs[row[(m.start, m.end)]], table.types))
+                assert (m.type, m.score) == (best, -neg_p)
+
     def test_scores_above_threshold_and_sorted(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -207,6 +222,12 @@ class TestEdgeCases:
         table = ScoreTable(1, 1, ["b", "a"], logits=np.array([[2.0, 3.0]]))
         out = decode(table, DecodeConfig(mode=mode))
         assert [(m.start, m.end, m.type) for m in out] == [(0, 0, "a")]
+
+    def test_multilabel_option_is_gone(self):
+        with pytest.raises(TypeError):
+            DecodeConfig(allow_multilabel=True)
+        with pytest.raises(TypeError):
+            DecodeConfig("flat", 0.5, True)
 
     def test_mentions_carry_python_scalars(self):
         table = random_table(np.random.default_rng(5), n_max=6)
