@@ -4,9 +4,8 @@ Runs, in a temporary directory:
 
     promptner synth-data      generate a synthetic corpus
     promptner train           train and checkpoint a model
-    promptner predict         extract entities (file + ad-hoc text)
+    promptner predict         extract entities (file + ad-hoc text, flat and nested)
     promptner evaluate        exact-match F1 of predictions vs gold
-    promptner decode-scores   re-decode an exported score-table file
     promptner gradcheck       finite-difference sanity check
 
 Run:  python3 demos/cli_workflow.py       (about a minute)
@@ -16,7 +15,6 @@ import json
 import tempfile
 from pathlib import Path
 
-from promptner.checkpoint import load_checkpoint, save_score_tables
 from promptner.cli import main as cli
 
 
@@ -59,12 +57,10 @@ def main():
              "--text", "alain farley works at mcgill university",
              "--types", ",".join(inventory)])
 
-        # export a score table from the checkpoint, then decode it offline
-        model, _ = load_checkpoint(ckpt_path)
-        scores = str(d / "scores.jsonl")
-        words = "marie curie visited montreal on monday".split()
-        save_score_tables([model.score_table(words, inventory)], scores)
-        run(["decode-scores", "--scores", scores, "--mode", "flat"])
+        # another sentence decoded nested, at a lower threshold
+        run(["predict", "--checkpoint", ckpt_path,
+             "--text", "marie curie visited montreal on monday",
+             "--types", ",".join(inventory), "--mode", "nested", "--threshold", "0.3"])
 
         run(["gradcheck", "--seed", "0", "--samples", "4"])
 

@@ -1,4 +1,4 @@
-"""Checkpoint and score-table file formats.
+"""Checkpoint and prediction file formats.
 
 A checkpoint is a single binary file: a 4-byte magic, a uint32 little-endian
 header length, a JSON header (format version, model config, vocab, seed
@@ -11,11 +11,6 @@ a non-finite parameter is refused on save, as its file would be on load.
 On load the header's parameter list must equal, as a whole and with JSON
 types (64.0 is not 64), the one the config's shape table gives (sorted names
 and their shapes, as saved), and the payload hold exactly that table's bytes.
-
-Score tables are exported one JSON record per sentence so the decoder can
-run standalone: num_words, k, types, spans (the K-capped enumeration,
-checked on load with JSON types: 0.0 is not 0) and probs (row-major, |spans|
-x |types|). Other keys are ignored, so files with a logits column still load.
 """
 
 from __future__ import annotations
@@ -28,9 +23,8 @@ import struct
 import numpy as np
 
 from . import tensor as T
-from .data import _finite, _mentions, _type_name, read_jsonl, write_jsonl
+from .data import _mentions, read_jsonl, write_jsonl
 from .errors import ContractError, DataError
-from .matcher import ScoreTable, enumerate_spans, span_count
 from .model import Model, ModelConfig, param_shapes
 from .tokenizer import Vocab
 
@@ -113,56 +107,15 @@ def load_checkpoint(path):
     return Model(config, vocab, params), header.get("seeds", [])
 
 
-def save_score_tables(tables, path):
-    write_jsonl(path, (_score_record(t) for t in tables))
+def mention_records(mention_lists, words_lists):
+    """Prediction records, dataset-compatible: the words, then each mention
+    as [start, end, type, score]."""
+    for ms, words in zip(mention_lists, words_lists):
+        yield {"tokenized_text": list(words),
+               "ner": [[m.start, m.end, m.type, m.score] for m in ms]}
 
 
-def _score_record(t):
-    return {"num_words": t.num_words, "k": t.k, "types": t.types,
-            "spans": t.spans.tolist(), "probs": np.ravel(t.probs).tolist()}
-
-
-def load_score_tables(path):
-    return read_jsonl(path, _score_table)
-
-
-def _score_table(rec):
-    """One parsed record as a ScoreTable; the caller adds the file position."""
-    if not isinstance(rec, dict):
-        raise DataError("a score-table record must be a JSON object")
-    types = rec["types"]
-    if not isinstance(types, list):
-        raise DataError(f"types must be a list of entity types, got {types!r}")
-    if len({_type_name(t) for t in types}) != len(types):
-        raise DataError(f"types must be distinct, got {types!r}")
-    num_words, k = rec["num_words"], rec["k"]
-    if not (type(num_words) is int and type(k) is int):
-        raise DataError(f"num_words and k must be JSON integers, got {num_words!r}, {k!r}")
-    spans = rec["spans"]
-    # the count check first, so a huge num_words is refused before enumerating;
-    # exact: == alone would take a JSON 0.0 or true for 0 or 1
-    if (len(spans) != span_count(num_words, k) or spans != enumerate_spans(num_words, k).tolist()
-            or any(type(i) is not int for pair in spans for i in pair)):
-        raise DataError("span list is not the K-capped enumeration")
-    probs = np.array([_finite(p, "probability") for p in rec["probs"]], dtype=np.float64)
-    if probs.size != len(spans) * len(types):
-        raise DataError(f"probs length {probs.size} != "
-                        f"{len(spans)} spans x {len(types)} types")
-    # a float32 sigmoid saturates to exactly 0 or 1
-    if probs.size and not ((probs >= 0) & (probs <= 1)).all():
-        raise DataError("probabilities must lie in [0, 1]")
-    return ScoreTable(num_words, k, types, probs=probs.reshape(len(spans), len(types)))
-
-
-def mention_records(mention_lists, words_lists=None):
-    """Prediction records, dataset-compatible: the words when given, then
-    each mention as [start, end, type, score]."""
-    for i, ms in enumerate(mention_lists):
-        words = {} if words_lists is None else {"tokenized_text": list(words_lists[i])}
-        yield {**words, "ner": [[m.start, m.end, m.type, m.score] for m in ms]}
-
-
-def save_mentions(mention_lists, path, words_lists=None):
+def save_mentions(mention_lists, path, words_lists):
     write_jsonl(path, mention_records(mention_lists, words_lists))
 
 

@@ -1,5 +1,4 @@
-"""Command-line surface: train, predict, evaluate, decode-scores,
-gradcheck, synth-data.
+"""Command-line surface: train, predict, evaluate, gradcheck, synth-data.
 
 All randomness flows from --seed; identical seeds produce identical
 artifacts. Errors exit nonzero with a module-attributed message.
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import data as data_mod
-from .decoder import DecodeConfig, decode
+from .decoder import DecodeConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, PromptnerError
 from .evaluation import score as eval_score
@@ -95,21 +94,8 @@ def cmd_train(args):
     return 0
 
 
-def _decode_config(args):
-    return DecodeConfig(mode=args.mode, threshold=args.threshold)
-
-
-def _write_mentions(args, mention_lists, words_lists=None):
-    """Prediction records to the --out file when given, else to stdout: the same bytes."""
-    if args.out:
-        ckpt.save_mentions(mention_lists, args.out, words_lists)
-    else:
-        for rec in ckpt.mention_records(mention_lists, words_lists):
-            print(json.dumps(rec))
-
-
 def cmd_predict(args):
-    dcfg = _decode_config(args)
+    dcfg = DecodeConfig(mode=args.mode, threshold=args.threshold)
     if args.text is not None:
         if args.data:
             raise PromptnerError("app: predict takes --text or --data, not both")
@@ -135,7 +121,11 @@ def cmd_predict(args):
             mentions.append(model.predict(words, types, dcfg))
         except PromptnerError as exc:  # --data names the example; --text has one
             raise DataError(f"{args.data}: example {i}: {exc}") if args.data else exc
-    _write_mentions(args, mentions, sentences)
+    if args.out:  # the records to the --out file, else to stdout: the same bytes
+        ckpt.save_mentions(mentions, args.out, sentences)
+    else:
+        for rec in ckpt.mention_records(mentions, sentences):
+            print(json.dumps(rec))
     return 0
 
 
@@ -146,13 +136,6 @@ def cmd_evaluate(args):
     print(json.dumps(report))
     if args.out:
         data_mod.write_jsonl(args.out, [report])
-    return 0
-
-
-def cmd_decode_scores(args):
-    tables = ckpt.load_score_tables(args.scores)
-    dcfg = _decode_config(args)
-    _write_mentions(args, [decode(t, dcfg) for t in tables])
     return 0
 
 
@@ -222,13 +205,6 @@ def build_parser():
     p.add_argument("--gold", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("decode-scores", help="run the decoder on an exported score table file")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--mode", choices=["flat", "nested"], default="flat")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_decode_scores)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the default toy model")
     p.add_argument("--seed", type=int, default=0)

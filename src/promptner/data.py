@@ -118,8 +118,8 @@ def _mentions(rec):
         raise DataError("ner must be a list of [start, end, type(, score)] entries")
     mentions = []
     for item in ner:
-        if not isinstance(item, list) or len(item) < 3:
-            raise DataError(f"malformed ner entry {item!r}")
+        if not isinstance(item, list) or not 3 <= len(item) <= 4:
+            raise DataError(f"malformed ner entry {item!r}: expected [start, end, type(, score)]")
         if not (type(item[0]) is int and type(item[1]) is int):
             raise DataError(f"span indices must be JSON integers in {item!r}")
         score = _finite(item[3], "score") if len(item) > 3 else 1.0

@@ -1,11 +1,11 @@
 """Greedy span selection over a score table.
 
 Candidates with probability strictly above the threshold are sorted once
-and visited best-first (ties: start, end, then type name); of a table of
-logits, only the few logits above a cut take the sigmoid. Flat mode
-accepts a span only if it is token-disjoint from everything accepted so far;
-nested mode additionally allows proper containment (at least one differing
-endpoint) but never partial overlap. A kept span has one type.
+and visited best-first (ties: start, end, then type name); only the few
+logits above a cut take the sigmoid. Flat mode accepts a span only if it is
+token-disjoint from everything accepted so far; nested mode additionally
+allows proper containment (at least one differing endpoint) but never
+partial overlap. A kept span has one type.
 
 Only each span's first pair in that order, its best type (ties: the smaller
 name), is visited. This is exact: whether a span is accepted depends on the
@@ -86,25 +86,19 @@ def _type_ranks(types):
 def decode(table, config=None, stats=None):
     """Greedy flat/nested selection; returns accepted EntityMentions.
 
-    ``table`` is a ScoreTable: a table of logits (a model's) is decoded from
-    them, taking the sigmoid of the logits above a cut only; a table of probs
-    (read from a file) from its probs. Output order is acceptance order (best
+    ``table`` is a ScoreTable, decoded from its logits: the sigmoid is taken
+    of the logits above a cut only. Output order is acceptance order (best
     score first). ``stats``, when given, gets the number of pairs above the
     threshold (``candidates``) and adds the number of pairs visited to ``pops``
     (one per span, so pops <= candidates).
     """
     config = config or DecodeConfig()
     t = config.threshold
-    if table.logits is None:  # float64, so t is compared at full precision
-        scores = np.asarray(table.probs, dtype=np.float64)
-        idx = np.flatnonzero(scores > t)
-        p = scores.ravel()[idx]
-    else:
-        scores = table.logits
-        idx = np.flatnonzero(scores > _logit_cut(t, scores.dtype))
-        p = sigmoid(scores.ravel()[idx]).astype(np.float64)
-        idx, p = idx[p > t], p[p > t]
-    rows, cols = np.divmod(idx, scores.shape[1])
+    logits = table.logits
+    idx = np.flatnonzero(logits > _logit_cut(t, logits.dtype))
+    p = sigmoid(logits.ravel()[idx]).astype(np.float64)  # float64: t compared at full precision
+    idx, p = idx[p > t], p[p > t]
+    rows, cols = np.divmod(idx, logits.shape[1])
     starts, ends = table.spans[rows, 0], table.spans[rows, 1]
     order = np.lexsort((_type_ranks(tuple(table.types))[cols], ends, starts, -p))
     candidates = len(order)

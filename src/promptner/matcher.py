@@ -25,22 +25,16 @@ from .errors import ContractError
 
 class ScoreTable:
     """Matching scores of every span of ``enumerate_spans(num_words, k)``, the
-    table's ``spans``, against every type: exactly one |spans| x |types| array,
-    a model's ``logits`` or ``probs`` read from a file. A logits table's probs
-    are their sigmoid, computed on first read."""
+    table's ``spans``, against every type: a model's |spans| x |types|
+    ``logits``, whose probs are their sigmoid, computed on first read."""
 
-    def __init__(self, num_words, k, types, logits=None, probs=None):
-        if (logits is None) == (probs is None):
-            raise ContractError("a score table holds exactly one of logits and probs")
+    def __init__(self, num_words, k, types, logits):
         self.num_words, self.k, self.types = num_words, k, list(types)
         self.spans = enumerate_spans(num_words, k)
-        scores = np.asarray(probs if logits is None else logits)
-        if scores.shape != (len(self.spans), len(self.types)):
-            raise ContractError(f"scores of shape {scores.shape} for {len(self.spans)} "
+        self.logits = np.asarray(logits)
+        if self.logits.shape != (len(self.spans), len(self.types)):
+            raise ContractError(f"logits of shape {self.logits.shape} for {len(self.spans)} "
                                 f"spans x {len(self.types)} types")
-        self.logits = None if logits is None else scores
-        if logits is None:
-            self.probs = scores
 
     @cached_property
     def probs(self):

@@ -5,15 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from promptner.checkpoint import (load_checkpoint, load_mentions,
-                                  load_score_tables, save_checkpoint,
-                                  save_mentions, save_score_tables)
+from promptner.checkpoint import load_checkpoint, load_mentions, save_checkpoint, save_mentions
 from promptner.data import synth_dataset, vocab_corpus
-from promptner.decoder import DecodeConfig, EntityMention, decode
+from promptner.decoder import EntityMention
 from promptner.errors import ContractError, DataError
-from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.model import Model, ModelConfig
-from promptner.tensor import sigmoid
 from promptner.tokenizer import build_vocab
 
 
@@ -239,125 +235,6 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-class TestScoreTables:
-    def _tables(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(len(enumerate_spans(4, 3)), 2))
-        return [ScoreTable(4, 3, ["a", "b"], logits=logits)]
-
-    def test_roundtrip(self, tmp_path):
-        tables = self._tables()
-        path = tmp_path / "scores.jsonl"
-        save_score_tables(tables, path)
-        loaded = load_score_tables(path)
-        assert len(loaded) == 1
-        assert loaded[0].types == ["a", "b"]
-        assert np.allclose(loaded[0].probs, tables[0].probs)
-        assert loaded[0].logits is None  # a file holds probs only
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_lazy_probs_write_the_bytes_of_computed_ones(self, dtype, tmp_path):
-        (table,) = self._tables()
-        logits = table.logits.astype(dtype)
-        lazy = ScoreTable(4, 3, table.types, logits=logits)
-        eager = ScoreTable(4, 3, table.types, probs=sigmoid(logits))
-        save_score_tables([lazy], tmp_path / "lazy.jsonl")
-        save_score_tables([eager], tmp_path / "eager.jsonl")
-        assert (tmp_path / "lazy.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
-
-    def test_saturated_probabilities_roundtrip(self, tmp_path):
-        # float32 sigmoids of large logits are exactly 0 and 1; the file of
-        # such a table must load and decode as the table itself does
-        spans = enumerate_spans(5, 3)
-        logits = np.where(np.arange(len(spans) * 2).reshape(-1, 2) % 3 == 0, 100.0, -100.0)
-        table = ScoreTable(5, 3, ["a", "b"], logits=logits.astype(np.float32))
-        assert table.probs.min() == 0.0 and table.probs.max() == 1.0
-        path = tmp_path / "scores.jsonl"
-        save_score_tables([table], path)
-        (loaded,) = load_score_tables(path)
-        assert decode(table)
-        assert decode(loaded) == decode(table)
-
-    def test_file_with_a_logits_column_decodes_from_its_probs(self, tmp_path):
-        # a record as files carried it before the logits column was dropped:
-        # the column is ignored, and the probs decode as they did then
-        path = tmp_path / "scores.jsonl"
-        path.write_text(
-            '{"num_words": 3, "k": 2, "types": ["person", "org"], '
-            '"spans": [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2]], '
-            '"probs": [0.9525741338729858, 0.11920291930437088, 0.8175744414329529, '
-            '0.622459352016449, 0.01798621006309986, 0.04742587357759476, 0.562176525592804, '
-            '0.2689414322376251, 0.3775406777858734, 0.8807970285415649], '
-            '"logits": [3.0, -2.0, 1.5, 0.5, -4.0, -3.0, 0.25, -1.0, -0.5, 2.0]}\n')
-        (table,) = load_score_tables(path)
-        assert table.logits is None and table.probs.shape == (5, 2)
-        flat = [EntityMention(0, 0, "person", 0.9525741338729858),
-                EntityMention(2, 2, "org", 0.8807970285415649)]
-        assert decode(table, DecodeConfig("flat")) == flat
-        assert decode(table, DecodeConfig("nested")) == flat + [
-            EntityMention(0, 1, "person", 0.8175744414329529)]
-
-    def test_wrong_enumeration_rejected(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        path.write_text('{"num_words": 2, "k": 1, "types": ["a"], '
-                        '"spans": [[0, 1], [1, 1]], "probs": [0.5, 0.5]}\n')
-        with pytest.raises(DataError, match="enumeration"):
-            load_score_tables(path)
-
-    def test_out_of_range_probs_rejected(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        path.write_text('{"num_words": 1, "k": 1, "types": ["a"], '
-                        '"spans": [[0, 0]], "probs": [1.5]}\n')
-        with pytest.raises(DataError, match="probabilities"):
-            load_score_tables(path)
-
-    @pytest.mark.parametrize("record, message", [
-        ('{"k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}', "num_words"),
-        ('{"num_words": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}', "k"),
-        ('{"num_words": 1, "k": 1, "spans": [[0, 0]], "probs": [0.5]}', "types"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "probs": [0.5]}', "spans"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, "x"]], "probs": [0.5]}',
-         "not the K-capped enumeration"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0.5]], "probs": [0.5]}',
-         "not the K-capped enumeration"),
-        ('{"num_words": 2, "k": 2, "types": ["a"], "spans": [[0, 0], [0, true], [true, true]], '
-         '"probs": [0.5, 0.5, 0.5]}', "not the K-capped enumeration"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0.0, 0]], "probs": [0.5]}',
-         "not the K-capped enumeration"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0], [0]], "probs": [0.5]}',
-         ""),
-        ('{"num_words": 3.7, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',
-         "JSON integers"),
-        ('{"num_words": true, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',
-         "JSON integers"),
-        ('{"num_words": 1, "k": 1.0, "types": ["a"], "spans": [[0, 0]], "probs": [0.5]}',
-         "JSON integers"),
-        ('{"num_words": 1, "k": 1, "types": ["a"], "spans": [[0, 0]], "probs": ["0.5"]}',
-         "could not convert probability"),
-        ('{"num_words": 1, "k": 1, "types": [1, "a"], "spans": [[0, 0]], "probs": [0.5, 0.5]}',
-         "entity type 1 is not a non-empty string"),
-        ('{"num_words": 1, "k": 1, "types": "ab", "spans": [[0, 0]], "probs": [0.5, 0.5]}',
-         "types must be a list"),
-        ('{"num_words": 1, "k": 1, "types": ["a", "a"], "spans": [[0, 0]], "probs": [0.5, 0.5]}',
-         "types must be distinct"),
-        ('{"num_words": 1, "k": 1, "types": [""], "spans": [[0, 0]], "probs": [0.5]}',
-         "entity type '' is not a non-empty string"),
-        ('[1, 2]', "object"),
-    ])
-    def test_malformed_record_reports_line(self, tmp_path, record, message):
-        path = tmp_path / "scores.jsonl"
-        path.write_text("\n" + record + "\n")
-        with pytest.raises(DataError, match=f"scores.jsonl:2: .*{message}"):
-            load_score_tables(path)
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        path.write_text('{"num_words": 1, "k": 1, "types": ["a", "b"], '
-                        '"spans": [[0, 0]], "probs": [0.5]}\n')
-        with pytest.raises(DataError, match="length"):
-            load_score_tables(path)
-
-
 class TestMentionsIO:
     def test_roundtrip_with_scores(self, tmp_path):
         mentions = [[EntityMention(0, 1, "person", 0.9)], []]
@@ -393,6 +270,8 @@ class TestMentionsIO:
         ('{"ner": [[0, null, "person"]]}', "int"),
         ('{"ner": [5]}', "malformed ner entry"),
         ('{"ner": [[0, 1]]}', "malformed ner entry"),
+        ('{"ner": [[0, 1, "person", 0.5, "junk", 7]]}',  # refused, not cut to four
+         r"malformed ner entry \[0, 1, 'person', 0.5, 'junk', 7\]: expected \[start, end"),
         ('{"ner": 5}', "list"),
         ('{"ner": [[0, 0, null]]}', "entity type None is not a non-empty string"),
         ('{"ner": [[0, 0, 3]]}', "entity type 3"),

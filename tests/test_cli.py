@@ -11,10 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from promptner.checkpoint import load_checkpoint, save_score_tables
+from promptner.checkpoint import load_checkpoint
 from promptner.cli import _train_setup, build_parser, main
 from promptner.data import load_dataset
-from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.trainer import evaluate_dataset
 from test_checkpoint import rewrite_header
 
@@ -309,36 +308,6 @@ class TestEvaluate:
         assert out.read_text() == expected
 
 
-def scores_file(tmp_path):
-    """One exported 3-word table whose only pair above 0.5 is (0, 0, person)."""
-    spans = enumerate_spans(3, 2)
-    logits = np.full((len(spans), 1), -4.0)
-    logits[0, 0] = 4.0
-    path = tmp_path / "scores.jsonl"
-    save_score_tables([ScoreTable(3, 2, ["person"], logits=logits)], path)
-    return path
-
-
-class TestDecodeScores:
-    def test_decodes_exported_tables(self, tmp_path, capsys):
-        rc = main(["decode-scores", "--scores", str(scores_file(tmp_path)), "--mode", "flat"])
-        assert rc == 0
-        rec = json.loads(capsys.readouterr().out.strip())
-        assert [row[:3] for row in rec["ner"]] == [[0, 0, "person"]]
-
-    def test_out_file_bytes_equal_stdout(self, tmp_path, capsys):
-        argv = ["decode-scores", "--scores", str(scores_file(tmp_path))]
-        out = tmp_path / "pred.jsonl"
-        assert main(argv) == 0 and main(argv + ["--out", str(out)]) == 0
-        assert out.read_text() == capsys.readouterr().out
-
-    def test_bad_file_fails_cleanly(self, tmp_path, capsys):
-        path = tmp_path / "scores.jsonl"
-        path.write_text("{not json\n")
-        assert main(["decode-scores", "--scores", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestGradcheck:
     def test_single_seed_passes(self, capsys):
         rc = main(["gradcheck", "--seed", "0", "--seeds", "1", "--samples", "2"])
@@ -449,3 +418,20 @@ class TestErrors:
         rc = main(["evaluate", "--pred", str(path), "--gold", str(workspace["dev"])])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overlong_ner_entry_fails_at_its_line(self, tmp_path, capsys):
+        # refused, not cut to [start, end, type, score] and scored
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"tokenized_text": ["a", "b"], '
+                        '"ner": [[0, 1, "person", 0.5, "junk", 7]]}\n')
+        rc = main(["evaluate", "--pred", str(path), "--gold", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {path}:1: malformed ner entry ")
+
+    def test_decode_scores_is_no_subcommand(self, capsys):
+        # score tables live in memory only; predict re-decodes under --mode and --threshold
+        with pytest.raises(SystemExit) as exc:
+            main(["decode-scores", "--scores", "scores.jsonl"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'decode-scores'" in capsys.readouterr().err

@@ -106,6 +106,8 @@ class TestDatasetIO:
         ('{"tokenized_text": ["a", "b"], "ner": [[0.9, 1.7, "t"]]}', "JSON integers"),
         ('{"tokenized_text": ["a", "b"], "ner": [[true, true, "t"]]}', "JSON integers"),
         ('{"tokenized_text": ["a", "b"], "ner": [5]}', "malformed ner entry"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, 1, "t", 0.5, "junk", 7]]}',
+         "malformed ner entry"),
         ('{"tokenized_text": ["a", "b"], "ner": 7}', "ner must be a list"),
         ('{"tokenized_text": "ab", "ner": []}', "list of strings"),
         ('{"tokenized_text": ["it", "", "rained"], "ner": []}', "tokenized_text word 1 is empty"),

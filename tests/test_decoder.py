@@ -235,15 +235,6 @@ class TestEdgeCases:
             assert type(m.start) is int and type(m.end) is int
             assert type(m.score) is float and type(m.type) is str
 
-    def test_float32_probs_compared_at_full_precision(self):
-        # float32(0.3) exceeds the float64 threshold 0.3 but equals
-        # float32(0.3): the comparison must not happen in float32
-        table = ScoreTable(2, 1, ["t"], probs=np.array([[0.3], [0.2]], dtype=np.float32))
-        config = DecodeConfig(threshold=0.3)
-        out = decode(table, config)
-        assert out == oracle_decode(table, config)
-        assert [(m.start, m.end) for m in out] == [(0, 0)]
-
     def test_bad_config_rejected(self):
         with pytest.raises(ContractError):
             DecodeConfig(mode="best")
@@ -253,24 +244,21 @@ class TestEdgeCases:
             DecodeConfig(threshold=1.0)
 
 
-def probs_only(table):
-    """A table of ``table``'s probs, so decode reads them, not its logits."""
-    return ScoreTable(table.num_words, table.k, table.types, probs=table.probs)
-
-
-def decode_both(table, config):
-    """Decoded mentions and candidate counts from the logits and from the probs."""
-    from_logits, from_probs = DecodeStats(), DecodeStats()
+def decode_against_oracle(table, config):
+    """Decoded mentions and candidate count, checked against ``oracle_decode``
+    and the count of probs above the threshold; decoding computes no probs."""
+    stats = DecodeStats()
+    out = decode(table, config, stats)
     assert "probs" not in vars(table)
-    out = decode(table, config, from_logits)
-    ref = decode(probs_only(table), config, from_probs)
-    return (out, from_logits.candidates), (ref, from_probs.candidates)
+    assert out == oracle_decode(table, config)
+    assert stats.candidates == np.count_nonzero(table.probs.astype(np.float64) > config.threshold)
+    return out, stats.candidates
 
 
 class TestLogitsPath:
-    """A table of logits is decoded from them: the sigmoid is taken on the
-    logits above a cut only. Its candidates, order and scores must be those
-    of a table of its probs."""
+    """A table is decoded from its logits: the sigmoid is taken on the logits
+    above a cut only. Its candidates, order and scores must be those of the
+    probs-space reference ``oracle_decode``."""
 
     @staticmethod
     def one_word_spans(logits):
@@ -292,27 +280,24 @@ class TestLogitsPath:
         assert np.count_nonzero(probs == on) >= 1 and len(values) > 10
         for t in (np.nextafter(on, 0.0), on, np.nextafter(on, 1.0)):
             for mode in ("flat", "nested"):
-                got, ref = decode_both(self.one_word_spans(logits), DecodeConfig(mode, t))
-                assert got == ref and got[1] == np.count_nonzero(probs > t)
+                decode_against_oracle(self.one_word_spans(logits), DecodeConfig(mode, t))
 
     def test_threshold_near_one_keeps_saturated_float32_pairs(self):
         # float32 sigmoids round to exactly 1 from a logit of ~16.6, far
         # below the logit of t = 1 - 1e-12, ~27.6
         t = 1 - 1e-12
         logits = np.linspace(16.0, 25.0, 91).astype(np.float32)
-        got, ref = decode_both(self.one_word_spans(logits), DecodeConfig("flat", t))
-        assert got == ref
-        assert 0 < got[1] < len(logits) and 20 in [m.start for m in got[0]]  # logit 18
+        table = self.one_word_spans(logits)
+        out, candidates = decode_against_oracle(table, DecodeConfig("flat", t))
+        assert 0 < candidates < len(logits) and 20 in [m.start for m in out]  # logit 18
 
     @pytest.mark.parametrize("mode", ["flat", "nested"])
-    def test_random_tables_match_the_probs_path(self, mode):
+    def test_random_tables_match_the_oracle(self, mode):
         # criterion 3's tables, every other one with tied probabilities
         rng = np.random.default_rng(31)
         for i in range(250):
             table = random_table(rng, *WIDE, ties=i % 2 == 1)
-            config = DecodeConfig(mode, float(rng.choice([0.3, 0.5, 0.8])))
-            got, ref = decode_both(table, config)
-            assert got == ref
+            decode_against_oracle(table, DecodeConfig(mode, float(rng.choice([0.3, 0.5, 0.8]))))
 
     def test_decoding_leaves_the_probs_uncomputed(self):
         table = random_table(np.random.default_rng(32), *WIDE)

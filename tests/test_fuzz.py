@@ -14,8 +14,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from promptner.checkpoint import (load_checkpoint, load_mentions, load_score_tables,
-                                  save_checkpoint, save_mentions, save_score_tables)
+from promptner.checkpoint import load_checkpoint, load_mentions, save_checkpoint, save_mentions
 from promptner.cli import _train_setup, build_parser
 from promptner.data import load_dataset, save_dataset, synth_dataset, vocab_corpus
 from promptner.encoder import EncoderConfig
@@ -46,12 +45,10 @@ def written(tmp_path_factory):
     """The bytes of one file of each kind, as the program writes them."""
     root = tmp_path_factory.mktemp("fuzz")
     model = tiny_model()
-    tables = [model.score_table(ex.words[:4], TYPES[:2]) for ex in TRAIN[:2]]
     predictions = [[m for m in ex.gold if m.end < 4] for ex in TRAIN[:2]]
     writers = {"dataset": lambda path: save_dataset(TRAIN, path),
                "mentions": lambda path: save_mentions(predictions, path,
                                                       [ex.words for ex in TRAIN[:2]]),
-               "scores": lambda path: save_score_tables(tables, path),
                "checkpoint": lambda path: save_checkpoint(path, model)}
     blobs = {}
     for kind, write in writers.items():
@@ -106,8 +103,7 @@ def accepted_or_refused(load, path, blob):
         pass
 
 
-@pytest.mark.parametrize("kind, load", [("dataset", load_dataset), ("mentions", load_mentions),
-                                        ("scores", load_score_tables)])
+@pytest.mark.parametrize("kind, load", [("dataset", load_dataset), ("mentions", load_mentions)])
 @given(data=st.data())
 def test_jsonl_loaders(written, kind, load, data):
     root, blobs = written

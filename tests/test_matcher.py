@@ -179,27 +179,24 @@ class TestScoreTable:
         assert probs.dtype == dtype and np.array_equal(probs, T.sigmoid(logits))
         assert table.probs is probs  # computed once
 
-    def test_given_probs_are_kept(self):
-        given = np.array([[0.25], [0.75]])
-        table = ScoreTable(2, 1, ["a"], probs=given)
-        assert table.probs is given and table.logits is None
-        with pytest.raises(ContractError, match="exactly one of logits and probs"):
-            ScoreTable(2, 1, ["a"], logits=np.zeros((2, 1)), probs=given)
-
     def test_shape_matches_spans_times_types(self):
         table = ScoreTable(3, 2, ["a", "b"], logits=np.zeros((5, 2)))
         assert table.probs.shape == (5, 2)
         assert table.spans is enumerate_spans(3, 2)
 
-    @pytest.mark.parametrize("num_words, k, types, arrays, message", [
-        (2, 1, ["a"], {}, "exactly one of logits and probs"),
-        (2, 1, ["a"], {"logits": np.zeros((3, 1))}, r"shape \(3, 1\) for 2 spans x 1 types"),
-        (2, 1, ["a"], {"probs": np.zeros((2, 2))}, r"shape \(2, 2\) for 2 spans x 1 types"),
-        (3, 2, ["a", "b"], {"logits": np.zeros(10)}, r"shape \(10,\) for 5 spans x 2 types"),
-        (3, 2, ["a", "b"], {"probs": [[0.5, 0.5]] * 4}, "for 5 spans x 2 types"),
-        (0, 1, ["a"], {"probs": np.zeros((0, 1))}, "num_words and k must be >= 1"),
-        (2, 0, ["a"], {"logits": np.zeros((0, 1))}, "num_words and k must be >= 1"),
+    @pytest.mark.parametrize("num_words, k, types, logits, message", [
+        (2, 1, ["a"], np.zeros((3, 1)), r"shape \(3, 1\) for 2 spans x 1 types"),
+        (2, 1, ["a"], np.zeros((2, 2)), r"shape \(2, 2\) for 2 spans x 1 types"),
+        (3, 2, ["a", "b"], np.zeros(10), r"shape \(10,\) for 5 spans x 2 types"),
+        (3, 2, ["a", "b"], [[0.5, 0.5]] * 4, "for 5 spans x 2 types"),
+        (0, 1, ["a"], np.zeros((0, 1)), "num_words and k must be >= 1"),
+        (2, 0, ["a"], np.zeros((0, 1)), "num_words and k must be >= 1"),
     ])
-    def test_refusals(self, num_words, k, types, arrays, message):
+    def test_refusals(self, num_words, k, types, logits, message):
         with pytest.raises(ContractError, match=message):
-            ScoreTable(num_words, k, types, **arrays)
+            ScoreTable(num_words, k, types, logits)
+
+    def test_a_table_holds_logits_only(self):
+        # the probs are the logits' sigmoid, never given
+        with pytest.raises(TypeError):
+            ScoreTable(2, 1, ["a"], probs=np.array([[0.25], [0.75]]))
