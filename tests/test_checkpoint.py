@@ -252,6 +252,13 @@ class TestMentionsIO:
         assert path.read_text() == ('{"tokenized_text": ["a", "b"], '
                                     '"ner": [[0, 1, "person", 0.5]]}\n')
 
+    def test_words_are_required(self, tmp_path):
+        # a prediction file is a dataset file: no record is written without its words
+        path = tmp_path / "pred.jsonl"
+        with pytest.raises(TypeError):
+            save_mentions([[EntityMention(0, 1, "person", 0.5)]], path)
+        assert not path.exists()
+
     def test_reads_dataset_files_without_scores(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text('{"tokenized_text": ["a"], "ner": [[0, 0, "t"]]}\n')
@@ -266,17 +273,24 @@ class TestMentionsIO:
         ('{"ner": [[0, 1, "person", NaN]]}', "could not convert score"),
         ('{"ner": [[0, 1, "person", true]]}', "could not convert score"),
         ('{"ner": [[0, 1, "person", 1e999]]}', "could not convert score"),
+        ('{"ner": [[0, 1, "person", null]]}', "could not convert score None"),
+        ('{"ner": [[0, 1, "person", -Infinity]]}', "could not convert score -inf"),
         ('{"ner": [[0, 1, "person", 1' + '0' * 5000 + ']]}', "invalid JSON"),
+        ('{"ner": [["0", 1, "person"]]}', "JSON integers"),
+        ('{"ner": [[0.0, 1, "person"]]}', "JSON integers"),
         ('{"ner": [[0, null, "person"]]}', "int"),
         ('{"ner": [5]}', "malformed ner entry"),
         ('{"ner": [[0, 1]]}', "malformed ner entry"),
         ('{"ner": [[0, 1, "person", 0.5, "junk", 7]]}',  # refused, not cut to four
          r"malformed ner entry \[0, 1, 'person', 0.5, 'junk', 7\]: expected \[start, end"),
+        ('{"ner": [[0, 1, "person", 0.5], null]}', "malformed ner entry None"),
         ('{"ner": 5}', "list"),
+        ('{"ner": {"0": [0, 1, "person"]}}', "ner must be a list"),
         ('{"ner": [[0, 0, null]]}', "entity type None is not a non-empty string"),
         ('{"ner": [[0, 0, 3]]}', "entity type 3"),
         ('{"ner": [[0, 0, ""]]}', "entity type ''"),
         ('[1, 2]', "object"),
+        ('null', "object"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, record, message):
         path = tmp_path / "pred.jsonl"

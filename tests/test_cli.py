@@ -13,11 +13,13 @@ import pytest
 
 from promptner.checkpoint import load_checkpoint
 from promptner.cli import _train_setup, build_parser, main
-from promptner.data import load_dataset
+from promptner.data import TYPES as FIXTURE_TYPES, load_dataset
+from promptner.decoder import DecodeConfig, decode
 from promptner.trainer import evaluate_dataset
 from test_checkpoint import rewrite_header
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "fixture", "model.ckpt")
+SENTENCE = "marie curie visited montreal on monday"
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +269,53 @@ class TestPredict:
         printed = capsys.readouterr().out
         assert out.read_text() == printed
         assert all(line.startswith('{"tokenized_text": ') for line in printed.splitlines())
+
+    @staticmethod
+    def fixture_ner(capsys, mode, threshold):
+        argv = ["predict", "--checkpoint", FIXTURE, "--text", SENTENCE, "--types",
+                ",".join(FIXTURE_TYPES), "--mode", mode, "--threshold", str(threshold)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["ner"]
+
+    @pytest.mark.parametrize("mode", ["flat", "nested"])
+    def test_in_memory_redecoding_matches_predict(self, capsys, mode):
+        # a score table is re-decoded in memory, not through a file
+        model, _ = load_checkpoint(FIXTURE)
+        table = model.score_table(SENTENCE.split(), FIXTURE_TYPES)
+        mentions = decode(table, DecodeConfig(mode, 0.1))
+        assert [[m.start, m.end, m.type, m.score] for m in mentions] == \
+            self.fixture_ner(capsys, mode, 0.1)
+
+    @pytest.mark.parametrize("mode", ["flat", "nested"])
+    def test_higher_threshold_keeps_the_mentions_scored_above_it(self, capsys, mode):
+        low = self.fixture_ner(capsys, mode, 0.1)
+        kept = [e for e in low if e[3] > 0.99]
+        assert 0 < len(kept) < len(low)
+        assert self.fixture_ner(capsys, mode, 0.99) == kept
+
+    def test_nested_mode_keeps_a_contained_mention(self, capsys):
+        # (0, 3, person) properly contains the flat mentions (0, 1) and (3, 3)
+        # and overlaps none partially: nested mode keeps it too
+        flat, nested = (self.fixture_ner(capsys, mode, 0.1) for mode in ("flat", "nested"))
+        assert [0, 3, "person"] in [e[:3] for e in nested]
+        assert [e for e in nested if e[:3] != [0, 3, "person"]] == flat
+
+    @pytest.mark.parametrize("threshold", ["0", "1", "nan"])
+    def test_threshold_outside_the_unit_interval_refused(self, capsys, threshold):
+        rc = main(["predict", "--checkpoint", FIXTURE, "--text", SENTENCE,
+                   "--types", "person", "--threshold", threshold])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: threshold {float(threshold)} outside (0, 1)\n"
+
+    def test_unknown_mode_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--checkpoint", FIXTURE, "--text", SENTENCE,
+                  "--types", "person", "--mode", "overlapping"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'overlapping'" in capsys.readouterr().err
 
 
 class TestEvaluate:

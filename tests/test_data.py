@@ -109,7 +109,11 @@ class TestDatasetIO:
         ('{"tokenized_text": ["a", "b"], "ner": [[0, 1, "t", 0.5, "junk", 7]]}',
          "malformed ner entry"),
         ('{"tokenized_text": ["a", "b"], "ner": 7}', "ner must be a list"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, 1, "t", NaN]]}', "could not convert score"),
         ('{"tokenized_text": "ab", "ner": []}', "list of strings"),
+        ('{"tokenized_text": ["a", 1], "ner": []}', "list of strings"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[1, 0, "t"]]}', r"span \(1,0\) out of bounds"),
+        ('["a", "b"]', "a record must be a JSON object"),
         ('{"tokenized_text": ["it", "", "rained"], "ner": []}', "tokenized_text word 1 is empty"),
         ('{"tokenized_text": ["a", "b"], "ner": [[0, 0, null]]}', "entity type None"),
         ('{"tokenized_text": ["a", "b"], "ner": [[0, 0, ["t"]]]}', "entity type"),

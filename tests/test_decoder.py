@@ -146,6 +146,19 @@ class TestInvariants:
             scores = [m.score for m in out]
             assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("mode, size", SIZES)
+    def test_thresholds_nest(self, mode, size):
+        # a pair's acceptance depends on the pairs visited before it, which
+        # score at least as high: re-decoding a table at a higher threshold
+        # keeps exactly the mentions of a lower one that score above it
+        rng = np.random.default_rng(29)
+        for i in range(150):
+            table = random_table(rng, *size, ties=i % 2 == 1)
+            low = decode(table, DecodeConfig(mode, 0.2))
+            for high in (0.5, 0.8):
+                assert decode(table, DecodeConfig(mode, high)) == [
+                    m for m in low if m.score > high]
+
     def test_pops_bounded_by_candidates(self):
         # candidates counts every pair above the threshold; one pair per
         # span with a candidate is visited

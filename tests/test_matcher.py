@@ -179,6 +179,23 @@ class TestScoreTable:
         assert probs.dtype == dtype and np.array_equal(probs, T.sigmoid(logits))
         assert table.probs is probs  # computed once
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_logits_give_probs_zero_and_one(self, dtype):
+        # far past the dtype's range of exp, with no overflow warning
+        logits = np.array([[-1e4], [-800.0], [800.0], [1e4]], dtype=dtype)
+        table = ScoreTable(4, 1, ["t"], logits=logits)
+        assert table.probs.dtype == dtype
+        assert table.probs[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_types_are_copied(self):
+        types = ("a", "b")
+        table = ScoreTable(2, 1, types, logits=np.zeros((2, 2)))
+        assert table.types == ["a", "b"]
+        names = ["a", "b"]
+        table = ScoreTable(2, 1, names, logits=np.zeros((2, 2)))
+        names.append("c")
+        assert table.types == ["a", "b"]
+
     def test_shape_matches_spans_times_types(self):
         table = ScoreTable(3, 2, ["a", "b"], logits=np.zeros((5, 2)))
         assert table.probs.shape == (5, 2)

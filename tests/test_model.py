@@ -13,12 +13,12 @@ from promptner.tokenizer import build_vocab
 from promptner.trainer import batch_loss
 
 
-def tiny_model(max_types=25):
+def tiny_model(max_types=25, dtype=np.float32):
     train, _ = synth_dataset(train_size=6, dev_size=0, seed=0)
     types = ["person", "organization", "location", "date"]
     vocab = build_vocab(vocab_corpus(train, types), max_size=500)
     config = ModelConfig(max_types=max_types)
-    return Model.fresh(config, vocab, seed=0), types, train
+    return Model.fresh(config, vocab, seed=0, dtype=dtype), types, train
 
 
 class TestForward:
@@ -56,6 +56,16 @@ class TestScoreTable:
         assert np.array_equal(table.logits, logits.data)
         assert table.types == types
         assert table.num_words == len(words)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logits_keep_the_parameter_dtype(self, dtype):
+        # the decoder's logit cut is taken in the table's dtype; the probs
+        # are computed on first read only
+        model, types, train = tiny_model(dtype=dtype)
+        table = model.score_table(train[0].words, types)
+        assert table.logits.dtype == dtype
+        assert "probs" not in vars(table)
+        assert table.probs.dtype == dtype
 
     def test_gradient_free_forward_records_no_tape(self):
         # score_table's forward runs on gradient-free views of the parameters:
