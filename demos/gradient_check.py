@@ -12,11 +12,11 @@ Run:  python3 demos/gradient_check.py
 
 import numpy as np
 
-from promptner.gradcheck import model_gradcheck
+from promptner.gradcheck import TOLERANCE, model_gradcheck
 
 
 def main():
-    for dtype, tol in ((np.float32, 1e-3), (np.float64, 1e-6)):
+    for dtype, tol in TOLERANCE.items():
         name = np.dtype(dtype).name
         print(f"model parameters in {name} (tolerance {tol:g}):")
         errs = model_gradcheck(seed=0, dtype=dtype, samples_per_param=6)

@@ -16,10 +16,10 @@ from . import checkpoint as ckpt
 from . import data as data_mod
 from .decoder import DecodeConfig
 from .encoder import EncoderConfig
-from .errors import ConfigError, DataError, PromptnerError
+from .errors import ConfigError, DataError, PromptnerError, typed
 from .evaluation import score as eval_score
-from .gradcheck import model_gradcheck
-from .model import Model, ModelConfig, pop_fields, typed
+from .gradcheck import TOLERANCE, model_gradcheck
+from .model import Model, ModelConfig, pop_fields
 from .tokenizer import SPECIALS, build_vocab
 from .trainer import TrainConfig, evaluate_dataset, fit
 
@@ -43,27 +43,27 @@ def _train_setup(args):
     The config file's keys are the fields of EncoderConfig (``dropout``
     spelled ``encoder_dropout``), ModelConfig and TrainConfig, plus
     ``vocab_size`` and ``init_scale``; each value must have its field's type.
-    Flags, named after their fields, override the file.
+    ``--seed`` and ``--steps`` override the file.
     """
     path = args.config
     source = f"config: {path}" if path else "command line"
     values = _load_config_file(path)
-    for key in ("seed", "steps", "k", "max_types", "neg_ratio", "drop_prob"):
+    for key in ("seed", "steps"):
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    vocab_size = typed(source, "vocab_size", values.pop("vocab_size", 2000), "int")
-    init_scale = typed(source, "init_scale", values.pop("init_scale", 0.02), "float")
-    if init_scale < 0:
-        raise ConfigError(f"{source}: init_scale must be >= 0, got {init_scale}")
-    if vocab_size < len(SPECIALS) + 1:
-        raise ConfigError(f"{source}: vocab_size must fit the {len(SPECIALS)} specials plus a "
-                          f"unit, got {vocab_size}")
-    enc = pop_fields(EncoderConfig, values, source, dropout="encoder_dropout")
-    model = pop_fields(ModelConfig, values, source, encoder=None)
-    train = pop_fields(TrainConfig, values, source)
-    if values:
-        raise ConfigError(f"{source}: unknown key(s) {', '.join(sorted(values))}")
-    try:  # the dataclasses' range checks
+    try:  # each refusal names its source; the dataclasses check types and ranges
+        vocab_size = typed("vocab_size", values.pop("vocab_size", 2000), "int")
+        init_scale = typed("init_scale", values.pop("init_scale", 0.02), "float")
+        if init_scale < 0:
+            raise ConfigError(f"init_scale must be >= 0, got {init_scale}")
+        if vocab_size < len(SPECIALS) + 1:
+            raise ConfigError(f"vocab_size must fit the {len(SPECIALS)} specials plus a unit, "
+                              f"got {vocab_size}")
+        enc = pop_fields(EncoderConfig, values, dropout="encoder_dropout")
+        model = pop_fields(ModelConfig, values, encoder=None)
+        train = pop_fields(TrainConfig, values)
+        if values:
+            raise ConfigError(f"unknown key(s) {', '.join(sorted(values))}")
         mcfg = ModelConfig(encoder=EncoderConfig(**enc), **model)
         tcfg = TrainConfig(**train)
     except ConfigError as exc:
@@ -82,8 +82,7 @@ def cmd_train(args):
     vocab = build_vocab(data_mod.vocab_corpus(train, all_types), max_size=vocab_size)
     model = Model.fresh(mcfg, vocab, seed=tcfg.seed, init_scale=init_scale)
 
-    trace = fit(train, model, tcfg, dev=dev, dev_types=all_types,
-                log=lambda rec: print(json.dumps(rec)))
+    trace = fit(train, model, tcfg, dev=dev, log=lambda rec: print(json.dumps(rec)))
     if args.trace:
         data_mod.write_jsonl(args.trace, trace)
 
@@ -144,7 +143,7 @@ def cmd_gradcheck(args):
         raise ConfigError(f"need --seed >= 0 and --seeds >= 1, got {args.seed} and {args.seeds}")
     failed = False
     for offset in range(args.seeds):
-        for dtype, tol in ((np.float32, args.tol_f32), (np.float64, args.tol_f64)):
+        for dtype, tol in TOLERANCE.items():
             errs = model_gradcheck(seed=args.seed + offset, dtype=dtype,
                                    samples_per_param=args.samples)
             worst = max(errs.values())
@@ -161,8 +160,7 @@ def cmd_gradcheck(args):
 def cmd_synth_data(args):
     if args.seed < 0:
         raise ConfigError(f"need --seed >= 0, got {args.seed}")
-    spec = data_mod.SynthSpec(max_span_width=args.k if args.k is not None else 12)
-    train, dev = data_mod.synth_dataset(spec, train_size=args.train_size,
+    train, dev = data_mod.synth_dataset(train_size=args.train_size,
                                         dev_size=args.dev_size, seed=args.seed)
     data_mod.save_dataset(train, args.train_out)
     data_mod.save_dataset(dev, args.dev_out)
@@ -182,10 +180,6 @@ def build_parser():
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-types", type=int, dest="max_types")
-    p.add_argument("--neg-ratio", type=float, dest="neg_ratio")
-    p.add_argument("--drop-prob", type=float, dest="drop_prob")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--trace", help="loss-trace JSONL path")
     p.set_defaults(func=cmd_train)
@@ -210,8 +204,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds to run")
     p.add_argument("--samples", type=int, default=6, help="coordinates checked per tensor")
-    p.add_argument("--tol-f32", type=float, default=1e-3, dest="tol_f32")
-    p.add_argument("--tol-f64", type=float, default=1e-6, dest="tol_f64")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth-data", help="generate a synthetic dataset")
@@ -220,7 +212,6 @@ def build_parser():
     p.add_argument("--train-size", type=int, default=50, dest="train_size")
     p.add_argument("--dev-size", type=int, default=20, dest="dev_size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int)
     p.set_defaults(func=cmd_synth_data)
 
     return parser

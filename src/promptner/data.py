@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,10 +59,8 @@ TEMPLATES = [
 TYPES = tuple(sorted(LEXICONS))
 
 
-@dataclass
 class SynthSpec:
-    max_span_width: int = 12
-    types = TYPES  # not a field: every corpus draws from the module's lexicons
+    types = TYPES  # every corpus draws from the module's lexicons
 
 
 def read_jsonl(path, parse):
@@ -110,18 +107,23 @@ def _type_name(x):
 
 
 def _mentions(rec):
-    """One parsed record's mentions; the caller adds the file position."""
+    """One parsed record's mentions, each span with 0 <= start <= end and within
+    the record's words if it has them; the caller adds the file position."""
     if not isinstance(rec, dict):
         raise DataError("a record must be a JSON object")
     ner = rec.get("ner", [])
     if not isinstance(ner, list):
         raise DataError("ner must be a list of [start, end, type(, score)] entries")
+    n = len(rec["tokenized_text"]) if isinstance(rec.get("tokenized_text"), list) else None
     mentions = []
     for item in ner:
         if not isinstance(item, list) or not 3 <= len(item) <= 4:
             raise DataError(f"malformed ner entry {item!r}: expected [start, end, type(, score)]")
         if not (type(item[0]) is int and type(item[1]) is int):
             raise DataError(f"span indices must be JSON integers in {item!r}")
+        if not 0 <= item[0] <= item[1] or (n is not None and item[1] >= n):
+            raise DataError(f"span ({item[0]},{item[1]}) out of bounds"
+                            + (f" for {n} words" if n is not None else ""))
         score = _finite(item[3], "score") if len(item) > 3 else 1.0
         mentions.append(EntityMention(item[0], item[1], _type_name(item[2]), score=score))
     return mentions
@@ -173,23 +175,18 @@ def synth_dataset(spec=None, train_size=50, dev_size=20, seed=0):
     every type appears at least floor(size / |types|) times per split.
     Remaining slots draw random types. Returns (train, dev) example lists.
     """
-    spec = spec or SynthSpec()
+    types = (spec or SynthSpec()).types
     if min(train_size, dev_size) < 0:
         raise ConfigError(f"need train_size and dev_size >= 0, got {train_size} and {dev_size}")
-    for etype in TYPES:
-        if max(len(s.split()) for s in LEXICONS[etype]) > spec.max_span_width:
-            raise ConfigError(f"lexicon for {etype!r} has spans wider than "
-                              f"max_span_width={spec.max_span_width}")
-
     rng = np.random.default_rng(seed)
 
     def make_split(size):
         examples = []
         for i in range(size):
-            featured = TYPES[i % len(TYPES)]
+            featured = types[i % len(types)]
             template = TEMPLATES[rng.integers(len(TEMPLATES))]
             n_slots = sum(1 for t in template if t == "{ent}")
-            others = [TYPES[j] for j in rng.integers(len(TYPES), size=n_slots - 1)]
+            others = [types[j] for j in rng.integers(len(types), size=n_slots - 1)]
             examples.append(_fill_template(template, [featured] + others, rng))
         return examples
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_field_types
 from .tensor import sigmoid
 
 
@@ -48,6 +48,7 @@ class DecodeConfig:
     threshold: float = 0.5      # strict: only probs > threshold are candidates
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in ("flat", "nested"):
             raise ContractError(f"unknown decode mode {self.mode!r}")
         if not 0.0 < self.threshold < 1.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types
 
 
 @dataclass
@@ -33,6 +33,7 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if (min(self.depth, self.width, self.heads, self.max_positions) < 1
                 or self.ffn_mult < 0 or self.width % self.heads != 0):
             raise ConfigError(f"need sizes >= 1, ffn_mult >= 0 and heads dividing width, got "

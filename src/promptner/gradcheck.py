@@ -15,6 +15,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 
+TOLERANCE = {np.float32: 1e-3, np.float64: 1e-6}  # worst relative error, by parameter dtype
+
 
 class KinkError(RuntimeError):
     """A relu pre-activation sits too close to zero for a reliable check."""

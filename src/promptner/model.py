@@ -8,38 +8,20 @@ config, vocab and parameters and adds prompt chunking for many entity types.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import matcher, prompt as prompt_mod, tensor as T
 from .encoder import EncoderConfig, encode, encoder_param_shapes, init_from_shapes
-from .errors import ConfigError, ContractError
-
-# JSON types a config value may have, by field type (the config modules'
-# annotations are strings): ints pass as floats, and only a bool passes as a
-# bool (JSON true is not the int 1 here)
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+from .errors import ConfigError, ContractError, check_field_types
 
 
-def typed(source, key, value, kind):
-    """``value`` if it has the JSON type of field type ``kind`` (and, for a
-    float, is finite)."""
-    if (isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind])
-            or (kind == "float" and not abs(value) <= sys.float_info.max)):
-        raise ConfigError(f"{source}: {key} must be {kind}, got {json.dumps(value)}")
-    return value
-
-
-def pop_fields(cls, values, source, **renamed):
-    """Pop the entries of ``values`` that set fields of config dataclass
-    ``cls``, type-checked, as its keyword arguments; ``renamed`` gives a
-    field's key (None: not settable)."""
-    by_key = {renamed.get(f.name, f.name): f for f in fields(cls)}
-    return {by_key[key].name: typed(source, key, values.pop(key), by_key[key].type)
-            for key in list(values) if key in by_key}
+def pop_fields(cls, values, **renamed):
+    """Pop the entries of ``values`` that set fields of config dataclass ``cls``
+    as its keyword arguments; ``renamed`` gives a field's key (None: not settable)."""
+    by_key = {renamed.get(f.name, f.name): f.name for f in fields(cls)}
+    return {by_key[key]: values.pop(key) for key in list(values) if key in by_key}
 
 
 @dataclass
@@ -50,6 +32,7 @@ class ModelConfig:
     max_types: int = 25        # per-prompt cap during training
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k < 1 or self.max_types < 1 or not 0.0 <= self.head_dropout < 1.0:
             raise ConfigError(f"need k >= 1, max_types >= 1 and head_dropout in [0, 1), got "
                               f"{self.k}, {self.max_types} and {self.head_dropout}")
@@ -60,14 +43,13 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``: exactly the fields' keys, each value of its
-        field's JSON type as in config files (ConfigError)."""
+        field's JSON type (ConfigError)."""
         keys = cls().to_dict()
         if set(d) != set(keys) or set(d["encoder"]) != set(keys["encoder"]):
             raise ConfigError(f"config: expected the keys {sorted(keys)}, "
                               f"with encoder keys {sorted(keys['encoder'])}")
-        values, enc = dict(d), dict(d["encoder"])
-        return cls(encoder=EncoderConfig(**pop_fields(EncoderConfig, enc, "config.encoder")),
-                   **pop_fields(cls, values, "config", encoder=None))
+        return cls(encoder=EncoderConfig(**d["encoder"]),
+                   **{key: value for key, value in d.items() if key != "encoder"})
 
 
 def param_shapes(config, vocab_size):

@@ -19,7 +19,7 @@ import numpy as np
 from . import prompt as prompt_mod
 from . import tensor as T
 from .decoder import decode
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_field_types
 from .evaluation import score as eval_score
 from .model import forward_batch
 
@@ -211,6 +211,7 @@ class TrainConfig:
     shuffle_types: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.type_policy not in ("sample", "inventory"):
             raise ConfigError(f"unknown type_policy {self.type_policy!r}")
         if self.reduction not in ("sum", "mean"):
@@ -249,13 +250,14 @@ def batch_loss(model, examples, prompts, rng, reduction="sum"):
     return bce_loss(logits, targets, weights), wide
 
 
-def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
+def fit(dataset, model, tcfg, dev=None, log=None):
     """Train ``model`` in place on a list of TrainingExamples.
 
     Deterministic given ``tcfg.seed``. Returns a per-step record list:
     each entry has the step index, mean example loss, and learning rate;
-    periodic dev F1 entries are appended every ``eval_every`` steps, which
-    needs ``dev`` (ContractError). ``log`` (if given) receives each record.
+    periodic dev F1 entries, scored on the dataset's type inventory, are
+    appended every ``eval_every`` steps, which needs ``dev`` (ContractError).
+    ``log`` (if given) receives each record.
     """
     if not dataset:
         raise ContractError("dataset must be non-empty")
@@ -323,7 +325,7 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
                   "lr": lr_at(min(step, tcfg.steps), tcfg.steps, tcfg.lr_encoder,
                               tcfg.warmup_frac)}
         if tcfg.eval_every and step % tcfg.eval_every == 0:
-            record["dev_f1"] = evaluate_dataset(model, dev, dev_types).f1
+            record["dev_f1"] = evaluate_dataset(model, dev, inventory).f1
         if log is not None and tcfg.log_every and (step % tcfg.log_every == 0
                                                   or step == tcfg.steps):
             log(record)
@@ -334,10 +336,7 @@ def fit(dataset, model, tcfg, dev=None, dev_types=None, log=None):
     return trace
 
 
-def evaluate_dataset(model, dataset, entity_types=None, decode_config=None):
-    """Predict on every example and score exact-match micro F1. An example
-    with neither gold nor ``entity_types`` has no type to predict: it predicts
-    none (its positive types are empty exactly when its gold is)."""
-    preds = [decode(model.score_table(ex.words, entity_types or ex.positive_types), decode_config)
-             if entity_types or ex.gold else [] for ex in dataset]
+def evaluate_dataset(model, dataset, entity_types, decode_config=None):
+    """Predict every example on ``entity_types`` and score exact-match micro F1."""
+    preds = [decode(model.score_table(ex.words, entity_types), decode_config) for ex in dataset]
     return eval_score(preds, [list(ex.gold) for ex in dataset])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from promptner.checkpoint import load_checkpoint, load_mentions, save_checkpoint, save_mentions
-from promptner.data import synth_dataset, vocab_corpus
+from promptner.data import load_dataset, synth_dataset, vocab_corpus
 from promptner.decoder import EntityMention
+from promptner.encoder import EncoderConfig
 from promptner.errors import ContractError, DataError
 from promptner.model import Model, ModelConfig
 from promptner.tokenizer import build_vocab
@@ -191,6 +192,24 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("config", [
+        ModelConfig(head_dropout=0),  # a JSON int passes for a float
+        ModelConfig(head_dropout=np.float64(0.25)),  # a float subclass
+        ModelConfig(encoder=EncoderConfig(depth=1, width=8, heads=2, ffn_mult=0,
+                                          max_positions=64, dropout=0.0), k=3, max_types=5),
+    ])
+    def test_accepted_config_saves_and_loads(self, tmp_path, config):
+        # every config the dataclasses accept has a checkpoint that loads
+        train, _ = synth_dataset(train_size=4, dev_size=0, seed=0)
+        model = Model.fresh(config, build_vocab(vocab_corpus(train, ["person"]), max_size=300))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == config
+        words = train[0].words
+        assert (np.array_equal(loaded.score_table(words, ["person"]).logits,
+                               model.score_table(words, ["person"]).logits))
+
     def test_config_values_that_shape_no_parameter_load(self, tmp_path):
         model, _ = tiny_model()
         path = tmp_path / "model.ckpt"
@@ -259,6 +278,17 @@ class TestMentionsIO:
             save_mentions([[EntityMention(0, 1, "person", 0.5)]], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("ner", ['[[1, 0, "x"]]', '[[-3, 7, "y"]]', '[[0, 2, "z"]]'])
+    def test_span_bounds_as_in_dataset_files(self, tmp_path, ner):
+        # one rule and one message for prediction and dataset files
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"tokenized_text": ["a", "b"], "ner": ' + ner + '}\n')
+        with pytest.raises(DataError) as as_mentions:
+            load_mentions(path)
+        with pytest.raises(DataError) as as_dataset:
+            load_dataset(path)
+        assert str(as_mentions.value) == str(as_dataset.value)
+
     def test_reads_dataset_files_without_scores(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text('{"tokenized_text": ["a"], "ner": [[0, 0, "t"]]}\n')
@@ -291,6 +321,16 @@ class TestMentionsIO:
         ('{"ner": [[0, 0, ""]]}', "entity type ''"),
         ('[1, 2]', "object"),
         ('null', "object"),
+        # spans need 0 <= start <= end, and end within the words when the record has them
+        ('{"ner": [[1, 0, "x"]]}', r"span \(1,0\) out of bounds$"),
+        ('{"ner": [[-3, 7, "y"]]}', r"span \(-3,7\) out of bounds$"),
+        ('{"ner": [[-1, -1, "y"]]}', r"span \(-1,-1\) out of bounds$"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[1, 0, "x"], [-3, 7, "y"]]}',
+         r"span \(1,0\) out of bounds for 2 words"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, 2, "x"]]}',
+         r"span \(0,2\) out of bounds for 2 words"),
+        ('{"tokenized_text": [], "ner": [[0, 0, "x"]]}',
+         r"span \(0,0\) out of bounds for 0 words"),
     ])
     def test_malformed_record_reports_line(self, tmp_path, record, message):
         path = tmp_path / "pred.jsonl"

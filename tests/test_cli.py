@@ -15,6 +15,7 @@ from promptner.checkpoint import load_checkpoint
 from promptner.cli import _train_setup, build_parser, main
 from promptner.data import TYPES as FIXTURE_TYPES, load_dataset
 from promptner.decoder import DecodeConfig, decode
+from promptner.gradcheck import TOLERANCE
 from promptner.trainer import evaluate_dataset
 from test_checkpoint import rewrite_header
 
@@ -302,13 +303,16 @@ class TestPredict:
         assert [0, 3, "person"] in [e[:3] for e in nested]
         assert [e for e in nested if e[:3] != [0, 3, "person"]] == flat
 
-    @pytest.mark.parametrize("threshold", ["0", "1", "nan"])
-    def test_threshold_outside_the_unit_interval_refused(self, capsys, threshold):
+    @pytest.mark.parametrize("threshold, message", [
+        ("0", "threshold 0.0 outside (0, 1)"), ("1", "threshold 1.0 outside (0, 1)"),
+        ("nan", "threshold must be float, got NaN"),  # DecodeConfig's finite-float check
+    ])
+    def test_threshold_outside_the_unit_interval_refused(self, capsys, threshold, message):
         rc = main(["predict", "--checkpoint", FIXTURE, "--text", SENTENCE,
                    "--types", "person", "--threshold", threshold])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err == f"error: threshold {float(threshold)} outside (0, 1)\n"
+        assert captured.err == f"error: {message}\n"
 
     def test_unknown_mode_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -364,10 +368,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "ok" in out and "FAIL" not in out
 
-    def test_printed_fail_exits_1(self, capsys):
-        # a NaN tolerance fails every comparison: it printed FAIL and exited 0
-        rc = main(["gradcheck", "--samples", "1", "--tol-f32", "nan"])
-        assert "tol=nan FAIL" in capsys.readouterr().out and rc == 1
+    def test_printed_fail_exits_1(self, capsys, monkeypatch):
+        # a worst error above the bound, simulated: FAIL is printed and the exit code is 1
+        monkeypatch.setattr("promptner.cli.model_gradcheck",
+                            lambda seed, dtype, samples_per_param: {"w": 2 * TOLERANCE[dtype]})
+        rc = main(["gradcheck"])
+        out = capsys.readouterr().out
+        assert "worst=2.000e-03 tol=0.001 FAIL" in out and "tol=1e-06 FAIL" in out and rc == 1
 
     @pytest.mark.parametrize("argv, message", [
         (["--samples", "0"], "samples per tensor >= 1 (or None: all), got 1e-05 and 0"),
@@ -477,6 +484,35 @@ class TestErrors:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith(f"error: {path}:1: malformed ner entry ")
+
+    @pytest.mark.parametrize("span", ["[1, 0, \"x\"]", "[-3, 7, \"y\"]", "[0, 2, \"z\"]"])
+    def test_span_out_of_bounds_fails_at_its_line(self, tmp_path, capsys, span):
+        # was scored: a reversed or out-of-range span evaluated against itself gave f1 1.0
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"tokenized_text": ["a", "b"], "ner": [[0, 0, "w"], ' + span + ']}\n')
+        rc = main(["evaluate", "--pred", str(path), "--gold", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        start, end = json.loads(span)[:2]
+        assert captured.err == f"error: {path}:1: span ({start},{end}) out of bounds for 2 words\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "train.jsonl", "--out", "m.ckpt", "--k", "4"],
+        ["train", "--data", "train.jsonl", "--out", "m.ckpt", "--max-types", "5"],
+        ["train", "--data", "train.jsonl", "--out", "m.ckpt", "--neg-ratio", "0.5"],
+        ["train", "--data", "train.jsonl", "--out", "m.ckpt", "--drop-prob", "0.2"],
+        ["synth-data", "--train-out", "t.jsonl", "--dev-out", "d.jsonl", "--k", "12"],
+        ["gradcheck", "--tol-f32", "1e-3"],
+        ["gradcheck", "--tol-f64", "1e-6"],
+    ])
+    def test_removed_flags_are_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # their values are config-file keys (train) or fixed (synth-data, gradcheck)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_decode_scores_is_no_subcommand(self, capsys):
         # score tables live in memory only; predict re-decodes under --mode and --threshold

@@ -5,6 +5,7 @@ import pytest
 from promptner.data import (LEXICONS, SynthSpec, load_dataset,
                             save_dataset, synth_dataset, vocab_corpus)
 from promptner.errors import ConfigError, DataError
+from promptner.model import ModelConfig
 
 
 class TestSynthDataset:
@@ -36,16 +37,15 @@ class TestSynthDataset:
                 assert surface in LEXICONS[m.type]
 
     def test_spans_within_width_cap(self):
-        spec = SynthSpec()
-        train, dev = synth_dataset(spec, train_size=50, dev_size=20, seed=0)
+        # every gold span has a row of the default model's span table
+        train, dev = synth_dataset(train_size=50, dev_size=20, seed=0)
         for ex in train + dev:
             for m in ex.gold:
-                assert m.end - m.start + 1 <= spec.max_span_width
+                assert m.end - m.start + 1 <= ModelConfig().k
 
-    def test_too_wide_lexicon_rejected(self):
-        spec = SynthSpec(max_span_width=1)
-        with pytest.raises(ConfigError):
-            synth_dataset(spec, train_size=5)
+    def test_span_width_is_no_parameter(self):
+        with pytest.raises(TypeError):
+            SynthSpec(max_span_width=12)
 
     @pytest.mark.parametrize("sizes", [(-3, 20), (50, -1)])
     def test_negative_size_rejected(self, sizes):

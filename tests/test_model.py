@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from promptner import tensor as T
 from promptner.data import SynthSpec, synth_dataset, vocab_corpus
+from promptner.decoder import DecodeConfig
 from promptner.encoder import EncoderConfig
 from promptner.errors import ConfigError, ContractError
 from promptner.matcher import span_count
@@ -10,7 +13,7 @@ from promptner.model import (Model, ModelConfig, forward, forward_batch, init_pa
                              param_shapes)
 from promptner.prompt import build_prompt
 from promptner.tokenizer import build_vocab
-from promptner.trainer import batch_loss
+from promptner.trainer import TrainConfig, batch_loss
 
 
 def tiny_model(max_types=25, dtype=np.float32):
@@ -138,6 +141,26 @@ class TestParams:
         shapes = param_shapes(config, 50)
         assert list(params) == list(shapes)
         assert all(params[n].shape == shapes[n] for n in shapes)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ModelConfig(k=2.5), "k must be int, got 2.5"),
+        (lambda: ModelConfig(k=True), "k must be int, got true"),
+        (lambda: ModelConfig(k=np.int64(12)), "k must be int, got "),
+        (lambda: ModelConfig(head_dropout="0.1"), 'head_dropout must be float, got "0.1"'),
+        (lambda: EncoderConfig(width=64.0), "width must be int, got 64.0"),
+        (lambda: EncoderConfig(dropout=float("nan")), "dropout must be float, got NaN"),
+        (lambda: TrainConfig(seed=1.5), "seed must be int, got 1.5"),
+        (lambda: TrainConfig(steps=2.5), "steps must be int, got 2.5"),
+        (lambda: TrainConfig(shuffle_types=1), "shuffle_types must be bool, got 1"),
+        (lambda: TrainConfig(lr_head=float("inf")), "lr_head must be float, got Infinity"),
+        (lambda: DecodeConfig(threshold="0.5"), 'threshold must be float, got "0.5"'),
+        (lambda: DecodeConfig(mode=None), "mode must be str, got null"),
+    ])
+    def test_wrong_type_refused(self, build, message):
+        # the Python API is checked as config files and checkpoint headers are:
+        # these raised numpy or JSON errors later, or trained a rounded count
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            build()
 
     def test_config_dict_roundtrip(self):
         config = ModelConfig(k=7, max_types=13)

@@ -6,10 +6,9 @@ import pytest
 
 from promptner import tensor as T
 from promptner.data import vocab_corpus
-from promptner.decoder import EntityMention
+from promptner.decoder import DecodeConfig, EntityMention
 from promptner.encoder import EncoderConfig
 from promptner.errors import ConfigError, ContractError
-from promptner.evaluation import EvalReport
 from promptner.matcher import enumerate_spans
 from promptner.model import Model, ModelConfig
 from promptner.prompt import build_prompt
@@ -439,15 +438,25 @@ class TestFit:
                     TrainConfig(steps=2, batch_size=2, type_policy="inventory", log_every=0))
         assert [rec["step"] for rec in trace] == [1, 2]
 
-    def test_dev_f1_every_eval_every_steps(self):
+    def test_dev_f1_every_eval_every_steps(self, monkeypatch):
+        # scored on the training inventory, not on each dev sentence's own gold types
         ex = example()
         model = tiny_model([ex])
-        logged = []
+        logged, asked = [], []
+        monkeypatch.setattr("promptner.trainer.evaluate_dataset", lambda m, d, types:
+                            asked.append(types) or evaluate_dataset(m, d, types))
+        dev = example(words=("marie", "curie", "works", "at", "mcgill"), gold=((0, 1, "person"),))
         trace = fit([ex], model, TrainConfig(steps=4, batch_size=1, eval_every=2, log_every=1),
-                    dev=[ex], dev_types=ex.positive_types, log=logged.append)
+                    dev=[dev], log=logged.append)
         assert ["dev_f1" in rec for rec in trace] == [False, True, False, True]
         assert logged == trace
-        assert trace[-1]["dev_f1"] == evaluate_dataset(model, [ex], ex.positive_types).f1
+        assert asked == [["organization", "person"]] * 2
+        assert trace[-1]["dev_f1"] == evaluate_dataset(model, [dev], ex.positive_types).f1
+
+    def test_dev_types_is_no_parameter(self):
+        ex = example()
+        with pytest.raises(TypeError):
+            fit([ex], tiny_model([ex]), TrainConfig(steps=1), dev=[ex], dev_types=["person"])
 
     def test_eval_every_without_dev_refused(self):
         ex = example()
@@ -485,10 +494,16 @@ class TestFit:
 
 
 class TestEvaluateDataset:
-    def test_example_without_gold_or_types_predicts_nothing(self):
-        # it has no type to score against, so the model is not asked
+    def test_example_without_gold_is_predicted_on_the_given_types(self):
+        # what it predicts on the given types are its false positives
         ex, empty = example(), example(gold=())
         model = tiny_model([ex])
-        assert evaluate_dataset(model, [empty]).to_dict() == EvalReport().to_dict()
-        assert (evaluate_dataset(model, [empty, ex]).to_dict()
-                == evaluate_dataset(model, [ex]).to_dict())
+        config = DecodeConfig(threshold=0.01)  # an untrained model scores near 0.5
+        predicted = model.predict(empty.words, ex.positive_types, config)
+        report = evaluate_dataset(model, [empty], ex.positive_types, config)
+        assert predicted and report.fp == len(predicted) and report.tp == report.fn == 0
+
+    def test_entity_types_are_required(self):
+        ex = example()
+        with pytest.raises(TypeError):
+            evaluate_dataset(tiny_model([ex]), [ex])
