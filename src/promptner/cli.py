@@ -31,9 +31,9 @@ def _load_config_file(path):
         try:
             values = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
-            raise ConfigError(f"config: {path}: invalid JSON: {exc}") from exc
+            raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(values, dict):
-        raise ConfigError(f"config: {path}: expected a JSON object")
+        raise ConfigError("expected a JSON object")
     return values
 
 
@@ -42,45 +42,41 @@ def _train_setup(args):
 
     The config file's keys are the fields of EncoderConfig (``dropout``
     spelled ``encoder_dropout``), ModelConfig and TrainConfig, plus
-    ``vocab_size`` and ``init_scale``; each value must have its field's type.
+    ``vocab_size`` and ``init_scale`` (checked where the model is drawn);
+    each value must have its field's type and meet its field's rule.
     ``--seed`` and ``--steps`` override the file.
     """
-    path = args.config
-    source = f"config: {path}" if path else "command line"
-    values = _load_config_file(path)
+    values = _load_config_file(args.config)
     for key in ("seed", "steps"):
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    try:  # each refusal names its source; the dataclasses check types and ranges
-        vocab_size = typed("vocab_size", values.pop("vocab_size", 2000), "int")
-        init_scale = typed("init_scale", values.pop("init_scale", 0.02), "float")
-        if init_scale < 0:
-            raise ConfigError(f"init_scale must be >= 0, got {init_scale}")
-        if vocab_size < len(SPECIALS) + 1:
-            raise ConfigError(f"vocab_size must fit the {len(SPECIALS)} specials plus a unit, "
-                              f"got {vocab_size}")
-        enc = pop_fields(EncoderConfig, values, dropout="encoder_dropout")
-        model = pop_fields(ModelConfig, values, encoder=None)
-        train = pop_fields(TrainConfig, values)
-        if values:
-            raise ConfigError(f"unknown key(s) {', '.join(sorted(values))}")
-        mcfg = ModelConfig(encoder=EncoderConfig(**enc), **model)
-        tcfg = TrainConfig(**train)
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-    return mcfg, tcfg, vocab_size, init_scale
+    vocab_size = typed("vocab_size", values.pop("vocab_size", 2000), "int")
+    init_scale = values.pop("init_scale", 0.02)
+    if vocab_size < len(SPECIALS) + 1:
+        raise ConfigError(f"vocab_size must fit the {len(SPECIALS)} specials plus a unit, "
+                          f"got {vocab_size}")
+    enc = pop_fields(EncoderConfig, values, dropout="encoder_dropout")
+    model = pop_fields(ModelConfig, values, encoder=None)
+    train = pop_fields(TrainConfig, values)
+    if values:
+        raise ConfigError(f"unknown key(s) {', '.join(sorted(values))}")
+    mcfg = ModelConfig(encoder=EncoderConfig(**enc), **model)
+    return mcfg, TrainConfig(**train), vocab_size, init_scale
 
 
 def cmd_train(args):
-    mcfg, tcfg, vocab_size, init_scale = _train_setup(args)
-    train = data_mod.load_dataset(args.data)
-    if not train:
-        raise PromptnerError("trainer: dataset is empty")
-    dev = data_mod.load_dataset(args.dev) if args.dev else None
-
-    all_types = sorted({m.type for ex in train for m in ex.gold})
-    vocab = build_vocab(data_mod.vocab_corpus(train, all_types), max_size=vocab_size)
-    model = Model.fresh(mcfg, vocab, seed=tcfg.seed, init_scale=init_scale)
+    try:  # each config refusal names its source, init_scale's too
+        mcfg, tcfg, vocab_size, init_scale = _train_setup(args)
+        train = data_mod.load_dataset(args.data)
+        if not train:
+            raise PromptnerError("trainer: dataset is empty")
+        dev = data_mod.load_dataset(args.dev) if args.dev else None
+        all_types = sorted({m.type for ex in train for m in ex.gold})
+        vocab = build_vocab(data_mod.vocab_corpus(train, all_types), max_size=vocab_size)
+        model = Model.fresh(mcfg, vocab, seed=tcfg.seed, init_scale=init_scale)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {args.config}: {exc}" if args.config
+                          else f"command line: {exc}") from exc
 
     trace = fit(train, model, tcfg, dev=dev, log=lambda rec: print(json.dumps(rec)))
     if args.trace:

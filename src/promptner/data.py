@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .decoder import EntityMention
+from .decoder import EntityMention, check_mention
 from .errors import ConfigError, DataError
 from .trainer import TrainingExample
 
@@ -99,16 +99,9 @@ def _finite(x, what):
     return float(x)
 
 
-def _type_name(x):
-    """JSON value ``x`` as an entity type: a non-empty string."""
-    if not (isinstance(x, str) and x):
-        raise DataError(f"entity type {x!r} is not a non-empty string")
-    return x
-
-
 def _mentions(rec):
-    """One parsed record's mentions, each span with 0 <= start <= end and within
-    the record's words if it has them; the caller adds the file position."""
+    """One parsed record's mentions, each held to ``check_mention`` (within the
+    record's words if it has them); the caller adds the file position."""
     if not isinstance(rec, dict):
         raise DataError("a record must be a JSON object")
     ner = rec.get("ner", [])
@@ -119,13 +112,8 @@ def _mentions(rec):
     for item in ner:
         if not isinstance(item, list) or not 3 <= len(item) <= 4:
             raise DataError(f"malformed ner entry {item!r}: expected [start, end, type(, score)]")
-        if not (type(item[0]) is int and type(item[1]) is int):
-            raise DataError(f"span indices must be JSON integers in {item!r}")
-        if not 0 <= item[0] <= item[1] or (n is not None and item[1] >= n):
-            raise DataError(f"span ({item[0]},{item[1]}) out of bounds"
-                            + (f" for {n} words" if n is not None else ""))
         score = _finite(item[3], "score") if len(item) > 3 else 1.0
-        mentions.append(EntityMention(item[0], item[1], _type_name(item[2]), score=score))
+        mentions.append(check_mention(EntityMention(*item[:3], score=score), n))
     return mentions
 
 

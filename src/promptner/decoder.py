@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractError, check_field_types
+from .errors import ContractError, check_fields, ruled
 from .tensor import sigmoid
 
 
@@ -42,17 +42,26 @@ class EntityMention:
         return (self.start, self.end, self.type)
 
 
+def check_mention(m, n=None):
+    """``m`` if its indices are integers with 0 <= start <= end (and end < ``n``,
+    the sentence's word count, when given) and its type is a non-empty string."""
+    if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in (m.start, m.end)):
+        raise ContractError(f"span ({m.start!r},{m.end!r}) indices must be integers")
+    if not 0 <= m.start <= m.end or (n is not None and m.end >= n):
+        raise ContractError(f"span ({m.start},{m.end}) out of bounds"
+                            + (f" for {n} words" if n is not None else ""))
+    if not (isinstance(m.type, str) and m.type):
+        raise ContractError(f"entity type {m.type!r} is not a non-empty string")
+    return m
+
+
 @dataclass
 class DecodeConfig:
-    mode: str = "flat"          # "flat" or "nested"
-    threshold: float = 0.5      # strict: only probs > threshold are candidates
+    mode: str = ruled("flat", ("flat", "nested"))
+    threshold: float = ruled(0.5, "in (0, 1)")  # strict: only probs > threshold are candidates
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.mode not in ("flat", "nested"):
-            raise ContractError(f"unknown decode mode {self.mode!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ContractError(f"threshold {self.threshold} outside (0, 1)")
+        check_fields(self)
 
 
 @dataclass

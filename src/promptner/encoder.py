@@ -20,27 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, check_field_types
+from .errors import ConfigError, ContractError, check_fields, check_rule, ruled, typed
 
 
 @dataclass
 class EncoderConfig:
-    depth: int = 2
-    width: int = 64
-    heads: int = 4
-    ffn_mult: int = 4
-    max_positions: int = 512
-    dropout: float = 0.1
+    depth: int = ruled(2, ">= 1")
+    width: int = ruled(64, ">= 1")
+    heads: int = ruled(4, ">= 1")
+    ffn_mult: int = ruled(4, ">= 0")
+    max_positions: int = ruled(512, ">= 1")
+    dropout: float = ruled(0.1, "in [0, 1)")
 
     def __post_init__(self):
-        check_field_types(self)
-        if (min(self.depth, self.width, self.heads, self.max_positions) < 1
-                or self.ffn_mult < 0 or self.width % self.heads != 0):
-            raise ConfigError(f"need sizes >= 1, ffn_mult >= 0 and heads dividing width, got "
-                              f"depth {self.depth}, max_positions {self.max_positions}, ffn_mult "
-                              f"{self.ffn_mult}, width {self.width} and heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+        check_fields(self)
+        if self.width % self.heads:
+            raise ConfigError(f"heads must divide width, got heads {self.heads} and width "
+                              f"{self.width}")
 
 
 @dataclass
@@ -71,7 +67,9 @@ def encoder_param_shapes(config, vocab_size):
 def init_from_shapes(shapes, rng, dtype=np.float32, init_scale=0.02):
     """requires_grad parameters for a name -> shape table: matrices drawn
     from N(0, init_scale^2) in table order, layer-norm gains (names ending
-    ".g") ones, other vectors zeros."""
+    ".g") ones, other vectors zeros. ``init_scale`` must be a finite float >= 0."""
+    check_rule("init_scale", typed("init_scale", init_scale, "float"), ">= 0")
+
     def init(name, shape):
         if len(shape) == 2:
             return rng.normal(0.0, init_scale, size=shape)

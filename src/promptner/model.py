@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matcher, prompt as prompt_mod, tensor as T
 from .encoder import EncoderConfig, encode, encoder_param_shapes, init_from_shapes
-from .errors import ConfigError, ContractError, check_field_types
+from .errors import ConfigError, ContractError, check_fields, ruled
 
 
 def pop_fields(cls, values, **renamed):
@@ -26,16 +26,13 @@ def pop_fields(cls, values, **renamed):
 
 @dataclass
 class ModelConfig:
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    k: int = 12                # span width cap
-    head_dropout: float = 0.4  # heads are the non-pretrained-equivalent layers
-    max_types: int = 25        # per-prompt cap during training
+    encoder: EncoderConfig = field(default_factory=EncoderConfig, metadata={"rule": EncoderConfig})
+    k: int = ruled(12, ">= 1")                     # span width cap
+    head_dropout: float = ruled(0.4, "in [0, 1)")  # heads are the non-pretrained-equivalent layers
+    max_types: int = ruled(25, ">= 1")             # per-prompt cap during training
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.k < 1 or self.max_types < 1 or not 0.0 <= self.head_dropout < 1.0:
-            raise ConfigError(f"need k >= 1, max_types >= 1 and head_dropout in [0, 1), got "
-                              f"{self.k}, {self.max_types} and {self.head_dropout}")
+        check_fields(self)
 
     def to_dict(self):
         return asdict(self)

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import prompt as prompt_mod
 from . import tensor as T
-from .decoder import decode
-from .errors import ConfigError, ContractError, check_field_types
+from .decoder import check_mention, decode
+from .errors import ContractError, PromptnerError, check_fields, ruled
 from .evaluation import score as eval_score
 from .model import forward_batch
 
@@ -30,17 +30,9 @@ class TrainingExample:
     gold: list  # EntityMention list (scores ignored)
 
     def __post_init__(self):
-        n = len(self.words)
         seen = set()
         for m in self.gold:
-            if not all(isinstance(i, (int, np.integer)) and type(i) is not bool
-                       for i in (m.start, m.end)):
-                raise ContractError(f"gold span ({m.start!r},{m.end!r}) indices must be integers")
-            if not (0 <= m.start <= m.end < n):
-                raise ContractError(f"gold span ({m.start},{m.end}) out of bounds for {n} words")
-            if not (isinstance(m.type, str) and m.type):
-                raise ContractError("gold type must be a non-empty string")
-            if m.key() in seen:
+            if check_mention(m, len(self.words)).key() in seen:
                 raise ContractError(f"duplicate gold triple {m.key()}")
             seen.add(m.key())
 
@@ -190,43 +182,28 @@ def adamw_step(params, state):
 
 @dataclass
 class TrainConfig:
-    steps: int = 2000
-    batch_size: int = 8
-    lr_encoder: float = 3e-4   # single desk-scale rate; two groups retained for parity
-    lr_head: float = 3e-4
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.1
-    neg_ratio: float = 0.5
-    drop_prob: float = 0.2
-    reduction: str = "sum"
-    seed: int = 0
-    eval_every: int = 0        # 0 disables periodic dev evaluation
-    log_every: int = 50
+    steps: int = ruled(2000, ">= 1")
+    batch_size: int = ruled(8, ">= 1")
+    lr_encoder: float = ruled(3e-4, ">= 0")  # one desk-scale rate; two groups kept for parity
+    lr_head: float = ruled(3e-4, ">= 0")
+    weight_decay: float = ruled(0.01, ">= 0")
+    warmup_frac: float = ruled(0.1, "in [0, 1]")
+    neg_ratio: float = ruled(0.5, "in [0, 1)")
+    drop_prob: float = ruled(0.2, "in [0, 1)")
+    reduction: str = ruled("sum", ("sum", "mean"))
+    seed: int = ruled(0, ">= 0")
+    eval_every: int = ruled(0, ">= 0")  # 0 disables periodic dev evaluation
+    log_every: int = ruled(50, ">= 0")
     # prompt construction policy. "sample" draws negative types from the
     # batch pool per example; "inventory" puts the full sorted type set of
     # the dataset in every prompt, which matches the inference-time prompt
     # exactly -- useful when the encoder is too small to bind type identity
     # under varying prompt composition.
-    type_policy: str = "sample"
+    type_policy: str = ruled("sample", ("sample", "inventory"))
     shuffle_types: bool = True
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.type_policy not in ("sample", "inventory"):
-            raise ConfigError(f"unknown type_policy {self.type_policy!r}")
-        if self.reduction not in ("sum", "mean"):
-            raise ConfigError(f"unknown reduction {self.reduction!r}")
-        if (min(self.batch_size, self.steps) < 1 or self.seed < 0
-                or not 0.0 <= self.warmup_frac <= 1.0):
-            raise ConfigError(f"need batch_size >= 1, steps >= 1, seed >= 0 and warmup_frac in "
-                              f"[0, 1], got {self.batch_size}, {self.steps}, {self.seed} and "
-                              f"{self.warmup_frac}")
-        rates = (self.lr_encoder, self.lr_head, self.weight_decay, self.log_every, self.eval_every)
-        if not (all(x >= 0 for x in rates)
-                and 0 <= self.neg_ratio < 1 and 0 <= self.drop_prob < 1):
-            raise ConfigError(f"need lr_encoder, lr_head, weight_decay, log_every and eval_every "
-                              f">= 0 and neg_ratio and drop_prob in [0, 1), got {rates}, "
-                              f"{self.neg_ratio} and {self.drop_prob}")
+        check_fields(self)
 
 
 def batch_loss(model, examples, prompts, rng, reduction="sum"):
@@ -308,7 +285,7 @@ def fit(dataset, model, tcfg, dev=None, log=None):
                 enc = prompt_mod.build_prompt(
                     types, example.words, model.vocab, max_types=model.config.max_types,
                     max_positions=model.config.encoder.max_positions)
-            except Exception as exc:
+            except PromptnerError as exc:  # a fault of the example; others pass through
                 raise ContractError(
                     f"training failed on example {batch_ids[bi]}: {exc}") from exc
             prompts.append(enc)

@@ -147,8 +147,8 @@ class TestCheckpoint:
         (lambda h: h["config"].update(span_cap=4), "expected the keys"),
         (lambda h: h["config"].pop("k"), "expected the keys"),
         (lambda h: h["config"]["encoder"].pop("depth"), "expected the keys"),
-        (lambda h: h["config"]["encoder"].update(heads=0), "heads 0"),
-        (lambda h: h["config"]["encoder"].update(width=0), "width 0"),
+        (lambda h: h["config"]["encoder"].update(heads=0), "heads must be >= 1, got 0"),
+        (lambda h: h["config"]["encoder"].update(width=0), "width must be >= 1, got 0"),
         (lambda h: h.update(format_version=2), "unsupported format version 2"),
         (lambda h: h["vocab"]["tokens"].remove("[ENT]"), "include"),
         (lambda h: h["vocab"]["tokens"].append("[SEP]"), "distinct"),
@@ -296,9 +296,9 @@ class TestMentionsIO:
         assert loaded[0][0].score == 1.0
 
     @pytest.mark.parametrize("record, message", [
-        ('{"ner": [[0, "x", "person"]]}', "JSON integers"),
-        ('{"ner": [[0.9, 1.7, "person"]]}', "JSON integers"),
-        ('{"ner": [[true, true, "person"]]}', "JSON integers"),
+        ('{"ner": [[0, "x", "person"]]}', r"span \(0,'x'\) indices must be integers"),
+        ('{"ner": [[0.9, 1.7, "person"]]}', r"span \(0.9,1.7\) indices must be integers"),
+        ('{"ner": [[true, true, "person"]]}', r"span \(True,True\) indices must be integers"),
         ('{"ner": [[0, 1, "person", "high"]]}', "could not convert"),
         ('{"ner": [[0, 1, "person", NaN]]}', "could not convert score"),
         ('{"ner": [[0, 1, "person", true]]}', "could not convert score"),
@@ -306,8 +306,8 @@ class TestMentionsIO:
         ('{"ner": [[0, 1, "person", null]]}', "could not convert score None"),
         ('{"ner": [[0, 1, "person", -Infinity]]}', "could not convert score -inf"),
         ('{"ner": [[0, 1, "person", 1' + '0' * 5000 + ']]}', "invalid JSON"),
-        ('{"ner": [["0", 1, "person"]]}', "JSON integers"),
-        ('{"ner": [[0.0, 1, "person"]]}', "JSON integers"),
+        ('{"ner": [["0", 1, "person"]]}', r"span \('0',1\) indices must be integers"),
+        ('{"ner": [[0.0, 1, "person"]]}', r"span \(0.0,1\) indices must be integers"),
         ('{"ner": [[0, null, "person"]]}', "int"),
         ('{"ner": [5]}', "malformed ner entry"),
         ('{"ner": [[0, 1]]}', "malformed ner entry"),

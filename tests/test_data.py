@@ -4,8 +4,10 @@ import pytest
 
 from promptner.data import (LEXICONS, SynthSpec, load_dataset,
                             save_dataset, synth_dataset, vocab_corpus)
-from promptner.errors import ConfigError, DataError
+from promptner.decoder import EntityMention
+from promptner.errors import ConfigError, ContractError, DataError
 from promptner.model import ModelConfig
+from promptner.trainer import TrainingExample
 
 
 class TestSynthDataset:
@@ -95,6 +97,18 @@ class TestDatasetIO:
         with pytest.raises(DataError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("entry", [[0, 1.5, "t"], [True, 1, "t"], ["0", 1, "t"], [1, 0, "t"],
+                                       [-1, 0, "t"], [0, 2, "t"], [0, 0, ""], [0, 0, None]])
+    def test_span_rule_as_for_python_callers(self, tmp_path, entry):
+        # one rule and one message: a file refusal adds only its path:line
+        with pytest.raises(ContractError) as from_python:
+            TrainingExample(["a", "b"], [EntityMention(*entry)])
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"tokenized_text": ["a", "b"], "ner": [entry]}) + "\n")
+        with pytest.raises(DataError) as from_file:
+            load_dataset(path)
+        assert str(from_file.value) == f"{path}:1: {from_python.value}"
+
     def test_malformed_ner_entry(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"tokenized_text": ["hi"], "ner": [[0, 0]]}\n')
@@ -102,9 +116,9 @@ class TestDatasetIO:
             load_dataset(path)
 
     @pytest.mark.parametrize("record, message", [
-        ('{"tokenized_text": ["a", "b"], "ner": [[0, "x", "t"]]}', "JSON integers"),
-        ('{"tokenized_text": ["a", "b"], "ner": [[0.9, 1.7, "t"]]}', "JSON integers"),
-        ('{"tokenized_text": ["a", "b"], "ner": [[true, true, "t"]]}', "JSON integers"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0, "x", "t"]]}', "indices must be integers"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[0.9, 1.7, "t"]]}', "indices must be integers"),
+        ('{"tokenized_text": ["a", "b"], "ner": [[true, true, "t"]]}', "indices must be integers"),
         ('{"tokenized_text": ["a", "b"], "ner": [5]}', "malformed ner entry"),
         ('{"tokenized_text": ["a", "b"], "ner": [[0, 1, "t", 0.5, "junk", 7]]}',
          "malformed ner entry"),

@@ -14,7 +14,7 @@ from scipy.special import logit
 
 from promptner.decoder import (DecodeConfig, DecodeStats, EntityMention, _logit_cut, _type_ranks,
                                decode)
-from promptner.errors import ContractError
+from promptner.errors import ConfigError
 from promptner.matcher import ScoreTable, enumerate_spans
 from promptner.tensor import sigmoid
 
@@ -249,11 +249,11 @@ class TestEdgeCases:
             assert type(m.score) is float and type(m.type) is str
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match='^mode must be "flat" or "nested", got "best"$'):
             DecodeConfig(mode="best")
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\), got 0.0$"):
             DecodeConfig(threshold=0.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match=r"^threshold must be in \(0, 1\), got 1.0$"):
             DecodeConfig(threshold=1.0)
 
 

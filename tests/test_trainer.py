@@ -8,7 +8,7 @@ from promptner import tensor as T
 from promptner.data import vocab_corpus
 from promptner.decoder import DecodeConfig, EntityMention
 from promptner.encoder import EncoderConfig
-from promptner.errors import ConfigError, ContractError
+from promptner.errors import ConfigError, ContractError, SizingError
 from promptner.matcher import enumerate_spans
 from promptner.model import Model, ModelConfig
 from promptner.prompt import build_prompt
@@ -49,8 +49,8 @@ class TestTrainingExample:
         (0, 0, 5), (0, 0, ""),
     ])
     def test_malformed_gold_rejected(self, start, end, etype):
-        message = ("gold type must be a non-empty string" if start == 0 and end == 0
-                   else f"gold span ({start!r},{end!r}) indices must be integers")
+        message = (f"entity type {etype!r} is not a non-empty string" if start == 0 and end == 0
+                   else f"span ({start!r},{end!r}) indices must be integers")
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             TrainingExample(["a", "b", "c"], [EntityMention(0, 0, "t"),
                                               EntityMention(start, end, etype)])
@@ -411,6 +411,22 @@ class TestFit:
         with pytest.raises(ContractError,
                            match="training failed on example 1: sentence length 40 exceeds 32"):
             fit(data, model, tcfg)
+
+    @pytest.mark.parametrize("error, expected, message", [
+        (SizingError("simulated"), ContractError, "^training failed on example 0: simulated$"),
+        (RuntimeError("simulated"), RuntimeError, "^simulated$"),  # not the example's fault
+        (MemoryError("simulated"), MemoryError, "^simulated$"),
+    ])
+    def test_only_a_refused_example_is_named(self, monkeypatch, error, expected, message):
+        def build_prompt(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("promptner.prompt.build_prompt", build_prompt)
+        data = [example()]
+        tcfg = TrainConfig(steps=1, batch_size=1, log_every=0)
+        with pytest.raises(expected, match=message) as raised:
+            fit(data, tiny_model(data), tcfg)
+        assert (raised.value is error) == (expected is not ContractError)
 
     @pytest.mark.parametrize("policy, data, message", [
         ("sample", [example(), example(words=("it", "rained", "today"), gold=())],
