@@ -112,7 +112,10 @@ def decode(table, config=None, stats=None):
     starts, ends = table.spans[rows, 0], table.spans[rows, 1]
     order = np.lexsort((_type_ranks(tuple(table.types))[cols], ends, starts, -p))
     candidates = len(order)
-    order = order[np.sort(np.unique(rows[order], return_index=True)[1])]  # each span's first pair
+    by_row = np.argsort(rows[order], kind="stable")  # each span's first pair leads its row
+    first = np.ones(len(order), dtype=bool)
+    first[by_row[1:]] = rows[order[by_row[1:]]] != rows[order[by_row[:-1]]]
+    order = order[first]
     if stats is not None:
         stats.candidates = candidates
         stats.pops += len(order)

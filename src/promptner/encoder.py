@@ -107,26 +107,24 @@ def encode(prompts, params, config, mode="eval", rng=None):
     dropout = config.dropout if mode == "train" else 0.0
     if not prompts:
         raise ContractError("encode needs at least one prompt")
-    length = max(len(p.token_ids) for p in prompts)
+    lengths = [len(p.token_ids) for p in prompts]
+    length = max(lengths)
     width = max(len(p.ent_positions) + len(p.word_positions) for p in prompts)
-    ids = np.zeros((len(prompts), length), dtype=np.int64)
-    pos = np.zeros_like(ids)
-    real = np.zeros(ids.shape, dtype=bool)
-    read = np.zeros((len(prompts), width), dtype=np.int64)  # padding: the prompt's row 0
+    ids, pos, read = [], [], []  # each prompt's rows of the B*L, padded with 0
     for b, prompt in enumerate(prompts):
         if prompt.max_positions != config.max_positions:
             raise ContractError(f"prompt {b} is laid out for {prompt.max_positions} positions, "
                                 f"the encoder has {config.max_positions}")
-        n = len(prompt.token_ids)
-        pos[b, :n] = prompt.positions
-        ids[b, :n] = prompt.token_ids
-        real[b, :n] = True
-        rows = prompt.ent_positions + prompt.word_positions
-        read[b, :len(rows)] = rows
-    read = (read + length * np.arange(len(prompts))[:, None]).reshape(-1)  # rows of B*L
+        pad = [0] * (length - len(prompt.token_ids))
+        ids += prompt.token_ids + pad
+        pos += prompt.positions + pad
+        rows = prompt.ent_positions + prompt.word_positions  # padding: the prompt's row 0
+        read += [b * length + r for r in rows + [0] * (width - len(rows))]
+    # the (B, L) mask of real tokens; one prompt has none to mask
+    real = np.arange(length) < np.array(lengths)[:, None] if len(prompts) > 1 else None
 
-    x = T.add(T.gather_rows(params["encoder.tok_emb"], ids.reshape(-1)),
-              T.gather_rows(params["encoder.pos_emb"], pos.reshape(-1)))
+    x = T.add(T.gather_rows(params["encoder.tok_emb"], ids),
+              T.gather_rows(params["encoder.pos_emb"], pos))
     for i in range(config.depth):
         pre = f"encoder.layer{i}."
         a = T.layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
@@ -139,5 +137,5 @@ def encode(prompts, params, config, mode="eval", rng=None):
     x = T.layer_norm(x, params["encoder.final_ln.g"], params["encoder.final_ln.b"])
 
     starts = [(b * width, len(p.ent_positions)) for b, p in enumerate(prompts)]
-    ent = np.concatenate([np.arange(s, s + m) for s, m in starts])
+    ent = [s + j for s, m in starts for j in range(m)]
     return EncoderOutput(p=T.gather_rows(x, ent), h=x, word_start=[s + m for s, m in starts])

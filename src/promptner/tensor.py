@@ -96,17 +96,21 @@ class Tensor:
 
 
 def _result(data, parents, op, backward):
-    """The node of ``data``; it keeps ``parents`` and the ``backward(grad)``
+    """The node of the array ``data``; it keeps ``parents`` and the ``backward(grad)``
     closure, and so the operands' arrays, only when some parent requires grad."""
-    if not any(p.requires_grad for p in parents):
-        return Tensor(data, dtype=data.dtype, _op=op)
-    return Tensor(data, True, data.dtype, tuple(parents), op, backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, True, data.dtype, tuple(parents), op, backward)
+    t = Tensor.__new__(Tensor)  # gradient-free: only a 0-d op's numpy scalar is converted
+    t.data, t.op, t.requires_grad, t._parents = np.asarray(data), op, False, ()
+    t.grad = t._backward = None
+    return t
 
 
 # -- elementwise ------------------------------------------------------------
 
 def add(a, b):
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise DimensionError(f"add needs equal shapes, got {a.shape} and {b.shape}")
 
     def bw(g):
@@ -195,12 +199,13 @@ def dropout(a, p, rng):
 def linear(x, w, b=None):
     """``x @ w``, plus the row vector ``b`` on every row when given, as one
     tape node (2-D ``x`` and ``w``)."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
+    xs, ws = x.data.shape, w.data.shape
+    if len(xs) != 2 or len(ws) != 2:
         raise DimensionError("linear requires 2-D operands")
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
-        raise DimensionError(f"bias shape {b.shape} != ({w.shape[1]},)")
+    if xs[1] != ws[0]:
+        raise DimensionError(f"inner dimensions disagree: {xs} @ {ws}")
+    if b is not None and b.data.shape != (ws[1],):
+        raise DimensionError(f"bias shape {b.shape} != ({ws[1]},)")
     y = x.data @ w.data
     if b is not None:
         y += b.data
@@ -217,9 +222,10 @@ def linear(x, w, b=None):
 matmul = linear  # x @ w: a linear node without a bias
 
 
-def _check_rows(idx, a):
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ContractError(f"row index out of range for shape {a.shape}")
+def _check_rows(idx, shape):
+    """Refuse an int64 index outside [0, shape[0]): as uint64 a negative one is >= 2^63."""
+    if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= shape[0]:
+        raise ContractError(f"row index out of range for shape {shape}")
 
 
 def _scatter_rows(idx, g, rows):
@@ -243,8 +249,8 @@ def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 2 or idx.ndim != 1:
         raise DimensionError("gather_rows requires a 2-D tensor and a 1-D index")
-    _check_rows(idx, a)
-    return _result(a.data[idx], (a,), "gather_rows",
+    _check_rows(idx, a.data.shape)
+    return _result(a.data.take(idx, axis=0), (a,), "gather_rows",
                    lambda g: a._accumulate(_scatter_rows(idx[:, None], g, a.shape[0])))
 
 
@@ -254,12 +260,13 @@ def span_endpoints(h, spans, w1, b1):
     without the concatenation: with w1 = [w_0 ; w_1] (2D x F), row i is
     relu((h w_0 + b1)[start_i] + (h w_1)[end_i]): products of h's rows, not S."""
     spans = np.asarray(spans, dtype=np.int64)
-    if h.data.ndim != 2 or spans.ndim != 2 or spans.shape[1] != 2:
+    hs, ws = h.data.shape, w1.data.shape
+    if len(hs) != 2 or spans.ndim != 2 or spans.shape[1] != 2:
         raise DimensionError("span_endpoints requires a 2-D tensor and an (S, 2) index")
-    if w1.data.ndim != 2 or w1.shape[0] != 2 * h.shape[1] or b1.shape != (w1.shape[1],):
-        raise DimensionError(f"span weights {w1.shape}, bias {b1.shape} do not fit width {h.shape[1]}")
-    _check_rows(spans, h)
-    w = w1.data.reshape(2, h.shape[1], -1)  # w_0 and w_1
+    if len(ws) != 2 or ws[0] != 2 * hs[1] or b1.data.shape != (ws[1],):
+        raise DimensionError(f"span weights {ws}, bias {b1.shape} do not fit width {hs[1]}")
+    _check_rows(spans, hs)
+    w = w1.data.reshape(2, hs[1], -1)  # w_0 and w_1
     hw = h.data @ w
     hw[0] += b1.data  # on the start rows, before the gather
     z = hw[0, spans[:, 0]]
@@ -268,10 +275,10 @@ def span_endpoints(h, spans, w1, b1):
     def bw(g):
         g = g * (z > 0)
         b1._accumulate(g.sum(axis=0))
-        n = h.shape[0]  # by start, by end: rows of the start half, then of the end half
+        n = hs[0]  # by start, by end: rows of the start half, then of the end half
         gk = _scatter_rows(spans + (0, n), g, 2 * n).reshape(2, n, -1)
         h._accumulate((gk @ w.transpose(0, 2, 1)).sum(axis=0))
-        w1._accumulate((h.data.T @ gk).reshape(w1.shape))
+        w1._accumulate((h.data.T @ gk).reshape(ws))
 
     bw.pre_relu = z  # for gradcheck's kink guard
     return _result(np.maximum(z, 0), (h, w1, b1), "span_endpoints", bw)
@@ -282,11 +289,12 @@ def span_scores(r, w2, b2, q):
     head and the M x E type embeddings q, computed as r (w2 q^T) + q b2: the
     head's second layer moves to the type side, so the S x E span embeddings
     are never built and a D x E x M product replaces the S x D x E one."""
-    if r.data.ndim != 2 or w2.data.ndim != 2 or q.data.ndim != 2:
+    rs, ws, qs = r.data.shape, w2.data.shape, q.data.shape
+    if len(rs) != 2 or len(ws) != 2 or len(qs) != 2:
         raise DimensionError("span_scores requires 2-D rows, weights and types")
-    if w2.shape[0] != r.shape[1] or b2.shape != (w2.shape[1],) or q.shape[1] != w2.shape[1]:
-        raise DimensionError(f"span weights {w2.shape}, bias {b2.shape} do not fit "
-                             f"rows {r.shape} and types {q.shape}")
+    if ws[0] != rs[1] or b2.data.shape != (ws[1],) or qs[1] != ws[1]:
+        raise DimensionError(f"span weights {ws}, bias {b2.shape} do not fit "
+                             f"rows {rs} and types {qs}")
     a = w2.data @ q.data.T  # D x M
     y = r.data @ a
     y += q.data @ b2.data
@@ -306,10 +314,10 @@ def span_scores(r, w2, b2, q):
 
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Per-row normalization over the last axis, then affine."""
-    d = x.shape[-1] if x.data.ndim else 0
+    d = x.data.shape[-1] if x.data.ndim else 0
     if d == 0:
         raise DimensionError("layer_norm needs a non-empty last dimension")
-    if gamma.shape != (d,) or beta.shape != (d,):
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise DimensionError(f"gamma/beta must have shape ({d},)")
     # means as sums over d: ndarray.mean's result to the bit, without its overhead
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
@@ -333,7 +341,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
     y = xhat * gamma.data
     y += beta.data
-    return _result(y.astype(x.dtype, copy=False), (x, gamma, beta), "layer_norm", bw)
+    return _result(y.astype(x.data.dtype, copy=False), (x, gamma, beta), "layer_norm", bw)
 
 
 # -- attention --------------------------------------------------------------
@@ -359,21 +367,23 @@ def attention(q, k, v, heads, mask=None):
     query's max (the usual max-subtracted softmax). The backward only reads
     the block.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+    qs, ks = q.data.shape, k.data.shape
+    if len(qs) != 2 or len(ks) != 2 or v.data.shape != ks or qs[1] != ks[1]:
         raise DimensionError(f"attention needs 2-D q, k, v of one width and k, v of one "
-                             f"shape, got {q.shape}, {k.shape}, {v.shape}")
-    rows, width = k.shape
+                             f"shape, got {qs}, {ks}, {v.shape}")
+    rows, width = ks
     if heads < 1 or width % heads:
         raise DimensionError(f"width {width} is not divisible by {heads} heads")
-    mask = np.ones((1, rows), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.size != rows:
-        raise DimensionError(f"mask shape {mask.shape} does not cover {rows} rows")
-    padded = not mask.all()  # the -inf bias is skipped when no key is padding
-    if padded and not mask.any(axis=1).all():
-        raise ContractError("every prompt needs at least one real token")
-    nb = mask.shape[0]
-    if q.shape[0] % nb:
-        raise DimensionError(f"{q.shape[0]} query rows do not split into {nb} prompts")
+    nb, padded = 1, False  # no mask: one prompt, no padding
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2 or mask.size != rows:
+            raise DimensionError(f"mask shape {mask.shape} does not cover {rows} rows")
+        nb, padded = len(mask), not mask.all()  # the -inf bias only when a key is padding
+        if padded and not mask.any(axis=1).all():
+            raise ContractError("every prompt needs at least one real token")
+    if qs[0] % nb:
+        raise DimensionError(f"{qs[0]} query rows do not split into {nb} prompts")
     dh = width // heads
 
     def split(a):  # B*n x D -> B x heads x n x d_h
@@ -382,16 +392,16 @@ def attention(q, k, v, heads, mask=None):
     def merge(a):  # B x heads x n x d_h -> B*n x D
         return a.transpose(0, 2, 1, 3).reshape(-1, width)
 
-    s = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    s = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
     qh, kh, vh = split(q.data * s), split(k.data), split(v.data)
-    v1 = np.empty((nb, heads, dh + 1, mask.shape[1]), dtype=v.dtype)  # [v | 1]^T
+    v1 = np.empty((nb, heads, dh + 1, rows // nb), dtype=v.data.dtype)  # [v | 1]^T
     v1[:, :, :dh] = vh.swapaxes(2, 3)
     v1[:, :, dh] = 1
 
     def exp_scores(shift):
         e = kh @ qh.swapaxes(2, 3)  # keys x queries: numpy reduces columns faster than rows
         if padded:
-            e += np.where(mask, 0.0, -np.inf).astype(q.dtype)[:, None, :, None]
+            e += np.where(mask, 0.0, -np.inf).astype(q.data.dtype)[:, None, :, None]
         if shift:
             e -= e.max(axis=2, keepdims=True)
         np.exp(e, out=e)
@@ -399,7 +409,8 @@ def attention(q, k, v, heads, mask=None):
 
     with np.errstate(over="ignore", invalid="ignore"):
         e, ev = exp_scores(False)
-    if not np.isfinite(ev).all() or ev[:, :, dh].min() < _MIN_SUM:  # overflow or underflow
+    if (not np.logical_and.reduce(np.isfinite(ev), axis=None)  # overflow or underflow
+            or np.minimum.reduce(ev[:, :, dh], axis=None) < _MIN_SUM):
         e, ev = exp_scores(True)
     r = ev[:, :, dh:]
     ot = ev[:, :, :dh] / r  # the output o, transposed per head

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import prompt as prompt_mod
 from . import tensor as T
-from .decoder import check_mention, decode
-from .errors import ContractError, PromptnerError, check_fields, ruled
+from .decoder import DecodeConfig, check_mention, decode
+from .errors import ContractError, PromptnerError, check_fields, check_rule, ruled
 from .evaluation import score as eval_score
 from .model import forward_batch
 
@@ -73,8 +73,7 @@ def sample_negative_types(example, batch_pool, ratio, rng, max_types=25):
     ``max_types``; sampling is without replacement and never picks one of
     the example's own positive types.
     """
-    if not 0.0 <= ratio < 1.0:
-        raise ContractError(f"negative ratio {ratio} outside [0, 1)")
+    check_rule("neg_ratio", ratio, "in [0, 1)")
     positives = example.positive_types
     pool = sorted(set(batch_pool) - set(positives))
     want = int(math.floor(ratio / (1.0 - ratio) * len(positives) + 0.5))
@@ -98,8 +97,7 @@ def shuffle_and_drop(prompt_types, drop_prob, rng):
 def drop_types(prompt_types, drop_prob, rng):
     """Drop each type independently, in list order; the first type stays
     when everything was dropped. ``drop_prob == 0`` or no type draws nothing."""
-    if not 0.0 <= drop_prob < 1.0:
-        raise ContractError(f"drop_prob {drop_prob} outside [0, 1)")
+    check_rule("drop_prob", drop_prob, "in [0, 1)")
     if drop_prob == 0.0 or not prompt_types:
         return list(prompt_types)
     return [t for t in prompt_types if rng.random() >= drop_prob] or [prompt_types[0]]
@@ -315,5 +313,6 @@ def fit(dataset, model, tcfg, dev=None, log=None):
 
 def evaluate_dataset(model, dataset, entity_types, decode_config=None):
     """Predict every example on ``entity_types`` and score exact-match micro F1."""
-    preds = [decode(model.score_table(ex.words, entity_types), decode_config) for ex in dataset]
+    config = decode_config or DecodeConfig()  # built and checked once, not per sentence
+    preds = [decode(model.score_table(ex.words, entity_types), config) for ex in dataset]
     return eval_score(preds, [list(ex.gold) for ex in dataset])

@@ -184,15 +184,24 @@ class TestParams:
 class TestBatch:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_batch_matches_one_prompt_at_a_time(self, reduction):
-        # three prompts of different lengths and type counts, padded into one
-        # batch: each prompt's block of the logits, the loss and the loss's
-        # parameter grads match running each prompt alone
+        # three prompts of different lengths and type counts, padded into one batch
+        self.check_batch(reduction, [(0, slice(None)), (3, slice(0, 1)), (5, slice(1, 3))], 3)
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_equal_lengths_match_one_prompt_at_a_time(self, reduction):
+        # two prompts of one length (9 words and 2 types, 5 words and 4 types):
+        # nothing is padded, yet each attends within its own prompt only
+        self.check_batch(reduction, [(0, slice(1, 3)), (5, slice(None))], 1)
+
+    def check_batch(self, reduction, picks, lengths):
+        # prompts of (example, type slice) with ``lengths`` distinct token
+        # lengths: each prompt's block of the batch's logits, the loss and the
+        # loss's parameter grads match running each prompt alone
         model, types, train = tiny_model()
         model.config.encoder.dropout = model.config.head_dropout = 0.0
-        examples = [train[0], train[3], train[5]]
-        prompts = [build_prompt(ts, ex.words, model.vocab) for ts, ex in
-                   zip([types, types[:1], types[1:3]], examples)]
-        assert len({len(p.token_ids) for p in prompts}) == 3
+        examples = [train[i] for i, _ in picks]
+        prompts = [build_prompt(types[cut], train[i].words, model.vocab) for i, cut in picks]
+        assert len({len(p.token_ids) for p in prompts}) == lengths
 
         spans, logits = forward_batch(prompts, model.params, model.config)
         assert logits.shape == (sum(map(len, spans)),

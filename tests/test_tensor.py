@@ -78,9 +78,11 @@ class TestGatherRows:
         assert np.array_equal(a.grad, np.zeros((4, 3)))
 
     def test_bad_index_rejected(self):
+        # row n, and negative rows however far below 0
         a = t(np.ones((4, 3)))
-        with pytest.raises(ContractError):
-            T.gather_rows(a, np.array([0, 4]))
+        for bad in (4, -1, np.iinfo(np.int64).min):
+            with pytest.raises(ContractError, match="row index out of range"):
+                T.gather_rows(a, np.array([0, bad]))
         with pytest.raises(DimensionError):  # a span array goes to span_endpoints
             T.gather_rows(a, np.zeros((1, 2), dtype=np.int64))
 
@@ -242,8 +244,9 @@ class TestSpanEndpoints:
 
     def test_bad_inputs_rejected(self):
         h, w1, b1 = t(np.ones((4, 3))), t(np.ones((6, 5))), t(np.zeros(5))
-        with pytest.raises(ContractError):
-            T.span_endpoints(h, np.array([[0, 4]]), w1, b1)
+        for bad in ([[0, 4]], [[-1, 2]], [[1, 2], [0, np.iinfo(np.int64).min]]):
+            with pytest.raises(ContractError, match="row index out of range"):
+                T.span_endpoints(h, np.array(bad), w1, b1)
         with pytest.raises(DimensionError):
             T.span_endpoints(h, np.array([0, 1]), w1, b1)
         with pytest.raises(DimensionError):
@@ -625,6 +628,18 @@ class TestBackward:
         assert sq.grad is None and mid.grad is None and loss.grad is None
         assert c.grad is None
         assert np.array_equal(w.grad, 2 * w.data + c.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_free_results_record_nothing(self, dtype):
+        # an op on gradient-free operands keeps no tape; its data is an array
+        # of the operands' dtype, 0-d ones included (numpy gives a scalar there)
+        for a, b in [(t([[1.0, -2.0]], False, dtype), t([[3.0, 0.5]], False, dtype)),
+                     (t(-2.0, False, dtype), t(0.5, False, dtype))]:
+            for op, out in [("add", T.add(a, b)), ("relu", T.relu(a))]:
+                assert type(out.data) is np.ndarray and out.data.dtype == dtype
+                assert out.shape == a.shape and out.op == op
+                assert (out.requires_grad, out.grad, out._parents, out._backward) == \
+                    (False, None, (), None)
 
     def test_graph_nodes_put_parents_first(self):
         w, c = t([[1.0, -2.0]]), t([[3.0, 0.5]], rg=False)

@@ -6,7 +6,7 @@ import pytest
 
 from promptner import tensor as T
 from promptner.data import vocab_corpus
-from promptner.decoder import DecodeConfig, EntityMention
+from promptner.decoder import DecodeConfig, EntityMention, decode
 from promptner.encoder import EncoderConfig
 from promptner.errors import ConfigError, ContractError, SizingError
 from promptner.matcher import enumerate_spans
@@ -130,8 +130,10 @@ class TestNegativeSampling:
         assert out == ex.positive_types
 
     def test_invalid_ratio(self):
-        with pytest.raises(ContractError):
-            sample_negative_types(example(), [], 1.0, np.random.default_rng(0))
+        # refused like TrainConfig's neg_ratio, under the field's name and rule
+        for ratio in (1.0, -0.1, math.nan):
+            with pytest.raises(ConfigError, match=re.escape("neg_ratio must be in [0, 1)")):
+                sample_negative_types(example(), [], ratio, np.random.default_rng(0))
 
     def test_negative_fraction_near_half(self):
         # over many batches the negative fraction at ratio 0.5 stays near 0.5
@@ -169,7 +171,7 @@ class TestShuffleAndDrop:
         assert len(seen) > 1
 
     def test_invalid_prob(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match=re.escape("drop_prob must be in [0, 1), got 1.0")):
             shuffle_and_drop(["a"], 1.0, np.random.default_rng(0))
 
     def test_unshuffled_drop_keeps_order(self):
@@ -178,7 +180,7 @@ class TestShuffleAndDrop:
         for _ in range(200):
             out = drop_types(list("abcdef"), 0.5, rng)
             assert out and out == [t for t in "abcdef" if t in out]
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match=re.escape("drop_prob must be in [0, 1), got 1.0")):
             drop_types(["a"], 1.0, rng)
 
     def test_no_type_draws_nothing(self):
@@ -523,3 +525,16 @@ class TestEvaluateDataset:
         ex = example()
         with pytest.raises(TypeError):
             evaluate_dataset(tiny_model([ex]), [ex])
+
+    def test_default_config_is_built_once(self, monkeypatch):
+        # every sentence decodes with the one default DecodeConfig of the call
+        ex = example()
+        model = tiny_model([ex])
+        seen = []
+        monkeypatch.setattr("promptner.trainer.decode",
+                            lambda table, config: seen.append(config) or decode(table, config))
+        report = evaluate_dataset(model, [ex, example(gold=()), ex], ex.positive_types)
+        assert len(seen) == 3 and all(c is seen[0] for c in seen)
+        assert seen[0] == DecodeConfig()
+        assert report == evaluate_dataset(model, [ex, example(gold=()), ex], ex.positive_types,
+                                          DecodeConfig())
